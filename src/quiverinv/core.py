@@ -12,6 +12,8 @@ order.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 from . import linalg
 from .errors import InputError, InvariantError, PreconditionError
@@ -78,8 +80,6 @@ class Quiver:
 
     def topological_order(self):
         """Vertices in an arrow-compatible order (ties broken by sorted id)."""
-        if not self.is_acyclic():
-            raise PreconditionError("quiver has an oriented cycle")
         indeg = {v: 0 for v in self.vertices}
         for _, _, h in self.arrows:
             indeg[h] += 1
@@ -97,6 +97,9 @@ class Quiver:
                         changed = True
             if changed:
                 ready.sort()
+        # vertices on or behind an oriented cycle never reach indegree zero
+        if len(out) != len(self.vertices):
+            raise PreconditionError("quiver has an oriented cycle")
         return tuple(out)
 
     def is_connected(self):
@@ -196,13 +199,31 @@ class BoundQuiver:
                 )
 
 
+class QuiverPlan(NamedTuple):
+    """What the kernels read of a quiver's shape, computed once.
+
+    ``order`` is the topological order and ``out_arrows[i]`` the sorted
+    arrows leaving ``order[i]``; both are empty when the quiver has an
+    oriented cycle.
+    """
+
+    acyclic: bool
+    order: tuple
+    out_arrows: tuple
+
+
 class EulerMatrix:
     """Bilinear Euler form of a (bound) quiver algebra.
 
     ``matrix[i][j] = delta_ij - #arrows(i -> j) + relations(i -> j)`` indexed
     in sorted vertex order, so that ``<d, e> = d^T E e`` counts homomorphisms
     minus extensions (minus relation corrections) for generic representations.
-    Instances are immutable and safe to share across threads.
+
+    ``plan`` holds the quiver's acyclicity, topological order and out-arrows.
+    It is built on first use and then kept, so matrices that never reach a
+    kernel never pay for it.  Instances are immutable and safe to share
+    across threads: the plan depends on the quiver alone, so threads racing
+    to build it build equal plans and either one serves.
     """
 
     def __init__(self, source):
@@ -239,15 +260,31 @@ class EulerMatrix:
     def is_path_algebra(self):
         return not any(self.relation_counts.values())
 
+    @cached_property
+    def plan(self):
+        quiver = self.quiver
+        if not quiver.is_acyclic():
+            return QuiverPlan(False, (), ())
+        order = quiver.topological_order()
+        out_arrows = tuple(tuple(sorted(quiver.arrows_from(v))) for v in order)
+        return QuiverPlan(True, order, out_arrows)
+
     def tup(self, vec):
         """Coerce a dict keyed by vertex id, or a sequence in sorted vertex
-        order, to an internal tuple."""
+        order, to an internal tuple of ints.  Entries must be integral
+        (``2``, ``2.0`` and ``Fraction(4, 2)`` all give ``2``); a fractional
+        entry raises ``InputError`` instead of being truncated."""
         if isinstance(vec, dict):
             unknown = set(vec) - set(self.order)
             if unknown:
                 raise InputError(f"unknown vertex ids: {sorted(unknown)}")
-            return tuple(int(vec.get(v, 0)) for v in self.order)
-        t = tuple(int(x) for x in vec)
+            vals = tuple(vec.get(v, 0) for v in self.order)
+        else:
+            vals = tuple(vec)
+        t = tuple(int(x) for x in vals)
+        if t != vals:
+            bad = next(x for x, i in zip(vals, t) if x != i)
+            raise InputError(f"vector entry {bad!r} is not an integer")
         if len(t) != self.n:
             raise InputError(
                 f"vector length {len(t)} does not match {self.n} vertices"

@@ -15,12 +15,13 @@ Euler matrix.
 
 import itertools
 import random
+from operator import mul
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import EulerMatrix, Quiver
 from .errors import BudgetError, InputError, InvariantError, PreconditionError
-from .linalg import rank
+from .linalg import matvec, rank, vecmat
 
 DEFAULT_SEED = 1729
 BOX_LIMIT = 10**7
@@ -165,21 +166,26 @@ def clear_caches():
     _CANDECOMP_CACHE.clear()
 
 
-def _require_hereditary(euler):
+def _dimension_vectors(euler, box_limit, d, *others):
+    """The one check of a public call: a hereditary algebra, nonnegative
+    integral vectors, and a subdimension box of ``d`` within ``box_limit``.
+
+    Returns the vectors as int tuples in sorted vertex order; everything
+    below the public functions takes those tuples as they are.
+    """
     if not euler.is_path_algebra:
         raise PreconditionError("operation requires a path algebra")
-    if not euler.quiver.is_acyclic():
+    if not euler.plan.acyclic:
         raise PreconditionError("operation requires an acyclic quiver")
-
-
-def _check_box(dt, box_limit):
+    vecs = tuple(euler.tup(v) for v in (d,) + others)
+    if any(x < 0 for t in vecs for x in t):
+        raise InputError("dimension vectors must be nonnegative")
     size = 1
-    for x in dt:
-        if x < 0:
-            raise InputError("dimension vectors must be nonnegative")
+    for x in vecs[0]:
         size *= x + 1
     if size > box_limit:
         raise BudgetError("subdimension box size", box_limit)
+    return vecs
 
 
 def generic_subdims(euler, d, box_limit=BOX_LIMIT):
@@ -188,47 +194,52 @@ def generic_subdims(euler, d, box_limit=BOX_LIMIT):
     d' is included exactly when the generic representation of dimension d
     has a subrepresentation of dimension d', i.e. ext(d', d - d') = 0.
     """
-    _require_hereditary(euler)
-    dt = euler.tup(d)
+    (dt,) = _dimension_vectors(euler, box_limit, d)
+    return _subdims(euler, dt)
+
+
+def _subdims(euler, dt):
     key = (euler.key, dt)
     cached = _SUBDIMS_CACHE.get(key)
     if cached is not None:
         return cached
-    _check_box(dt, box_limit)
     out = []
+    # product runs in lexicographic order, so ``out`` comes out sorted
     for sub in itertools.product(*(range(x + 1) for x in dt)):
         rest = tuple(a - b for a, b in zip(dt, sub))
-        if ext_generic(euler, sub, rest, box_limit=box_limit) == 0:
+        if _ext(euler, sub, rest) == 0:
             out.append(sub)
-    result = tuple(sorted(out))
+    result = tuple(out)
     _SUBDIMS_CACHE[key] = result
     return result
 
 
 def ext_generic(euler, a, b, box_limit=BOX_LIMIT):
     """dim Ext^1 between independent generic representations of a and b."""
-    _require_hereditary(euler)
-    at = euler.tup(a)
-    bt = euler.tup(b)
+    at, bt = _dimension_vectors(euler, box_limit, a, b)
+    return _ext(euler, at, bt)
+
+
+def _ext(euler, at, bt):
     if not any(at) or not any(bt):
         return 0
     key = (euler.key, at, bt)
     cached = _EXT_CACHE.get(key)
     if cached is not None:
         return cached
-    best = 0
-    for sub in generic_subdims(euler, at, box_limit=box_limit):
-        value = -euler.euler(sub, bt)
-        if value > best:
-            best = value
+    # -<sub, b> is one dot product with the column <-, b>; the zero
+    # subvector scores 0, so the maximum is never negative
+    column = matvec(euler.matrix, bt)
+    best = -min(sum(map(mul, sub, column)) for sub in _subdims(euler, at))
     _EXT_CACHE[key] = best
     return best
 
 
 def generic_hom_ext(euler, a, b, box_limit=BOX_LIMIT):
     """(hom, ext) between independent generic representations of a and b."""
-    ext = ext_generic(euler, a, b, box_limit=box_limit)
-    hom = euler.euler(a, b) + ext
+    at, bt = _dimension_vectors(euler, box_limit, a, b)
+    ext = _ext(euler, at, bt)
+    hom = euler.euler(at, bt) + ext
     if hom < 0:
         raise InvariantError("negative generic hom dimension")
     return hom, ext
@@ -238,11 +249,17 @@ def is_schur_root(euler, d, box_limit=BOX_LIMIT):
     """True when the generic representation of d is indecomposable with
     trivial endomorphisms; equivalently d is stable for its own canonical
     weight, tested on generic subdimension vectors."""
-    dt = euler.tup(d)
+    (dt,) = _dimension_vectors(euler, box_limit, d)
     if not any(dt):
         raise PreconditionError("the zero vector is not a root")
-    theta = euler.theta(dt)
-    for sub in generic_subdims(euler, dt, box_limit=box_limit):
+    return _is_schur(euler, dt)
+
+
+def _is_schur(euler, dt):
+    m = euler.matrix
+    # the canonical weight <d, -> - <-, d>
+    theta = tuple(a - b for a, b in zip(vecmat(dt, m), matvec(m, dt)))
+    for sub in _subdims(euler, dt):
         if not any(sub) or sub == dt:
             continue
         if sum(t * x for t, x in zip(theta, sub)) >= 0:
@@ -284,34 +301,33 @@ def canonical_decomposition(euler, d, box_limit=BOX_LIMIT):
     so the output is deterministic; the result itself is unique by the
     theory, which the tests verify against exhaustive search.
     """
-    _require_hereditary(euler)
-    dt = euler.tup(d)
-    summands = _candecomp_tuple(euler, dt, box_limit)
+    (dt,) = _dimension_vectors(euler, box_limit, d)
+    summands = _candecomp_tuple(euler, dt)
     tagged = tuple(
         (root, mult, root_class(euler, root)) for root, mult in summands
     )
     return GenericDecomposition(dt, tagged)
 
 
-def _candecomp_tuple(euler, dt, box_limit):
+def _candecomp_tuple(euler, dt):
     if not any(dt):
         return ()
     key = (euler.key, dt)
     cached = _CANDECOMP_CACHE.get(key)
     if cached is not None:
         return cached
-    if is_schur_root(euler, dt, box_limit=box_limit):
+    if _is_schur(euler, dt):
         result = ((dt, 1),)
         _CANDECOMP_CACHE[key] = result
         return result
     result = None
-    for sub in generic_subdims(euler, dt, box_limit=box_limit):
+    for sub in _subdims(euler, dt):
         if not any(sub) or sub == dt:
             continue
         rest = tuple(a - b for a, b in zip(dt, sub))
-        if ext_generic(euler, rest, sub, box_limit=box_limit) == 0:
-            left = _candecomp_tuple(euler, sub, box_limit)
-            right = _candecomp_tuple(euler, rest, box_limit)
+        if _ext(euler, rest, sub) == 0:
+            left = _candecomp_tuple(euler, sub)
+            right = _candecomp_tuple(euler, rest)
             result = _merge_summands(left, right)
             break
     if result is None:

@@ -24,7 +24,7 @@ enumeration is finite.  Budgets count partition tuples.
 import itertools
 from dataclasses import dataclass
 
-from . import lr
+from . import linalg, lr
 from .errors import BudgetError, InputError, InvariantError, PreconditionError
 
 DEFAULT_BUDGET = 5_000_000
@@ -89,8 +89,19 @@ def partitions_bounded(size, rows):
 def _require_acyclic(euler):
     if not euler.is_path_algebra:
         raise PreconditionError("semi-invariant dimensions require a path algebra")
-    if not euler.quiver.is_acyclic():
+    if not euler.plan.acyclic:
         raise PreconditionError("semi-invariant dimensions require an acyclic quiver")
+
+
+def _dimension_vectors(euler, *vecs):
+    """The one check of a public call: a path algebra of an acyclic quiver
+    and nonnegative integral vectors, returned as int tuples in sorted
+    vertex order for the kernels below."""
+    _require_acyclic(euler)
+    out = tuple(euler.tup(v) for v in vecs)
+    if any(x < 0 for t in out for x in t):
+        raise InputError("dimension vectors must be nonnegative")
+    return out
 
 
 def _shift(nu, dv, m):
@@ -136,15 +147,16 @@ def _vertex_mult(dv, tv, tails, heads):
     return result
 
 
-def _flows(quiver, supply):
+def _flows(plan, supply):
     """Nonnegative arrow flows with prescribed divergence, as dicts.
 
     supply[v] = (sum of flows out of v) - (sum of flows in), fixed per
-    vertex.  Vertices are visited in topological order, so inflows are known
-    before outflows are chosen; infeasible branches are cut immediately.
+    vertex.  Vertices are visited in the plan's topological order, so
+    inflows are known before outflows are chosen; infeasible branches are
+    cut immediately.
     """
-    order = quiver.topological_order()
-    out_arrows = {v: sorted(a for a in quiver.arrows if a[1] == v) for v in order}
+    order = plan.order
+    out_arrows = plan.out_arrows
     inflow = {v: 0 for v in order}
 
     def compositions(total, k):
@@ -164,7 +176,7 @@ def _flows(quiver, supply):
             yield dict(flow)
             return
         v = order[i]
-        arrows = out_arrows[v]
+        arrows = out_arrows[i]
         total = supply[v] + inflow[v]
         if total < 0:
             return
@@ -185,8 +197,6 @@ PIVOT_THRESHOLD = 10_000
 
 def _pivot_vector(euler, theta):
     """The e with theta = -<-, e>, when it is a genuine dimension vector."""
-    from . import linalg
-
     inv = linalg.inverse(euler.matrix)
     e = linalg.matvec(inv, tuple(-t for t in theta))
     if any(x.denominator != 1 or x < 0 for x in e):
@@ -203,7 +213,7 @@ def _si_cost(euler, dt, th, cap):
     rows = {aid: min(dt[idx[t]], dt[idx[h]]) for aid, t, h in arrows}
     cost = 0
     nflows = 0
-    for flow in _flows(quiver, supply):
+    for flow in _flows(euler.plan, supply):
         nflows += 1
         if nflows > cap:
             return cap + 1
@@ -232,18 +242,18 @@ def si_dim(euler, d, theta, budget=DEFAULT_BUDGET, pivot=True):
     ``pivot=False`` forces the literal side, which ``circ`` uses to keep its
     two evaluations independent.
     """
-    _require_acyclic(euler)
-    dt = euler.tup(d)
-    th = euler.tup(theta)
-    if any(x < 0 for x in dt):
-        raise InputError("dimension vectors must be nonnegative")
+    (dt,) = _dimension_vectors(euler, d)
+    return _si_dim(euler, dt, euler.tup(theta), budget, pivot)
+
+
+def _si_dim(euler, dt, th, budget, pivot=True):
     if sum(t * x for t, x in zip(th, dt)) != 0:
         return 0
     cost = _si_cost(euler, dt, th, budget)
     if pivot and (cost > budget or cost > PIVOT_THRESHOLD):
         e = _pivot_vector(euler, th)
         if e is not None:
-            wl = euler.weight_left(dt)
+            wl = linalg.vecmat(dt, euler.matrix)
             if _si_cost(euler, e, wl, min(cost - 1, budget)) < cost:
                 return _si_dim_direct(euler, e, wl, budget)
     if cost > budget:
@@ -268,7 +278,7 @@ def _si_dim_direct(euler, dt, th, budget):
 
     total = 0
     used = 0
-    for flow in _flows(quiver, supply):
+    for flow in _flows(euler.plan, supply):
         choices = []
         cost = 1
         for aid, _, _ in arrows:
@@ -314,15 +324,14 @@ class SIWeightTable:
 
 
 def si_table(euler, d, theta, n_max, budget=DEFAULT_BUDGET):
-    _require_acyclic(euler)
-    dt = euler.tup(d)
+    (dt,) = _dimension_vectors(euler, d)
     th = euler.tup(theta)
     if n_max < 0:
         raise InputError("table length must be nonnegative")
     if sum(t * x for t, x in zip(th, dt)) != 0:
         return SIWeightTable(th, (0,) * (n_max + 1))
     dims = tuple(
-        si_dim(euler, dt, tuple(n * t for t in th), budget=budget)
+        _si_dim(euler, dt, tuple(n * t for t in th), budget)
         for n in range(n_max + 1)
     )
     return SIWeightTable(th, dims)
@@ -334,15 +343,19 @@ def circ(euler, d, e, budget=DEFAULT_BUDGET):
     Computes dim SI(Q,e)_{<d,->} and dim SI(Q,d)_{-<-,e>} and insists they
     agree; either number is the value.
     """
-    _require_acyclic(euler)
-    dt = euler.tup(d)
-    et = euler.tup(e)
-    left = si_dim(euler, et, euler.weight_left(dt), budget=budget, pivot=False)
-    right = si_dim(
+    dt, et = _dimension_vectors(euler, d, e)
+    return _circ(euler, dt, et, budget)
+
+
+def _circ(euler, dt, et, budget):
+    left = _si_dim(
+        euler, et, linalg.vecmat(dt, euler.matrix), budget, pivot=False
+    )
+    right = _si_dim(
         euler,
         dt,
-        tuple(-x for x in euler.weight_right(et)),
-        budget=budget,
+        tuple(-x for x in linalg.matvec(euler.matrix, et)),
+        budget,
         pivot=False,
     )
     if left != right:
@@ -400,21 +413,19 @@ def polynomiality_check(euler, d, e, n_max, budget=DEFAULT_BUDGET):
     a constant term other than 1, is reported as violated (neither can occur
     unless the enumeration itself is broken).
     """
-    _require_acyclic(euler)
-    dt = euler.tup(d)
-    et = euler.tup(e)
+    dt, et = _dimension_vectors(euler, d, e)
     if n_max < 1:
         raise InputError("n_max must be at least 1")
-    if circ(euler, dt, et, budget=budget) == 0:
+    if _circ(euler, dt, et, budget) == 0:
         raise PreconditionError("polynomiality requires circ(d, e) != 0")
-    wl = euler.weight_left(dt)
-    wr = tuple(-x for x in euler.weight_right(et))
+    wl = linalg.vecmat(dt, euler.matrix)
+    wr = tuple(-x for x in linalg.matvec(euler.matrix, et))
     first = tuple(
-        si_dim(euler, et, tuple(n * t for t in wl), budget=budget)
+        _si_dim(euler, et, tuple(n * t for t in wl), budget)
         for n in range(n_max + 1)
     )
     second = tuple(
-        si_dim(euler, dt, tuple(n * t for t in wr), budget=budget)
+        _si_dim(euler, dt, tuple(n * t for t in wr), budget)
         for n in range(n_max + 1)
     )
     degrees = []
@@ -519,8 +530,8 @@ def wild_violation_search(
         try:
             for nn in range(1, n_cap + 1):
                 weight = tuple(nn * t for t in theta_dp)
-                u = si_dim(euler, entries, weight, budget=budget)
-                w = si_dim(euler, double, weight, budget=budget)
+                u = _si_dim(euler, entries, weight, budget)
+                w = _si_dim(euler, double, weight, budget)
                 reached = nn
                 if w > u * u:
                     return WildViolation(

@@ -15,8 +15,9 @@ from .core import Quiver, classify_path_algebra
 from .errors import InputError, InvariantError, PreconditionError
 from .generic import (
     BOX_LIMIT,
+    _dimension_vectors,
+    _subdims,
     canonical_decomposition,
-    generic_subdims,
     root_class,
 )
 
@@ -25,24 +26,31 @@ def _dot(a, b):
     return sum(x * y for x, y in zip(a, b))
 
 
+def _vector_and_weight(euler, d, theta, box_limit):
+    (dt,) = _dimension_vectors(euler, box_limit, d)
+    return dt, euler.tup(theta)
+
+
 def is_semistable_generic(euler, d, theta, box_limit=BOX_LIMIT):
     """True when the generic representation of d is theta-semi-stable."""
-    dt = euler.tup(d)
-    th = euler.tup(theta)
+    return _semistable(euler, *_vector_and_weight(euler, d, theta, box_limit))
+
+
+def _semistable(euler, dt, th):
     if _dot(th, dt) != 0:
         return False
-    return all(
-        _dot(th, sub) <= 0 for sub in generic_subdims(euler, dt, box_limit)
-    )
+    return all(_dot(th, sub) <= 0 for sub in _subdims(euler, dt))
 
 
 def is_stable_generic(euler, d, theta, box_limit=BOX_LIMIT):
     """True when the generic representation of d is theta-stable."""
-    dt = euler.tup(d)
-    th = euler.tup(theta)
+    return _stable(euler, *_vector_and_weight(euler, d, theta, box_limit))
+
+
+def _stable(euler, dt, th):
     if not any(dt) or _dot(th, dt) != 0:
         return False
-    for sub in generic_subdims(euler, dt, box_limit):
+    for sub in _subdims(euler, dt):
         if not any(sub) or sub == dt:
             continue
         if _dot(th, sub) >= 0:
@@ -87,12 +95,8 @@ class WeightCone:
 
 
 def effective_cone(euler, d, box_limit=BOX_LIMIT):
-    dt = euler.tup(d)
-    subs = [
-        sub
-        for sub in generic_subdims(euler, dt, box_limit)
-        if any(sub) and sub != dt
-    ]
+    (dt,) = _dimension_vectors(euler, box_limit, d)
+    subs = [sub for sub in _subdims(euler, dt) if any(sub) and sub != dt]
     desc = cones.describe(euler.n, [dt], subs)
     return WeightCone(
         dt,
@@ -122,9 +126,8 @@ def theta_stable_decomposition(euler, d, theta, box_limit=BOX_LIMIT):
     subdimension vectors in lexicographic order merely fixes which chain of
     subrepresentations witnesses it, keeping the output deterministic.
     """
-    dt = euler.tup(d)
-    th = euler.tup(theta)
-    if not is_semistable_generic(euler, dt, th, box_limit):
+    dt, th = _vector_and_weight(euler, d, theta, box_limit)
+    if not _semistable(euler, dt, th):
         raise PreconditionError(
             "theta-stable decomposition requires a semistable input"
         )
@@ -132,12 +135,10 @@ def theta_stable_decomposition(euler, d, theta, box_limit=BOX_LIMIT):
     peeled = []
     while any(remaining):
         found = None
-        for sub in generic_subdims(euler, remaining, box_limit):
+        for sub in _subdims(euler, remaining):
             if not any(sub):
                 continue
-            if _dot(th, sub) == 0 and is_stable_generic(
-                euler, sub, th, box_limit
-            ):
+            if _dot(th, sub) == 0 and _stable(euler, sub, th):
                 found = sub
                 break
         if found is None:
@@ -146,9 +147,7 @@ def theta_stable_decomposition(euler, d, theta, box_limit=BOX_LIMIT):
             )
         peeled.append(found)
         remaining = tuple(a - b for a, b in zip(remaining, found))
-        if any(remaining) and not is_semistable_generic(
-            euler, remaining, th, box_limit
-        ):
+        if any(remaining) and not _semistable(euler, remaining, th):
             raise InvariantError(
                 "peeling a stable factor left a non-semistable remainder"
             )
@@ -208,9 +207,8 @@ def local_quiver(euler, factors):
 
 
 def moduli_dimension(euler, d, theta, box_limit=BOX_LIMIT):
-    dt = euler.tup(d)
-    th = euler.tup(theta)
-    if not is_stable_generic(euler, dt, th, box_limit):
+    dt, th = _vector_and_weight(euler, d, theta, box_limit)
+    if not _stable(euler, dt, th):
         raise PreconditionError("moduli dimension requires a stable input")
     return 1 - euler.tits(dt)
 
@@ -285,11 +283,10 @@ def projective_space_verdict(
     the difference table is not pinned by n_max samples the verdict is
     inconclusive rather than guessed.
     """
-    dt = euler.tup(d)
-    th = euler.tup(theta)
     if n_max < 1:
         raise InputError("n_max must be at least 1")
-    if not is_semistable_generic(euler, dt, th):
+    dt, th = _vector_and_weight(euler, d, theta, BOX_LIMIT)
+    if not _semistable(euler, dt, th):
         raise PreconditionError(
             "projective-space verdict requires a semistable input"
         )

@@ -4,8 +4,10 @@ Each helper recomputes a quantity by a different route than the library:
 Schur polynomials by semistandard-tableau enumeration, Pieri products by
 horizontal strips, cone membership by exact Caratheodory search,
 subrepresentation existence by exhaustive subspace scans over a prime
-field, thin semi-invariant dimensions by torus character counts, and
-canonical decompositions by exhaustive multiset search.
+field, thin semi-invariant dimensions by torus character counts,
+canonical decompositions by exhaustive multiset search, and the Schofield
+recursion by a plain copy of its first implementation that reads nothing
+of the Euler matrix but ``euler.matrix``.
 """
 
 import itertools
@@ -395,3 +397,110 @@ def candecomp_exhaustive(euler, d):
             f"expected exactly one valid decomposition of {dt}, got {len(valid)}"
         )
     return valid[0]
+
+
+# ---------------------------------------------------------------------------
+# Reference Schofield recursion
+#
+# The recursion as the library first implemented it: every call re-coerces
+# its vectors and evaluates the Euler form as a double sum.  Only
+# ``euler.matrix`` is read, so no library kernel, plan or cache is shared.
+# Vectors are int tuples in sorted vertex order.
+
+_REF_EXT = {}
+_REF_SUBDIMS = {}
+_REF_CANDECOMP = {}
+
+
+def _ref_euler(matrix, d, e):
+    n = len(matrix)
+    return sum(d[i] * matrix[i][j] * e[j] for i in range(n) for j in range(n))
+
+
+def ref_generic_subdims(euler, d):
+    dt = tuple(int(x) for x in d)
+    key = (euler.matrix, dt)
+    cached = _REF_SUBDIMS.get(key)
+    if cached is not None:
+        return cached
+    out = []
+    for sub in itertools.product(*(range(x + 1) for x in dt)):
+        rest = tuple(a - b for a, b in zip(dt, sub))
+        if ref_ext_generic(euler, sub, rest) == 0:
+            out.append(sub)
+    result = tuple(sorted(out))
+    _REF_SUBDIMS[key] = result
+    return result
+
+
+def ref_ext_generic(euler, a, b):
+    at = tuple(int(x) for x in a)
+    bt = tuple(int(x) for x in b)
+    if not any(at) or not any(bt):
+        return 0
+    key = (euler.matrix, at, bt)
+    cached = _REF_EXT.get(key)
+    if cached is not None:
+        return cached
+    best = 0
+    for sub in ref_generic_subdims(euler, at):
+        value = -_ref_euler(euler.matrix, sub, bt)
+        if value > best:
+            best = value
+    _REF_EXT[key] = best
+    return best
+
+
+def _ref_is_schur_root(euler, dt):
+    n = len(dt)
+    m = euler.matrix
+    theta = tuple(
+        sum(dt[i] * m[i][j] for i in range(n)) - sum(m[j][k] * dt[k] for k in range(n))
+        for j in range(n)
+    )
+    for sub in ref_generic_subdims(euler, dt):
+        if not any(sub) or sub == dt:
+            continue
+        if sum(t * x for t, x in zip(theta, sub)) >= 0:
+            return False
+    return True
+
+
+def ref_canonical_decomposition(euler, d):
+    """(root, multiplicity, class) triples, as ``canonical_decomposition``
+    reports its summands."""
+    summands = _ref_candecomp(euler, tuple(int(x) for x in d))
+    out = []
+    for root, mult in summands:
+        q = _ref_euler(euler.matrix, root, root)
+        cls = {1: "real", 0: "isotropic"}.get(q, "imaginary" if q < 0 else "non_root")
+        out.append((root, mult, cls))
+    return tuple(out)
+
+
+def _ref_candecomp(euler, dt):
+    if not any(dt):
+        return ()
+    key = (euler.matrix, dt)
+    cached = _REF_CANDECOMP.get(key)
+    if cached is not None:
+        return cached
+    if _ref_is_schur_root(euler, dt):
+        result = ((dt, 1),)
+        _REF_CANDECOMP[key] = result
+        return result
+    result = None
+    for sub in ref_generic_subdims(euler, dt):
+        if not any(sub) or sub == dt:
+            continue
+        rest = tuple(a - b for a, b in zip(dt, sub))
+        if ref_ext_generic(euler, rest, sub) == 0:
+            counts = {}
+            for root, mult in _ref_candecomp(euler, sub) + _ref_candecomp(euler, rest):
+                counts[root] = counts.get(root, 0) + mult
+            result = tuple(sorted(counts.items()))
+            break
+    if result is None:
+        raise AssertionError(f"reference: {dt} admits no generic splitting")
+    _REF_CANDECOMP[key] = result
+    return result

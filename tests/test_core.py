@@ -1,6 +1,7 @@
 """Forms, classification, null roots, and the text format."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -42,6 +43,30 @@ def test_acyclicity_flag():
     assert not loop.is_acyclic()
     cycle = Quiver(("1", "2"), (("a", "1", "2"), ("b", "2", "1")))
     assert not cycle.is_acyclic()
+
+
+def test_topological_order():
+    assert K2.topological_order() == ("v1", "v2")
+    assert dynkin_quiver("A3").topological_order() == ("v1", "v2", "v3")
+    loop = Quiver(("1",), (("a", "1", "1"),))
+    behind_cycle = Quiver(
+        ("0", "1", "2"), (("a", "0", "1"), ("b", "1", "2"), ("c", "2", "1"))
+    )
+    for quiver in (loop, behind_cycle):
+        with pytest.raises(PreconditionError):
+            quiver.topological_order()
+
+
+def test_tup_rejects_non_integral_entries():
+    e = EulerMatrix(K2)
+    for vec in ((1.7, 1), (1, Fraction(1, 2)), {"v1": 1.5}, {"v2": Fraction(3, 2)}):
+        with pytest.raises(InputError):
+            e.tup(vec)
+    # integral values of any numeric type still coerce
+    for vec in ((Fraction(4, 2), 3.0), {"v1": Fraction(2), "v2": 3.0}):
+        got = e.tup(vec)
+        assert got == (2, 3)
+        assert all(type(x) is int for x in got)
 
 
 def test_euler_form_examples():

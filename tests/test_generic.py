@@ -4,12 +4,15 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quiverinv.core import EulerMatrix, Quiver, dynkin_quiver, euclidean_quiver, kronecker_quiver
 from quiverinv.errors import BudgetError, InputError, PreconditionError
 from quiverinv.generic import (
     Representation,
     canonical_decomposition,
+    ext_generic,
     generic_hom_ext,
     generic_subdims,
     hom_ext_concrete,
@@ -21,7 +24,14 @@ from quiverinv.generic import (
     root_class,
 )
 
-from oracles import candecomp_exhaustive, generic_subdims_scan, subdims_via_sampled_ext
+from oracles import (
+    candecomp_exhaustive,
+    generic_subdims_scan,
+    ref_canonical_decomposition,
+    ref_ext_generic,
+    ref_generic_subdims,
+    subdims_via_sampled_ext,
+)
 
 K2 = kronecker_quiver(2)
 K3 = kronecker_quiver(3)
@@ -93,6 +103,20 @@ def test_generic_hom_ext_rejects_cycles():
     cyc = Quiver(("1", "2"), (("a", "1", "2"), ("b", "2", "1")))
     with pytest.raises(PreconditionError):
         generic_hom_ext(EulerMatrix(cyc), (1, 1), (1, 1))
+
+
+def test_generic_hom_ext_rejects_negative_vectors():
+    ek3 = EulerMatrix(K3)
+    for a, b in (((1, 1), (-1, 2)), ((-1, 2), (1, 1))):
+        with pytest.raises(InputError):
+            ext_generic(ek3, a, b)
+    with pytest.raises(InputError):
+        generic_hom_ext(ek3, (1, 1), (2, -1))
+
+
+def test_ext_generic_rejects_non_integral_entries():
+    with pytest.raises(InputError):
+        ext_generic(EulerMatrix(K3), (1.7, 1), (1, 1))
 
 
 def test_generic_vs_sampled_semicontinuity():
@@ -217,3 +241,41 @@ def test_decomposition_invariant_under_declaration_order():
         a = canonical_decomposition(ek2, {"v1": d[0], "v2": d[1]})
         b = canonical_decomposition(es, {"v1": d[0], "v2": d[1]})
         assert a.summands == b.summands
+
+
+WILD_CHAIN = Quiver(
+    ("a", "b", "c"),
+    (("x1", "a", "b"), ("x2", "a", "b"), ("y1", "b", "c"), ("y2", "b", "c")),
+)
+
+
+@pytest.mark.parametrize(
+    "quiver, max_total",
+    [
+        (K2, None),
+        (K3, None),
+        (A3, None),
+        # the recursion costs about the square of the subdimension box, so
+        # D~4 vectors are capped in total: (4,4,4,4,4) alone takes minutes
+        (euclidean_quiver("D~4"), 8),
+        (WILD_CHAIN, None),
+    ],
+    ids=["K2", "K3", "A3", "D~4", "wild_chain"],
+)
+def test_schofield_recursion_matches_reference(quiver, max_total):
+    euler = EulerMatrix(quiver)
+    vectors = st.tuples(*[st.integers(0, 4)] * euler.n)
+    if max_total is not None:
+        vectors = vectors.filter(lambda d: sum(d) <= max_total)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(vectors, vectors)
+    def check(d, e):
+        assert generic_subdims(euler, d) == ref_generic_subdims(euler, d)
+        assert ext_generic(euler, d, e) == ref_ext_generic(euler, d, e)
+        assert ext_generic(euler, e, d) == ref_ext_generic(euler, e, d)
+        assert canonical_decomposition(euler, d).summands == (
+            ref_canonical_decomposition(euler, d)
+        )
+
+    check()

@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from quiverinv import cones, stability
+from quiverinv import cones, generic, siweights, stability
 from quiverinv.core import (
     EulerMatrix,
+    Quiver,
     classify_path_algebra,
     dynkin_quiver,
     euclidean_quiver,
@@ -324,3 +325,53 @@ def test_schur_stability_equivalence():
             assert is_schur_root(euler, d) == stability.is_stable_generic(
                 euler, d, theta
             )
+
+
+def test_plan_built_once_per_matrix(monkeypatch):
+    calls = {"is_acyclic": 0, "topological_order": 0}
+    for name in calls:
+
+        def counted(self, _original=getattr(Quiver, name), _name=name):
+            calls[_name] += 1
+            return _original(self)
+
+        monkeypatch.setattr(Quiver, name, counted)
+    # fresh vertex ids, so that no cached answer spares the plan
+    quiver = Quiver(("p", "q"), (("a", "p", "q"), ("b", "p", "q")))
+    euler = EulerMatrix(quiver)
+    assert calls == {"is_acyclic": 0, "topological_order": 0}
+    generic.canonical_decomposition(euler, (3, 2))
+    stability.theta_stable_decomposition(euler, (2, 2), (1, -1))
+    assert siweights.si_table(euler, (2, 2), (1, -1), 3).dims == (1, 3, 6, 10)
+    assert calls["is_acyclic"] <= 1
+    assert calls["topological_order"] <= 1
+
+
+CYCLIC = EulerMatrix(Quiver(("1", "2"), (("a", "1", "2"), ("b", "2", "1"))))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda e: generic.generic_subdims(e, (1, 1)),
+        lambda e: generic.ext_generic(e, (1, 1), (1, 0)),
+        lambda e: stability.is_semistable_generic(e, (1, 1), (1, -1)),
+        # a weight that misses d must not answer before the check
+        lambda e: stability.is_semistable_generic(e, (1, 1), (1, 0)),
+        lambda e: generic.canonical_decomposition(e, (1, 1)),
+        lambda e: siweights.si_table(e, (1, 1), (1, -1), 2),
+        lambda e: siweights.circ(e, (1, 1), (1, 1)),
+    ],
+    ids=[
+        "generic_subdims",
+        "ext_generic",
+        "is_semistable_generic",
+        "is_semistable_generic_off_weight",
+        "canonical_decomposition",
+        "si_table",
+        "circ",
+    ],
+)
+def test_cyclic_quiver_rejected_at_every_entry_point(call):
+    with pytest.raises(PreconditionError):
+        call(CYCLIC)
