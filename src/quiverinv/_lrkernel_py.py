@@ -1,4 +1,4 @@
-"""Pure-Python Littlewood-Richardson kernel.
+"""The Littlewood-Richardson kernel.
 
 Expands a product of Schur functors restricted to a bounded number of rows.
 A coefficient c^nu_{lam,mu} counts chains
@@ -10,8 +10,9 @@ satisfy the ballot condition: entry e+1 boxes in rows <= r+1 never outnumber
 entry e boxes in rows <= r.  Such chains are exactly the lattice-word skew
 tableaux of shape nu/lam and content mu.
 
-This is the slow twin of the compiled kernel in ``_lrkernel.pyx``; the two
-are interchangeable and the test suite runs both.
+This is the only kernel.  It trusts its input: ``lam`` and ``mu`` are
+trimmed partitions, ``maxrows`` a nonnegative int and ``cap`` an int tuple or
+None.  The public functions of ``lr`` validate and coerce before calling it.
 """
 
 _NO_CAP = 1 << 30

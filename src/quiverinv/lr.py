@@ -1,46 +1,71 @@
-"""Littlewood-Richardson products with a swappable kernel.
+"""Littlewood-Richardson products of Schur functions.
 
-The actual strip-insertion enumeration lives in ``_lrkernel`` (compiled) and
-``_lrkernel_py`` (pure Python); both export the same ``schur_mult`` function
-and this module picks one at import time.  Set ``QUIVERINV_PURE=1`` to force
-the pure kernel even when the compiled one is installed.
+The strip-insertion enumeration lives in ``_lrkernel_py.schur_mult``.  The
+public functions here (``partition``, ``schur_product``, ``lr_coefficient``,
+``tensor_fold``) validate and coerce their input once and then call two
+internals that take plain int tuples: ``_product`` for one product and
+``_fold`` for a sorted sequence of trimmed partitions.  Hot callers that
+already hold such tuples (``siweights``) call ``_fold`` directly.
 
 All entry points cache aggressively: the weight-space enumeration in
 ``siweights`` revisits the same small products thousands of times.
 """
 
-import os
-
-from .errors import InputError
 from . import _lrkernel_py
+from .errors import InputError
 
-if os.environ.get("QUIVERINV_PURE"):
-    _kernel = _lrkernel_py
-    BACKEND = "python"
-else:
+
+def _ints(values, what):
+    """A tuple of ints equal to ``values``; fractional or non-numeric
+    entries raise ``InputError`` instead of being truncated or parsed."""
+    vals = tuple(values)
     try:
-        from . import _lrkernel as _kernel
+        t = tuple(int(x) for x in vals)
+    except (TypeError, ValueError):
+        t = None
+    if t != vals:
+        raise InputError(f"{what} entries must be integers: {list(vals)}")
+    return t
 
-        BACKEND = "compiled"
-    except ImportError:
-        _kernel = _lrkernel_py
-        BACKEND = "python"
+
+def _rows(rows):
+    r = _ints((rows,), "row bound")[0]
+    if r < 0:
+        raise InputError(f"row bound must be nonnegative: {rows!r}")
+    return r
+
+
+def _cap(cap):
+    return None if cap is None else _ints(cap, "cap")
 
 
 def partition(parts):
     """Validate and normalize to a trimmed, weakly decreasing tuple."""
-    p = tuple(int(x) for x in parts)
+    p = _ints(parts, "partition")
     while p and p[-1] == 0:
         p = p[:-1]
     for a, b in zip(p, p[1:]):
         if a < b:
-            raise InputError(f"not weakly decreasing: {list(parts)}")
+            raise InputError(f"not weakly decreasing: {list(p)}")
     if p and p[-1] < 0:
         raise InputError("partition parts must be nonnegative")
     return p
 
 
 _PRODUCT_CACHE = {}
+
+
+def _product(lam, mu, rows, cap):
+    """schur_product on trimmed partitions, an int ``rows`` and an int-tuple
+    ``cap`` (or None); the result dict is the cached one."""
+    if lam > mu:
+        lam, mu = mu, lam
+    key = (lam, mu, rows, cap)
+    found = _PRODUCT_CACHE.get(key)
+    if found is None:
+        found = _lrkernel_py.schur_mult(lam, mu, rows, cap)
+        _PRODUCT_CACHE[key] = found
+    return found
 
 
 def schur_product(lam, mu, rows, cap=None):
@@ -53,18 +78,7 @@ def schur_product(lam, mu, rows, cap=None):
     caller extracts lies inside the cap, since c^nu vanishes unless both
     factors fit inside nu.
     """
-    lam = partition(lam)
-    mu = partition(mu)
-    if lam > mu:
-        lam, mu = mu, lam
-    if cap is not None:
-        cap = tuple(int(x) for x in cap)
-    key = (lam, mu, rows, cap)
-    found = _PRODUCT_CACHE.get(key)
-    if found is None:
-        found = _kernel.schur_mult(lam, mu, rows, cap)
-        _PRODUCT_CACHE[key] = found
-    return found
+    return _product(partition(lam), partition(mu), _rows(rows), _cap(cap))
 
 
 def lr_coefficient(lam, mu, nu):
@@ -77,20 +91,14 @@ def lr_coefficient(lam, mu, nu):
     rows = max(len(nu), 1)
     if len(lam) > rows or len(mu) > rows:
         return 0
-    return schur_product(lam, mu, rows, nu).get(nu, 0)
+    return _product(lam, mu, rows, nu).get(nu, 0)
 
 
-def tensor_fold(lams, rows, cap=None):
-    """Expansion of a product of several Schur functions.
-
-    Returns {nu: multiplicity} under the same row/cap trimming rules as
-    schur_product.  Factors are folded in sorted order so the cache sees a
-    canonical sequence regardless of how the caller discovered them.
-    """
-    if cap is not None:
-        cap = tuple(int(x) for x in cap)
+def _fold(lams, rows, cap):
+    """tensor_fold on a sorted sequence of trimmed partitions, an int
+    ``rows`` and an int-tuple ``cap`` (or None)."""
     acc = {(): 1}
-    for lam in sorted(partition(l) for l in lams):
+    for lam in lams:
         if not lam:
             continue
         contained = len(lam) <= rows and (
@@ -104,12 +112,22 @@ def tensor_fold(lams, rows, cap=None):
             return {}
         nxt = {}
         for nu, mult in acc.items():
-            for out, c in schur_product(nu, lam, rows, cap).items():
+            for out, c in _product(nu, lam, rows, cap).items():
                 nxt[out] = nxt.get(out, 0) + mult * c
         acc = nxt
         if not acc:
             break
     return acc
+
+
+def tensor_fold(lams, rows, cap=None):
+    """Expansion of a product of several Schur functions.
+
+    Returns {nu: multiplicity} under the same row/cap trimming rules as
+    schur_product.  Factors are folded in sorted order so the cache sees a
+    canonical sequence regardless of how the caller discovered them.
+    """
+    return _fold(sorted(partition(l) for l in lams), _rows(rows), _cap(cap))
 
 
 def clear_caches():

@@ -128,16 +128,16 @@ def _vertex_mult(dv, tv, tails, heads):
             result = 0
         else:
             rect = (tv,) * dv if tv else ()
-            result = lr.tensor_fold(tails, dv, cap=rect).get(rect, 0)
+            result = lr._fold(tails, dv, rect).get(rect, 0)
     elif not tails:
         if tv > 0:
             result = 0
         else:
             rect = (-tv,) * dv if tv else ()
-            result = lr.tensor_fold(heads, dv, cap=rect).get(rect, 0)
+            result = lr._fold(heads, dv, rect).get(rect, 0)
     else:
-        left = lr.tensor_fold(tails, dv)
-        right = lr.tensor_fold(heads, dv)
+        left = lr._fold(tails, dv, None)
+        right = lr._fold(heads, dv, None)
         result = 0
         for nu, c in left.items():
             target = _shift(nu, dv, tv)

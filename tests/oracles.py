@@ -10,6 +10,7 @@ recursion by a plain copy of its first implementation that reads nothing
 of the Euler matrix but ``euler.matrix``.
 """
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -97,13 +98,20 @@ def schur_expand(poly, nvars):
     return out
 
 
-def lr_oracle(lam, mu, nu):
-    """c^nu_{lam,mu} from an explicit Schur-polynomial product."""
-    if sum(nu) != sum(lam) + sum(mu):
-        return 0
+@functools.lru_cache(maxsize=None)
+def _schur_product_oracle(lam, mu):
     nvars = max(1, sum(lam) + sum(mu))
     product = poly_mul(schur_poly(lam, nvars), schur_poly(mu, nvars))
-    return schur_expand(product, nvars).get(tuple(x for x in nu if x), 0)
+    return schur_expand(product, nvars)
+
+
+def lr_oracle(lam, mu, nu):
+    """c^nu_{lam,mu} from an explicit Schur-polynomial product (expanded once
+    per pair lam, mu)."""
+    if sum(nu) != sum(lam) + sum(mu):
+        return 0
+    expansion = _schur_product_oracle(tuple(lam), tuple(mu))
+    return expansion.get(tuple(x for x in nu if x), 0)
 
 
 def pieri_row(lam, k):

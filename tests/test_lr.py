@@ -1,9 +1,7 @@
 """Littlewood-Richardson kernel against a tableau-enumeration oracle."""
 
 import itertools
-import os
-import subprocess
-import sys
+from fractions import Fraction
 
 import pytest
 
@@ -36,6 +34,27 @@ def test_partition_normalization():
         lr.partition((1, 2))
     with pytest.raises(InputError):
         lr.partition((-1,))
+    assert lr.partition((3.0, Fraction(2, 1), 0)) == (3, 2)
+    # fractional and non-numeric entries are rejected, not truncated or parsed
+    for bad in ((2.7, 1.2), (Fraction(3, 2),), ["3", "1"], ("x",), (None,)):
+        with pytest.raises(InputError):
+            lr.partition(bad)
+    with pytest.raises(InputError):
+        lr.lr_coefficient((1,), (1,), (2.9,))
+    with pytest.raises(InputError):
+        lr.schur_product((1,), (1,), 2, cap=(1.5, 1))
+    with pytest.raises(InputError):
+        lr.tensor_fold([(1,), (1,)], 2, cap=("2",))
+
+
+def test_rows_must_be_a_nonnegative_integer():
+    assert lr.schur_product((1,), (1,), 2.0) == lr.schur_product((1,), (1,), 2)
+    assert lr.tensor_fold([(1,)], 0) == {}
+    for rows in (2.5, -1, "2", None):
+        with pytest.raises(InputError):
+            lr.schur_product((1,), (1,), rows)
+        with pytest.raises(InputError):
+            lr.tensor_fold([(1,), (1,)], rows)
 
 
 def test_trivial_factor():
@@ -122,49 +141,29 @@ def test_cache_transparency():
     assert lr.schur_product((2, 1), (2, 1), 3) == before
 
 
-def test_pure_backend_agrees(tmp_path):
-    """A fresh process forced onto the pure kernel gives identical expansions.
+ORACLE_PRODUCTS = (((2, 1), (2, 1), 4), ((3, 1), (2, 2), 4), ((2, 2, 1), (2, 1), 5))
 
-    The backend is chosen when ``lr`` is imported, so the pure side runs in a
-    child interpreter with ``QUIVERINV_PURE=1``.  Where the compiled kernel is
-    built, this compares the compiled kernel (here) against the pure one (in
-    the child).  Without the build both sides run the pure kernel, and the
-    test checks only that the ``QUIVERINV_PURE`` switch selects it and that a
-    fresh process gives the same expansions.  Kernel correctness itself is
-    checked by the oracle tests above.
-    """
-    code = (
-        "import json\n"
-        "from quiverinv import lr\n"
-        "assert lr.BACKEND == 'python', lr.BACKEND\n"
-        "cases = [((2,1),(2,1),4), ((3,1),(2,2),4), ((2,2,1),(2,1),5)]\n"
-        "out = {}\n"
-        "for lam, mu, rows in cases:\n"
-        "    got = lr.schur_product(lam, mu, rows)\n"
-        "    out[str((lam, mu, rows))] = sorted(\n"
-        "        (str(list(nu)), c) for nu, c in got.items())\n"
-        "print(json.dumps(out, sort_keys=True))\n"
-    )
-    # The child imports the same package as this process; its cwd is empty
-    # so that no quiverinv/ directory there can shadow it.
-    pkg_root = os.path.dirname(os.path.dirname(lr.__file__))
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, QUIVERINV_PURE="1")
-    env["PYTHONPATH"] = pkg_root + (os.pathsep + path if path else "")
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env=env,
-        cwd=tmp_path,
-    )
-    assert proc.returncode == 0, proc.stderr
-    import json
 
-    pure = json.loads(proc.stdout)
-    for key, rows_out in pure.items():
-        lam, mu, rows = eval(key)
+def test_schur_product_matches_oracle():
+    """The kernel's full expansions agree with the Schur-polynomial oracle,
+    both on every nu it returns and on every nu of the right size that fits
+    in ``rows`` rows (so no coefficient is missing either)."""
+    for lam, mu, rows in ORACLE_PRODUCTS:
         got = lr.schur_product(lam, mu, rows)
-        assert sorted((str(list(nu)), c) for nu, c in got.items()) == [
-            tuple(x) for x in rows_out
-        ]
+        size = sum(lam) + sum(mu)
+        shapes = [nu for nu in partitions_up_to(size) if sum(nu) == size]
+        for nu in set(got) | {nu for nu in shapes if len(nu) <= rows}:
+            assert got.get(nu, 0) == lr_oracle(lam, mu, nu), (lam, mu, nu)
+
+
+def test_fold_on_sorted_trimmed_factors_matches_tensor_fold():
+    """``_fold`` skips validation; on sorted, trimmed factors it must give
+    what ``tensor_fold`` gives for the same factors in any order and with
+    trailing zeros.  ``siweights._vertex_mult`` relies on this."""
+    factors = [(2, 1, 0), (1,), (), (2, 0), (1, 1)]
+    clean = sorted(lr.partition(f) for f in factors)
+    for rows, cap in ((3, None), (4, None), (3, (3, 3, 3)), (2, (4, 3))):
+        assert lr._fold(clean, rows, cap) == lr.tensor_fold(
+            factors, rows, cap=cap
+        )
+    assert lr._fold(clean, 3, None) and lr._fold(clean, 3, (3, 3, 3))
