@@ -55,12 +55,23 @@ class CanonicalAlgebra:
 
 
 def build_canonical(weights_m, lambdas):
-    weights = tuple(int(m) for m in weights_m)
+    """The canonical algebra of the given weights and lambdas.  Weights must
+    be integral (``3.0`` gives 3; ``2.7`` and ``'3'`` raise ``InputError``);
+    lambdas are anything ``Fraction`` accepts.  Malformed input of either
+    kind raises ``InputError``."""
+    try:
+        vals = tuple(weights_m)
+        weights = tuple(int(m) for m in vals)
+        lams = tuple(Fraction(x) for x in lambdas)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
+        raise InputError(f"bad canonical parameters: {exc}") from None
+    if weights != vals:
+        bad = next(m for m, i in zip(vals, weights) if m != i)
+        raise InputError(f"weight {bad!r} is not an integer")
     if len(weights) < 3:
         raise InputError("canonical algebras need at least three weights")
     if any(m < 2 for m in weights):
         raise InputError("weights must all be greater than one")
-    lams = tuple(Fraction(x) for x in lambdas)
     if len(lams) != len(weights) - 2:
         raise InputError(
             f"expected {len(weights) - 2} lambda values, got {len(lams)}"

@@ -4,13 +4,15 @@ Everything in this package that looks like numerical linear algebra is done
 here, exactly.  Matrices are sequences of equal-length rows with ``int`` or
 ``Fraction`` entries; results come back as tuples.  Sizes are tiny (vertex
 counts of quivers, representation dimensions), so the simple cubic
-algorithms below are the right tool.
+algorithms below are the right tool: echelon forms for rank, kernels and
+inverses, Bareiss elimination for determinants, and a symmetric LDL^T
+elimination for the signature of a Tits form.
 """
 
 from fractions import Fraction
 from math import gcd
 
-from .errors import InvariantError
+from .errors import InputError, InvariantError
 
 
 def _as_rows(matrix):
@@ -207,48 +209,41 @@ def int_inverse(matrix):
     return tuple(out)
 
 
-def charpoly(matrix):
-    """Coefficients [c1, ..., cn] with det(xI - M) = x^n + c1 x^(n-1) + ... + cn.
-
-    Faddeev-LeVerrier over Fraction; exact for integer input.
-    """
-    n = len(matrix)
-    m = tuple(tuple(Fraction(x) for x in row) for row in matrix)
-    coeffs = []
-    a = m
-    for k in range(1, n + 1):
-        ck = -sum(a[i][i] for i in range(n)) / k
-        coeffs.append(ck)
-        if k < n:
-            shifted = tuple(
-                tuple(a[i][j] + (ck if i == j else 0) for j in range(n))
-                for i in range(n)
-            )
-            a = matmul(m, shifted)
-    return coeffs
-
-
 def symmetric_signature(matrix):
-    """Classify a symmetric integer matrix S as one of
+    """Classify a symmetric matrix S of integers or rationals as one of
     ``positive_definite``, ``positive_semidefinite`` (singular), or
-    ``indefinite``, together with the corank.
+    ``indefinite``, together with the corank (``None`` when indefinite).
 
-    Uses the sign pattern of the characteristic polynomial: with
-    det(xI - S) = sum_k (-1)^k e_k x^(n-k), the e_k are the sums of k x k
-    principal minors, all nonnegative exactly when S is psd and all positive
-    exactly when S is positive definite.
+    One symmetric elimination S = L D L^T over Fraction, in order and without
+    pivoting, on the upper triangle.  A negative pivot makes S indefinite.  A
+    zero pivot whose remaining row is nonzero does too, since the principal
+    minor [[0, b], [b, c]] has determinant -b^2 < 0.  A zero pivot whose
+    remaining row is zero adds one to the corank.  A non-square or
+    non-symmetric matrix raises ``InputError``.
     """
     n = len(matrix)
-    coeffs = charpoly(matrix)
-    minors = [(-1) ** (k + 1) * coeffs[k] for k in range(n)]
-    if any(e < 0 for e in minors):
-        return "indefinite", None
+    if any(len(row) != n for row in matrix):
+        raise InputError("signature needs a square matrix")
+    if any(matrix[i][j] != matrix[j][i] for i in range(n) for j in range(i)):
+        raise InputError("signature needs a symmetric matrix")
+    a = [[Fraction(x) for x in row] for row in matrix]
     corank = 0
-    for e in reversed(minors):
-        if e == 0:
+    for k in range(n):
+        row = a[k]
+        p = row[k]
+        if p < 0:
+            return "indefinite", None
+        if p == 0:
+            if any(row[k + 1:]):
+                return "indefinite", None
             corank += 1
-        else:
-            break
+            continue
+        for i in range(k + 1, n):
+            f = row[i] / p
+            if f:
+                below = a[i]
+                for j in range(i, n):
+                    below[j] -= f * row[j]
     if corank == 0:
         return "positive_definite", 0
     return "positive_semidefinite", corank

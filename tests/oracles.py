@@ -5,9 +5,10 @@ Schur polynomials by semistandard-tableau enumeration, Pieri products by
 horizontal strips, cone membership by exact Caratheodory search,
 subrepresentation existence by exhaustive subspace scans over a prime
 field, thin semi-invariant dimensions by torus character counts,
-canonical decompositions by exhaustive multiset search, and the Schofield
+canonical decompositions by exhaustive multiset search, the Schofield
 recursion by a plain copy of its first implementation that reads nothing
-of the Euler matrix but ``euler.matrix``.
+of the Euler matrix but ``euler.matrix``, and the signature of a symmetric
+matrix by the sign pattern of its characteristic polynomial.
 """
 
 import functools
@@ -512,3 +513,53 @@ def _ref_candecomp(euler, dt):
         raise AssertionError(f"reference: {dt} admits no generic splitting")
     _REF_CANDECOMP[key] = result
     return result
+
+
+# ---------------------------------------------------------------------------
+# Signature by the characteristic polynomial
+#
+# The library's first signature: Faddeev-LeVerrier over Fraction, then the
+# signs of the sums of principal minors.  About n^4 operations, so only for
+# the small matrices of the tests.
+
+
+def ref_charpoly(matrix):
+    """Coefficients [c1, ..., cn] with det(xI - M) = x^n + c1 x^(n-1) + ... + cn."""
+    n = len(matrix)
+    m = tuple(tuple(Fraction(x) for x in row) for row in matrix)
+    coeffs = []
+    a = m
+    for k in range(1, n + 1):
+        ck = -sum(a[i][i] for i in range(n)) / k
+        coeffs.append(ck)
+        if k < n:
+            shifted = tuple(
+                tuple(a[i][j] + (ck if i == j else 0) for j in range(n))
+                for i in range(n)
+            )
+            a = tuple(
+                tuple(sum(m[i][t] * shifted[t][j] for t in range(n)) for j in range(n))
+                for i in range(n)
+            )
+    return coeffs
+
+
+def ref_symmetric_signature(matrix):
+    """With det(xI - S) = sum_k (-1)^k e_k x^(n-k), the e_k are the sums of
+    k x k principal minors: all nonnegative exactly when S is psd, all
+    positive exactly when S is positive definite, and the corank of a psd S
+    is the number of trailing zeros."""
+    n = len(matrix)
+    coeffs = ref_charpoly(matrix)
+    minors = [(-1) ** (k + 1) * coeffs[k] for k in range(n)]
+    if any(e < 0 for e in minors):
+        return "indefinite", None
+    corank = 0
+    for e in reversed(minors):
+        if e == 0:
+            corank += 1
+        else:
+            break
+    if corank == 0:
+        return "positive_definite", 0
+    return "positive_semidefinite", corank

@@ -53,6 +53,29 @@ def test_build_rejects():
         can.build_canonical((2, 2, 2, 2), (1, 0))
 
 
+@pytest.mark.parametrize(
+    "weights, lambdas",
+    [
+        ((2.7, 3, 4), (1,)),  # fractional weight, once truncated to 2
+        (("3", "3", "3"), (1,)),  # strings, once parsed as integers
+        ((2, 3, None), (1,)),
+        ((2, 3, 4), ("x",)),  # once a bare ValueError
+        ((2, 3, 4, 5), (1, "1/0")),  # once a bare ZeroDivisionError
+        ((2, 3, 4), (None,)),
+    ],
+)
+def test_build_rejects_malformed_parameters(weights, lambdas):
+    with pytest.raises(InputError):
+        can.build_canonical(weights, lambdas)
+
+
+def test_build_coerces_integral_weights():
+    alg = can.build_canonical((3.0, Fraction(6, 2), 2), ("1",))
+    assert alg.weights_m == (3, 3, 2)
+    assert all(type(m) is int for m in alg.weights_m)
+    assert alg.lambdas == (1,)
+
+
 def test_rank_degree_examples():
     assert can.rank_degree(T4, T4.h()) == (0, 2)
     assert can.rank_degree(T4, unit(T4, "0")) == (1, 0)
