@@ -17,7 +17,13 @@ from fractions import Fraction
 
 from . import linalg
 from .core import BoundQuiver, EulerMatrix, Quiver, classify_path_algebra
-from .errors import BudgetError, InputError, InvariantError, PreconditionError
+from .errors import (
+    BudgetError,
+    InputError,
+    InvariantError,
+    PreconditionError,
+    as_int,
+)
 from .stability import RationalInvariantsProfile, field_for_count
 
 TUBULAR_WEIGHTS = ((2, 2, 2, 2), (3, 3, 3), (4, 4, 2), (6, 3, 2))
@@ -59,15 +65,11 @@ def build_canonical(weights_m, lambdas):
     be integral (``3.0`` gives 3; ``2.7`` and ``'3'`` raise ``InputError``);
     lambdas are anything ``Fraction`` accepts.  Malformed input of either
     kind raises ``InputError``."""
+    weights = tuple(as_int(m, "weight") for m in weights_m)
     try:
-        vals = tuple(weights_m)
-        weights = tuple(int(m) for m in vals)
         lams = tuple(Fraction(x) for x in lambdas)
     except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
         raise InputError(f"bad canonical parameters: {exc}") from None
-    if weights != vals:
-        bad = next(m for m, i in zip(vals, weights) if m != i)
-        raise InputError(f"weight {bad!r} is not an integer")
     if len(weights) < 3:
         raise InputError("canonical algebras need at least three weights")
     if any(m < 2 for m in weights):

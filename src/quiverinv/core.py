@@ -11,12 +11,13 @@ indexed through the canonical sorted order of the vertex ids, exposed as
 order.
 """
 
+import heapq
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
 from . import linalg
-from .errors import InputError, InvariantError, PreconditionError
+from .errors import InputError, InvariantError, PreconditionError, as_int
 
 
 @dataclass(frozen=True)
@@ -43,64 +44,36 @@ class Quiver:
         """Canonical sorted vertex order used for all matrices."""
         return tuple(sorted(self.vertices))
 
-    def arrow_count(self, tail, head):
-        return sum(1 for _, t, h in self.arrows if t == tail and h == head)
-
-    def arrows_from(self, v):
-        return tuple(a for a in self.arrows if a[1] == v)
-
-    def arrows_to(self, v):
-        return tuple(a for a in self.arrows if a[2] == v)
-
-    def is_acyclic(self):
-        color = {v: 0 for v in self.vertices}
-        adj = {v: [] for v in self.vertices}
-        for _, t, h in self.arrows:
-            adj[t].append(h)
-        for start in self.vertices:
-            if color[start]:
-                continue
-            stack = [(start, iter(adj[start]))]
-            color[start] = 1
-            while stack:
-                v, it = stack[-1]
-                advanced = False
-                for w in it:
-                    if color[w] == 1:
-                        return False
-                    if color[w] == 0:
-                        color[w] = 1
-                        stack.append((w, iter(adj[w])))
-                        advanced = True
-                        break
-                if not advanced:
-                    color[v] = 2
-                    stack.pop()
-        return True
-
-    def topological_order(self):
-        """Vertices in an arrow-compatible order (ties broken by sorted id)."""
+    def _kahn(self):
+        """One pass of Kahn's algorithm: the vertices in an arrow-compatible
+        order (ties broken by sorted id), and whether that order reaches
+        every vertex.  Vertices on or behind an oriented cycle never reach
+        indegree zero, so the flag is exactly acyclicity."""
         indeg = {v: 0 for v in self.vertices}
-        for _, _, h in self.arrows:
+        heads = {v: [] for v in self.vertices}
+        for _, t, h in self.arrows:
             indeg[h] += 1
+            heads[t].append(h)
         ready = sorted(v for v in self.vertices if indeg[v] == 0)
         out = []
         while ready:
-            v = ready.pop(0)
+            v = heapq.heappop(ready)
             out.append(v)
-            changed = False
-            for _, t, h in self.arrows:
-                if t == v:
-                    indeg[h] -= 1
-                    if indeg[h] == 0:
-                        ready.append(h)
-                        changed = True
-            if changed:
-                ready.sort()
-        # vertices on or behind an oriented cycle never reach indegree zero
-        if len(out) != len(self.vertices):
+            for h in heads[v]:
+                indeg[h] -= 1
+                if indeg[h] == 0:
+                    heapq.heappush(ready, h)
+        return tuple(out), len(out) == len(self.vertices)
+
+    def is_acyclic(self):
+        return self._kahn()[1]
+
+    def topological_order(self):
+        """Vertices in an arrow-compatible order (ties broken by sorted id)."""
+        order, acyclic = self._kahn()
+        if not acyclic:
             raise PreconditionError("quiver has an oriented cycle")
-        return tuple(out)
+        return order
 
     def is_connected(self):
         if not self.vertices:
@@ -118,39 +91,6 @@ class Quiver:
                     seen.add(w)
                     stack.append(w)
         return len(seen) == len(self.vertices)
-
-    def components(self):
-        adj = {v: set() for v in self.vertices}
-        for _, t, h in self.arrows:
-            adj[t].add(h)
-            adj[h].add(t)
-        seen = set()
-        comps = []
-        for start in self.vertices:
-            if start in seen:
-                continue
-            comp = {start}
-            stack = [start]
-            seen.add(start)
-            while stack:
-                v = stack.pop()
-                for w in adj[v]:
-                    if w not in seen:
-                        seen.add(w)
-                        comp.add(w)
-                        stack.append(w)
-            comps.append(frozenset(comp))
-        return comps
-
-    def restrict(self, vertices):
-        """Full subquiver on the given vertex set."""
-        vset = set(vertices)
-        if not vset <= set(self.vertices):
-            raise InputError("restriction to non-vertices")
-        return Quiver(
-            tuple(v for v in self.vertices if v in vset),
-            tuple(a for a in self.arrows if a[1] in vset and a[2] in vset),
-        )
 
 
 def _paths_of_length_two_or_more(quiver):
@@ -202,14 +142,19 @@ class BoundQuiver:
 class QuiverPlan(NamedTuple):
     """What the kernels read of a quiver's shape, computed once.
 
-    ``order`` is the topological order and ``out_arrows[i]`` the sorted
-    arrows leaving ``order[i]``; both are empty when the quiver has an
-    oriented cycle.
+    Vertices are indices into the sorted vertex order and arrows are
+    positions in the sorted arrow list.  ``arrows[k]`` is the (tail, head)
+    pair of arrow k.  ``walk`` lists, in topological order, each vertex with
+    the positions of the arrows leaving it.  ``incidence`` lists, in sorted
+    order, each vertex that an arrow touches with the positions of its tail
+    arrows and of its head arrows.  All three are empty when the quiver has
+    an oriented cycle.
     """
 
     acyclic: bool
-    order: tuple
-    out_arrows: tuple
+    arrows: tuple
+    walk: tuple
+    incidence: tuple
 
 
 class EulerMatrix:
@@ -219,9 +164,11 @@ class EulerMatrix:
     in sorted vertex order, so that ``<d, e> = d^T E e`` counts homomorphisms
     minus extensions (minus relation corrections) for generic representations.
 
-    ``plan`` holds the quiver's acyclicity, topological order and out-arrows.
-    It is built on first use and then kept, so matrices that never reach a
-    kernel never pay for it.  Instances are immutable and safe to share
+    ``plan`` holds the quiver's acyclicity and, as index tuples, its arrows,
+    a topological walk and the arrow incidence at each vertex (see
+    :class:`QuiverPlan`), all from one topological sort.  It is built on
+    first use and then kept, so matrices that never reach a kernel never
+    pay for it.  Instances are immutable and safe to share
     across threads: the plan depends on the quiver alone, so threads racing
     to build it build equal plans and either one serves.
     """
@@ -262,12 +209,25 @@ class EulerMatrix:
 
     @cached_property
     def plan(self):
-        quiver = self.quiver
-        if not quiver.is_acyclic():
-            return QuiverPlan(False, (), ())
-        order = quiver.topological_order()
-        out_arrows = tuple(tuple(sorted(quiver.arrows_from(v))) for v in order)
-        return QuiverPlan(True, order, out_arrows)
+        order, acyclic = self.quiver._kahn()
+        if not acyclic:
+            return QuiverPlan(False, (), (), ())
+        idx = self.index
+        arrows = tuple(
+            (idx[t], idx[h]) for _, t, h in sorted(self.quiver.arrows)
+        )
+        tails = [[] for _ in range(self.n)]
+        heads = [[] for _ in range(self.n)]
+        for k, (t, h) in enumerate(arrows):
+            tails[t].append(k)
+            heads[h].append(k)
+        walk = tuple((idx[v], tuple(tails[idx[v]])) for v in order)
+        incidence = tuple(
+            (v, tuple(tails[v]), tuple(heads[v]))
+            for v in range(self.n)
+            if tails[v] or heads[v]
+        )
+        return QuiverPlan(True, arrows, walk, incidence)
 
     def tup(self, vec):
         """Coerce a dict keyed by vertex id, or a sequence in sorted vertex
@@ -281,10 +241,7 @@ class EulerMatrix:
             vals = tuple(vec.get(v, 0) for v in self.order)
         else:
             vals = tuple(vec)
-        t = tuple(int(x) for x in vals)
-        if t != vals:
-            bad = next(x for x, i in zip(vals, t) if x != i)
-            raise InputError(f"vector entry {bad!r} is not an integer")
+        t = tuple(as_int(x, "vector entry") for x in vals)
         if len(t) != self.n:
             raise InputError(
                 f"vector length {len(t)} does not match {self.n} vertices"
@@ -319,12 +276,6 @@ class EulerMatrix:
         left = self.weight_left(d)
         right = self.weight_right(d)
         return tuple(a - b for a, b in zip(left, right))
-
-    def pair_weight(self, theta, d):
-        theta = tuple(int(x) for x in theta)
-        if len(theta) != self.n:
-            raise InputError("weight length mismatch")
-        return sum(t * x for t, x in zip(theta, self.tup(d)))
 
     def symmetrized(self):
         return tuple(

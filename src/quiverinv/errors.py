@@ -10,6 +10,10 @@ exit code so scripted callers can dispatch on it:
   names the bound that failed.
 * ``InvariantError`` (5): an internal consistency check failed.  These are
   bug sentinels and should never fire.
+
+Integral input goes through one rule, ``as_int``: a value is accepted when
+``int`` takes it and gives back an equal number; anything else is an
+``InputError``, never a truncation.
 """
 
 
@@ -38,3 +42,17 @@ class BudgetError(QuiverInvError, RuntimeError):
 
 class InvariantError(QuiverInvError, AssertionError):
     exit_code = 5
+
+
+def as_int(x, what):
+    """``x`` as an int when it is integral (``2``, ``2.0`` and
+    ``Fraction(4, 2)`` all give ``2``).  A fractional entry, or anything
+    ``int`` cannot take or would parse (``'3'``, ``None``), raises
+    ``InputError`` naming ``what`` instead of being truncated."""
+    try:
+        i = int(x)
+    except (TypeError, ValueError, OverflowError):
+        i = None
+    if i is None or i != x:
+        raise InputError(f"{what} {x!r} is not an integer")
+    return i

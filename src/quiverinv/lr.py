@@ -1,7 +1,15 @@
 """Littlewood-Richardson products of Schur functions.
 
-The strip-insertion enumeration lives in ``_lrkernel_py.schur_mult``.  The
-public functions here (``partition``, ``schur_product``, ``lr_coefficient``,
+A coefficient c^nu_{lam,mu} counts chains
+
+    lam = nu0 <= nu1 <= ... <= nuk = nu
+
+where step e adds a horizontal strip of mu[e] boxes and the strip row counts
+satisfy the ballot condition: entry e+1 boxes in rows <= r+1 never outnumber
+entry e boxes in rows <= r.  Such chains are exactly the lattice-word skew
+tableaux of shape nu/lam and content mu; ``_schur_mult`` enumerates them.
+
+The public functions (``partition``, ``schur_product``, ``lr_coefficient``,
 ``tensor_fold``) validate and coerce their input once and then call two
 internals that take plain int tuples: ``_product`` for one product and
 ``_fold`` for a sorted sequence of trimmed partitions.  Hot callers that
@@ -11,37 +19,23 @@ All entry points cache aggressively: the weight-space enumeration in
 ``siweights`` revisits the same small products thousands of times.
 """
 
-from . import _lrkernel_py
-from .errors import InputError
-
-
-def _ints(values, what):
-    """A tuple of ints equal to ``values``; fractional or non-numeric
-    entries raise ``InputError`` instead of being truncated or parsed."""
-    vals = tuple(values)
-    try:
-        t = tuple(int(x) for x in vals)
-    except (TypeError, ValueError):
-        t = None
-    if t != vals:
-        raise InputError(f"{what} entries must be integers: {list(vals)}")
-    return t
+from .errors import InputError, as_int
 
 
 def _rows(rows):
-    r = _ints((rows,), "row bound")[0]
+    r = as_int(rows, "row bound")
     if r < 0:
         raise InputError(f"row bound must be nonnegative: {rows!r}")
     return r
 
 
 def _cap(cap):
-    return None if cap is None else _ints(cap, "cap")
+    return None if cap is None else tuple(as_int(x, "cap entry") for x in cap)
 
 
 def partition(parts):
     """Validate and normalize to a trimmed, weakly decreasing tuple."""
-    p = _ints(parts, "partition")
+    p = tuple(as_int(x, "partition entry") for x in parts)
     while p and p[-1] == 0:
         p = p[:-1]
     for a, b in zip(p, p[1:]):
@@ -50,6 +44,77 @@ def partition(parts):
     if p and p[-1] < 0:
         raise InputError("partition parts must be nonnegative")
     return p
+
+
+_NO_CAP = 1 << 30
+
+
+def _schur_mult(lam, mu, maxrows, cap):
+    """The strip-insertion enumeration: a dict mapping partitions nu
+    (trimmed tuples) to c^nu_{lam,mu}, restricted to partitions with at most
+    ``maxrows`` rows and, when ``cap`` is given, to nu contained in ``cap``
+    rowwise.
+
+    It trusts its input: ``lam`` and ``mu`` are trimmed partitions,
+    ``maxrows`` a nonnegative int and ``cap`` an int tuple or None.  The
+    public functions validate and coerce before reaching it."""
+    if len(lam) > maxrows or len(mu) > maxrows:
+        return {}
+    # fewer strips = shallower search; the coefficient is symmetric
+    if len(mu) > len(lam):
+        lam, mu = mu, lam
+    capl = [_NO_CAP] * maxrows
+    if cap is not None:
+        for r in range(maxrows):
+            capl[r] = cap[r] if r < len(cap) else 0
+    shape = list(lam) + [0] * (maxrows - len(lam))
+    for r in range(maxrows):
+        if shape[r] > capl[r]:
+            return {}
+    results = {}
+    k = len(mu)
+    nrows = maxrows
+
+    def place_entry(e, a_prev):
+        if e == k:
+            end = nrows
+            while end and not shape[end - 1]:
+                end -= 1
+            key = tuple(shape[:end])
+            results[key] = results.get(key, 0) + 1
+            return
+        size = mu[e]
+        old = shape[:]
+        if e:
+            prefix = [0] * (nrows + 1)
+            for r in range(nrows):
+                prefix[r + 1] = prefix[r] + a_prev[r]
+        else:
+            prefix = None
+        a_cur = [0] * nrows
+
+        def place_row(r, rem, cum):
+            if rem == 0:
+                place_entry(e + 1, a_cur)
+                return
+            if r == nrows:
+                return
+            tmax = min(rem, capl[r] - shape[r])
+            if r:
+                tmax = min(tmax, old[r - 1] - shape[r], shape[r - 1] - shape[r])
+            if prefix is not None:
+                tmax = min(tmax, prefix[r] - cum)
+            for t in range(tmax, -1, -1):
+                shape[r] += t
+                a_cur[r] = t
+                place_row(r + 1, rem - t, cum + t)
+                shape[r] -= t
+                a_cur[r] = 0
+
+        place_row(0, size, 0)
+
+    place_entry(0, None)
+    return results
 
 
 _PRODUCT_CACHE = {}
@@ -63,7 +128,7 @@ def _product(lam, mu, rows, cap):
     key = (lam, mu, rows, cap)
     found = _PRODUCT_CACHE.get(key)
     if found is None:
-        found = _lrkernel_py.schur_mult(lam, mu, rows, cap)
+        found = _schur_mult(lam, mu, rows, cap)
         _PRODUCT_CACHE[key] = found
     return found
 

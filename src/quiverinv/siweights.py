@@ -18,14 +18,23 @@ kernels extract with rowwise caps for pruning.
 The block is nonzero only when the partition sizes s_a = |lambda_a| satisfy
 the flow-balance equations sum_out s - sum_in s = theta(v) d(v) at every
 vertex; on an acyclic quiver that flow polytope is bounded, so the whole
-enumeration is finite.  Budgets count partition tuples.
+enumeration is finite.  Budgets count partition tuples.  One walk of the
+flow polytope, along the quiver's plan, both sizes the enumeration (by
+cached partition counts, before any partition list is built) and keeps the
+flows that carry tuples; the Cauchy sum then runs over the kept flows only.
 """
 
 import itertools
 from dataclasses import dataclass
 
 from . import linalg, lr
-from .errors import BudgetError, InputError, InvariantError, PreconditionError
+from .errors import (
+    BudgetError,
+    InputError,
+    InvariantError,
+    PreconditionError,
+    as_int,
+)
 
 DEFAULT_BUDGET = 5_000_000
 
@@ -147,49 +156,51 @@ def _vertex_mult(dv, tv, tails, heads):
     return result
 
 
+def _compositions(total, k):
+    """All k-tuples of nonnegative ints summing to ``total``."""
+    if k == 0:
+        if total == 0:
+            yield ()
+        return
+    if k == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, k - 1):
+            yield (first,) + rest
+
+
 def _flows(plan, supply):
-    """Nonnegative arrow flows with prescribed divergence, as dicts.
+    """Nonnegative arrow flows with prescribed divergence.
 
     supply[v] = (sum of flows out of v) - (sum of flows in), fixed per
-    vertex.  Vertices are visited in the plan's topological order, so
-    inflows are known before outflows are chosen; infeasible branches are
+    vertex, indexed in sorted vertex order; each flow is an int tuple over
+    the plan's arrows.  Vertices are visited in the plan's topological walk,
+    so inflows are known before outflows are chosen; infeasible branches are
     cut immediately.
     """
-    order = plan.order
-    out_arrows = plan.out_arrows
-    inflow = {v: 0 for v in order}
+    arrows = plan.arrows
+    walk = plan.walk
+    inflow = [0] * len(supply)
+    flow = [0] * len(arrows)
 
-    def compositions(total, k):
-        if k == 0:
-            if total == 0:
-                yield ()
+    def rec(i):
+        if i == len(walk):
+            yield tuple(flow)
             return
-        if k == 1:
-            yield (total,)
-            return
-        for first in range(total + 1):
-            for rest in compositions(total - first, k - 1):
-                yield (first,) + rest
-
-    def rec(i, flow):
-        if i == len(order):
-            yield dict(flow)
-            return
-        v = order[i]
-        arrows = out_arrows[i]
+        v, outs = walk[i]
         total = supply[v] + inflow[v]
         if total < 0:
             return
-        for combo in compositions(total, len(arrows)):
-            for (aid, _, head), s in zip(arrows, combo):
-                flow[aid] = s
-                inflow[head] += s
-            yield from rec(i + 1, flow)
-            for (aid, _, head), s in zip(arrows, combo):
-                del flow[aid]
-                inflow[head] -= s
+        for combo in _compositions(total, len(outs)):
+            for k, s in zip(outs, combo):
+                flow[k] = s
+                inflow[arrows[k][1]] += s
+            yield from rec(i + 1)
+            for k, s in zip(outs, combo):
+                inflow[arrows[k][1]] -= s
 
-    yield from rec(0, {})
+    yield from rec(0)
 
 
 PIVOT_THRESHOLD = 10_000
@@ -204,28 +215,33 @@ def _pivot_vector(euler, theta):
     return tuple(int(x) for x in e)
 
 
-def _si_cost(euler, dt, th, cap):
-    """Partition tuples the direct enumeration would visit; cap+1 if more."""
-    quiver = euler.quiver
-    idx = euler.index
-    supply = {v: th[idx[v]] * dt[idx[v]] for v in euler.order}
-    arrows = sorted(quiver.arrows)
-    rows = {aid: min(dt[idx[t]], dt[idx[h]]) for aid, t, h in arrows}
+def _sized_flows(plan, dt, th, cap):
+    """(cost, flows) for the Cauchy sum of dim SI(Q,dt)_th, from one walk.
+
+    ``cost`` is the number of partition tuples the sum visits, priced by
+    cached partition counts, so no partition list is built; ``flows`` are the
+    flows that carry at least one tuple, hence at most ``cost`` of them.
+    Once more than ``cap`` flows or tuples turn up the walk stops and
+    ``cost`` is ``cap + 1``.
+    """
+    rows = [min(dt[t], dt[h]) for t, h in plan.arrows]
+    supply = [t * x for t, x in zip(th, dt)]
     cost = 0
-    nflows = 0
-    for flow in _flows(euler.plan, supply):
-        nflows += 1
+    kept = []
+    for nflows, flow in enumerate(_flows(plan, supply), 1):
         if nflows > cap:
-            return cap + 1
+            return cap + 1, ()
         c = 1
-        for aid, _, _ in arrows:
-            c *= count_partitions(flow[aid], rows[aid])
+        for s, r in zip(flow, rows):
+            c *= count_partitions(s, r)
             if c == 0:
                 break
-        cost += c
-        if cost > cap:
-            return cap + 1
-    return cost
+        if c:
+            cost += c
+            if cost > cap:
+                return cap + 1, ()
+            kept.append(flow)
+    return cost, kept
 
 
 def si_dim(euler, d, theta, budget=DEFAULT_BUDGET, pivot=True):
@@ -235,12 +251,14 @@ def si_dim(euler, d, theta, budget=DEFAULT_BUDGET, pivot=True):
     the module docstring.  Raises BudgetError once more than ``budget``
     partition tuples would be examined.
 
-    Weights of the form -<-,e> for a dimension vector e admit a second,
-    often far smaller enumeration: dim SI(Q,d)_{-<-,e>} equals
-    dim SI(Q,e)_{<d,->}.  Both candidate enumerations are sized exactly (a
-    cheap flow walk with cached partition counts) and the smaller one runs;
-    ``pivot=False`` forces the literal side, which ``circ`` uses to keep its
-    two evaluations independent.
+    One flow walk sizes the enumeration with cached partition counts and
+    keeps the flows that carry tuples; the sum then runs over those flows
+    alone.  Weights of the form -<-,e> for a dimension vector e admit a
+    second, often far smaller enumeration: dim SI(Q,d)_{-<-,e>} equals
+    dim SI(Q,e)_{<d,->}.  When the literal side is over budget or above
+    ``PIVOT_THRESHOLD`` tuples, the other side is sized by a walk of its own
+    and the smaller one is summed; ``pivot=False`` forces the literal side,
+    which ``circ`` uses to keep its two evaluations independent.
     """
     (dt,) = _dimension_vectors(euler, d)
     return _si_dim(euler, dt, euler.tup(theta), budget, pivot)
@@ -249,59 +267,37 @@ def si_dim(euler, d, theta, budget=DEFAULT_BUDGET, pivot=True):
 def _si_dim(euler, dt, th, budget, pivot=True):
     if sum(t * x for t, x in zip(th, dt)) != 0:
         return 0
-    cost = _si_cost(euler, dt, th, budget)
+    plan = euler.plan
+    cost, flows = _sized_flows(plan, dt, th, budget)
     if pivot and (cost > budget or cost > PIVOT_THRESHOLD):
         e = _pivot_vector(euler, th)
         if e is not None:
             wl = linalg.vecmat(dt, euler.matrix)
-            if _si_cost(euler, e, wl, min(cost - 1, budget)) < cost:
-                return _si_dim_direct(euler, e, wl, budget)
+            cap = min(cost - 1, budget)
+            pivot_cost, pivot_flows = _sized_flows(plan, e, wl, cap)
+            if pivot_cost <= cap:
+                return _cauchy_sum(plan, e, wl, pivot_flows)
     if cost > budget:
         raise BudgetError("semi-invariant partition tuples", budget)
-    return _si_dim_direct(euler, dt, th, budget)
+    return _cauchy_sum(plan, dt, th, flows)
 
 
-def _si_dim_direct(euler, dt, th, budget):
-    quiver = euler.quiver
-    idx = euler.index
-    supply = {v: th[idx[v]] * dt[idx[v]] for v in euler.order}
-    arrows = sorted(quiver.arrows)
-    rows_by_arrow = {
-        aid: min(dt[idx[t]], dt[idx[h]]) for aid, t, h in arrows
-    }
-    incidence = []
-    for v in euler.order:
-        tails_at = [a[0] for a in arrows if a[1] == v]
-        heads_at = [a[0] for a in arrows if a[2] == v]
-        if tails_at or heads_at or supply[v]:
-            incidence.append((v, tails_at, heads_at))
-
+def _cauchy_sum(plan, dt, th, flows):
+    """The Cauchy blocks over the given flows, each a product of vertex
+    multiplicities over one partition per arrow."""
+    rows = [min(dt[t], dt[h]) for t, h in plan.arrows]
+    incidence = plan.incidence
     total = 0
-    used = 0
-    for flow in _flows(euler.plan, supply):
-        choices = []
-        cost = 1
-        for aid, _, _ in arrows:
-            plist = partitions_bounded(flow[aid], rows_by_arrow[aid])
-            if not plist:
-                cost = 0
-                break
-            choices.append(plist)
-            cost *= len(plist)
-        if cost == 0:
-            continue
-        used += cost
-        if used > budget:
-            raise BudgetError("semi-invariant partition tuples", budget)
+    for flow in flows:
+        choices = [partitions_bounded(s, r) for s, r in zip(flow, rows)]
         for combo in itertools.product(*choices):
-            chosen = {aid: lam for (aid, _, _), lam in zip(arrows, combo)}
             prod = 1
-            for v, tails_at, heads_at in incidence:
+            for v, tails, heads in incidence:
                 mult = _vertex_mult(
-                    dt[idx[v]],
-                    th[idx[v]],
-                    tuple(sorted(chosen[a] for a in tails_at)),
-                    tuple(sorted(chosen[a] for a in heads_at)),
+                    dt[v],
+                    th[v],
+                    tuple(sorted([combo[k] for k in tails])),
+                    tuple(sorted([combo[k] for k in heads])),
                 )
                 if mult == 0:
                     prod = 0
@@ -326,6 +322,7 @@ class SIWeightTable:
 def si_table(euler, d, theta, n_max, budget=DEFAULT_BUDGET):
     (dt,) = _dimension_vectors(euler, d)
     th = euler.tup(theta)
+    n_max = as_int(n_max, "table length")
     if n_max < 0:
         raise InputError("table length must be nonnegative")
     if sum(t * x for t, x in zip(th, dt)) != 0:
@@ -414,6 +411,7 @@ def polynomiality_check(euler, d, e, n_max, budget=DEFAULT_BUDGET):
     unless the enumeration itself is broken).
     """
     dt, et = _dimension_vectors(euler, d, e)
+    n_max = as_int(n_max, "n_max")
     if n_max < 1:
         raise InputError("n_max must be at least 1")
     if _circ(euler, dt, et, budget) == 0:
@@ -464,7 +462,7 @@ class LogConcavityResult:
 
 def log_concavity_check(values):
     """First interior index with v[i-1] * v[i+1] > v[i]^2, if any."""
-    vals = [int(x) for x in values]
+    vals = [as_int(x, "sequence entry") for x in values]
     if any(v < 0 for v in vals):
         raise InputError("log-concavity applies to nonnegative sequences")
     for i in range(1, len(vals) - 1):

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from . import cones, siweights
 from .core import Quiver, classify_path_algebra
-from .errors import InputError, InvariantError, PreconditionError
+from .errors import InputError, InvariantError, PreconditionError, as_int
 from .generic import (
     BOX_LIMIT,
     _dimension_vectors,
@@ -184,10 +184,11 @@ def local_quiver(euler, factors):
         dt = euler.tup(dim)
         if not any(dt):
             raise InputError("factors must be nonzero")
-        if int(mult) < 1:
+        mult = as_int(mult, "multiplicity")
+        if mult < 1:
             raise InputError("multiplicities must be positive")
         dims.append(dt)
-        mults.append(int(mult))
+        mults.append(mult)
     names = [f"m{i + 1}" for i in range(len(dims))]
     arrows = []
     for i, di in enumerate(dims):
@@ -283,6 +284,7 @@ def projective_space_verdict(
     the difference table is not pinned by n_max samples the verdict is
     inconclusive rather than guessed.
     """
+    n_max = as_int(n_max, "n_max")
     if n_max < 1:
         raise InputError("n_max must be at least 1")
     dt, th = _vector_and_weight(euler, d, theta, BOX_LIMIT)

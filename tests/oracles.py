@@ -7,8 +7,9 @@ subrepresentation existence by exhaustive subspace scans over a prime
 field, thin semi-invariant dimensions by torus character counts,
 canonical decompositions by exhaustive multiset search, the Schofield
 recursion by a plain copy of its first implementation that reads nothing
-of the Euler matrix but ``euler.matrix``, and the signature of a symmetric
-matrix by the sign pattern of its characteristic polynomial.
+of the Euler matrix but ``euler.matrix``, the signature of a symmetric
+matrix by the sign pattern of its characteristic polynomial, and
+semi-invariant dimensions by a copy of the first two-walk ``si_dim``.
 """
 
 import functools
@@ -563,3 +564,167 @@ def ref_symmetric_signature(matrix):
     if corank == 0:
         return "positive_definite", 0
     return "positive_semidefinite", corank
+
+
+# ---------------------------------------------------------------------------
+# Semi-invariant dimensions by two flow walks
+#
+# The library's first si_dim: one walk sizes the enumeration, a second walk
+# sums the Cauchy blocks, and the sorted arrows, row bounds, supplies and
+# incidence lists are rebuilt from the quiver on every call.  Only
+# ``euler.quiver``, ``euler.order`` and ``euler.matrix`` are read, so no
+# plan is shared; the partition lists and vertex multiplicities come from
+# ``siweights``.
+
+
+def _ref_topological_order(quiver):
+    indeg = {v: 0 for v in quiver.vertices}
+    for _, _, h in quiver.arrows:
+        indeg[h] += 1
+    ready = sorted(v for v in quiver.vertices if indeg[v] == 0)
+    out = []
+    while ready:
+        v = ready.pop(0)
+        out.append(v)
+        for _, t, h in quiver.arrows:
+            if t == v:
+                indeg[h] -= 1
+                if indeg[h] == 0:
+                    ready.append(h)
+        ready.sort()
+    return tuple(out)
+
+
+def _ref_flows(quiver, supply):
+    order = _ref_topological_order(quiver)
+    out_arrows = [
+        tuple(sorted(a for a in quiver.arrows if a[1] == v)) for v in order
+    ]
+    inflow = {v: 0 for v in order}
+
+    def compositions(total, k):
+        if k == 0:
+            if total == 0:
+                yield ()
+            return
+        if k == 1:
+            yield (total,)
+            return
+        for first in range(total + 1):
+            for rest in compositions(total - first, k - 1):
+                yield (first,) + rest
+
+    def rec(i, flow):
+        if i == len(order):
+            yield dict(flow)
+            return
+        v = order[i]
+        arrows = out_arrows[i]
+        total = supply[v] + inflow[v]
+        if total < 0:
+            return
+        for combo in compositions(total, len(arrows)):
+            for (aid, _, head), s in zip(arrows, combo):
+                flow[aid] = s
+                inflow[head] += s
+            yield from rec(i + 1, flow)
+            for (aid, _, head), s in zip(arrows, combo):
+                del flow[aid]
+                inflow[head] -= s
+
+    yield from rec(0, {})
+
+
+def _ref_si_cost(euler, dt, th, cap):
+    from quiverinv.siweights import count_partitions
+
+    idx = {v: i for i, v in enumerate(euler.order)}
+    supply = {v: th[idx[v]] * dt[idx[v]] for v in euler.order}
+    arrows = sorted(euler.quiver.arrows)
+    rows = {aid: min(dt[idx[t]], dt[idx[h]]) for aid, t, h in arrows}
+    cost = 0
+    nflows = 0
+    for flow in _ref_flows(euler.quiver, supply):
+        nflows += 1
+        if nflows > cap:
+            return cap + 1
+        c = 1
+        for aid, _, _ in arrows:
+            c *= count_partitions(flow[aid], rows[aid])
+            if c == 0:
+                break
+        cost += c
+        if cost > cap:
+            return cap + 1
+    return cost
+
+
+def _ref_si_dim_direct(euler, dt, th, budget):
+    from quiverinv.errors import BudgetError
+    from quiverinv.siweights import _vertex_mult, partitions_bounded
+
+    idx = {v: i for i, v in enumerate(euler.order)}
+    supply = {v: th[idx[v]] * dt[idx[v]] for v in euler.order}
+    arrows = sorted(euler.quiver.arrows)
+    rows_by_arrow = {aid: min(dt[idx[t]], dt[idx[h]]) for aid, t, h in arrows}
+    incidence = []
+    for v in euler.order:
+        tails_at = [a[0] for a in arrows if a[1] == v]
+        heads_at = [a[0] for a in arrows if a[2] == v]
+        if tails_at or heads_at or supply[v]:
+            incidence.append((v, tails_at, heads_at))
+
+    total = 0
+    used = 0
+    for flow in _ref_flows(euler.quiver, supply):
+        choices = []
+        cost = 1
+        for aid, _, _ in arrows:
+            plist = partitions_bounded(flow[aid], rows_by_arrow[aid])
+            if not plist:
+                cost = 0
+                break
+            choices.append(plist)
+            cost *= len(plist)
+        if cost == 0:
+            continue
+        used += cost
+        if used > budget:
+            raise BudgetError("semi-invariant partition tuples", budget)
+        for combo in itertools.product(*choices):
+            chosen = {aid: lam for (aid, _, _), lam in zip(arrows, combo)}
+            prod = 1
+            for v, tails_at, heads_at in incidence:
+                mult = _vertex_mult(
+                    dt[idx[v]],
+                    th[idx[v]],
+                    tuple(sorted(chosen[a] for a in tails_at)),
+                    tuple(sorted(chosen[a] for a in heads_at)),
+                )
+                if mult == 0:
+                    prod = 0
+                    break
+                prod *= mult
+            total += prod
+    return total
+
+
+def ref_si_dim(euler, dt, th, budget, pivot=True):
+    """dim SI(Q,dt)_th for int tuples, with the library's pivot rule."""
+    from quiverinv.errors import BudgetError
+    from quiverinv.siweights import PIVOT_THRESHOLD
+
+    if sum(t * x for t, x in zip(th, dt)) != 0:
+        return 0
+    cost = _ref_si_cost(euler, dt, th, budget)
+    if pivot and (cost > budget or cost > PIVOT_THRESHOLD):
+        inv = linalg.inverse(euler.matrix)
+        e = linalg.matvec(inv, tuple(-t for t in th))
+        if all(x.denominator == 1 and x >= 0 for x in e):
+            e = tuple(int(x) for x in e)
+            wl = linalg.vecmat(dt, euler.matrix)
+            if _ref_si_cost(euler, e, wl, min(cost - 1, budget)) < cost:
+                return _ref_si_dim_direct(euler, e, wl, budget)
+    if cost > budget:
+        raise BudgetError("semi-invariant partition tuples", budget)
+    return _ref_si_dim_direct(euler, dt, th, budget)

@@ -69,6 +69,14 @@ def test_tup_rejects_non_integral_entries():
         assert all(type(x) is int for x in got)
 
 
+def test_tup_rejects_non_numeric_entries():
+    # these used to escape as a bare ValueError or be parsed from a string
+    e = EulerMatrix(K2)
+    for vec in (("x", 1), (1, None), ("2", 1), {"v1": "1"}):
+        with pytest.raises(InputError):
+            e.tup(vec)
+
+
 def test_euler_form_examples():
     e = EulerMatrix(K2)
     assert e.euler((1, 1), (1, 1)) == 0

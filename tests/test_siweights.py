@@ -4,12 +4,20 @@ import itertools
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from quiverinv.core import EulerMatrix, dynkin_quiver, euclidean_quiver, kronecker_quiver
+from quiverinv.core import (
+    EulerMatrix,
+    Quiver,
+    dynkin_quiver,
+    euclidean_quiver,
+    kronecker_quiver,
+)
 from quiverinv.errors import BudgetError, InputError, PreconditionError
-from quiverinv import siweights
+from quiverinv import siweights, stability
 
-from oracles import si_dim_thin
+from oracles import ref_si_dim, si_dim_thin
 
 K2 = kronecker_quiver(2)
 K3 = kronecker_quiver(3)
@@ -89,6 +97,113 @@ def test_si_dim_budget():
         siweights.si_dim(EK2, (8, 8), (8, -8), budget=10)
 
 
+# v1 => v2 => v3, doubled arrows: a wild chain with a two-dimensional cycle
+# space, next to the Euclidean catalogue and the Kronecker quivers
+WILD_CHAIN = Quiver(
+    ("v1", "v2", "v3"),
+    (
+        ("a", "v1", "v2"),
+        ("b", "v1", "v2"),
+        ("c", "v2", "v3"),
+        ("d", "v2", "v3"),
+    ),
+)
+WALK_QUIVERS = {
+    "A~2": euclidean_quiver("A~2"),
+    "A~3": euclidean_quiver("A~3"),
+    "A~4": euclidean_quiver("A~4"),
+    "D~4": euclidean_quiver("D~4"),
+    "K3": K3,
+    "K4": kronecker_quiver(4),
+    "wild_chain": WILD_CHAIN,
+}
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except BudgetError:
+        return "budget"
+
+
+@pytest.mark.parametrize("pivot", [True, False], ids=["pivot", "literal"])
+@pytest.mark.parametrize("name", sorted(WALK_QUIVERS))
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_si_dim_matches_two_walk_reference(name, pivot, data):
+    euler = EulerMatrix(WALK_QUIVERS[name])
+    dt = data.draw(st.tuples(*[st.integers(0, 2)] * euler.n))
+    th = list(data.draw(st.tuples(*[st.integers(-2, 2)] * euler.n)))
+    # solve theta(d) = 0 for the last vertex in the support of d, so that
+    # most drawn weights reach the enumeration
+    live = [i for i, x in enumerate(dt) if x]
+    if live:
+        k = live[-1]
+        rest = sum(t * x for t, x in zip(th, dt)) - th[k] * dt[k]
+        assume(rest % dt[k] == 0 and abs(rest // dt[k]) <= 2)
+        th[k] = -rest // dt[k]
+    th = tuple(th)
+    # small budgets push the pivot rule and BudgetError into play
+    budget = data.draw(
+        st.sampled_from([siweights.DEFAULT_BUDGET, 0, 3, 20, 100, 400])
+    )
+    want = _outcome(ref_si_dim, euler, dt, th, budget, pivot)
+    got = _outcome(siweights.si_dim, euler, dt, th, budget=budget, pivot=pivot)
+    assert got == want
+
+
+@pytest.mark.parametrize(
+    "name, dt, th, budget, want",
+    [
+        # literal side 462 tuples, pivot side 196
+        ("A~4", (2, 2, 2, 2, 2), (2, 2, 0, -2, -2), 300, 6),
+        ("A~4", (2, 2, 2, 2, 2), (2, 2, 0, -2, -2), 150, "budget"),
+        # literal side 81 tuples, pivot side 9
+        ("D~4", (2, 2, 2, 2, 2), (0, 2, 2, -2, -2), 10, 1),
+    ],
+)
+def test_pivot_side_summed_within_budget(name, dt, th, budget, want):
+    euler = EulerMatrix(euclidean_quiver(name))
+    assert _outcome(siweights.si_dim, euler, dt, th, budget=budget) == want
+    assert _outcome(ref_si_dim, euler, dt, th, budget) == want
+
+
+def test_budget_raised_before_any_partition_list(monkeypatch):
+    # count_partitions(200, 10) alone is 1,212,199,424 tuples: sizing must
+    # refuse before a single partition list is built, on either side
+    built = []
+    original = siweights.partitions_bounded
+
+    def counted(size, rows):
+        built.append((size, rows))
+        return original(size, rows)
+
+    monkeypatch.setattr(siweights, "partitions_bounded", counted)
+    with pytest.raises(BudgetError):
+        siweights.si_dim(EK2, (10, 10), (20, -20), budget=1000)
+    assert built == []
+
+
+def test_si_dim_walks_flows_once_under_pivot_threshold(monkeypatch):
+    walks = []
+    original = siweights._flows
+
+    def counted(plan, supply):
+        walks.append(supply)
+        return original(plan, supply)
+
+    monkeypatch.setattr(siweights, "_flows", counted)
+    euler = EulerMatrix(euclidean_quiver("A~3"))
+    dt, th = (2, 2, 2, 2), (1, 1, -1, -1)
+    budget = siweights.DEFAULT_BUDGET
+    cost, _ = siweights._sized_flows(euler.plan, dt, th, budget)
+    assert 0 < cost <= siweights.PIVOT_THRESHOLD
+    walks.clear()
+    got = siweights._si_dim(euler, dt, th, budget)
+    assert len(walks) == 1
+    assert got == ref_si_dim(euler, dt, th, budget) > 0
+
+
 def test_si_dim_rejects_cyclic():
     from quiverinv.core import Quiver
 
@@ -140,6 +255,34 @@ def test_log_concavity_examples():
     assert (res.status, res.index) == ("violated", 1)
     with pytest.raises(InputError):
         siweights.log_concavity_check((1, -1, 1))
+
+
+def test_log_concavity_rejects_fractional_entry():
+    # truncating 2.9 to 2 would report a violation that 4 * 2 < 2.9^2 denies
+    with pytest.raises(InputError):
+        siweights.log_concavity_check((4, 2.9, 2))
+
+
+def test_log_concavity_rejects_non_numeric_entry():
+    with pytest.raises(InputError):
+        siweights.log_concavity_check((1, "x", 1))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda n: siweights.si_table(EK2, (1, 1), (1, -1), n),
+        lambda n: siweights.polynomiality_check(EK2, (1, 1), (1, 1), n),
+        lambda n: stability.projective_space_verdict(EK2, (1, 1), (1, -1), n),
+    ],
+    ids=["si_table", "polynomiality_check", "projective_space_verdict"],
+)
+def test_table_length_must_be_integral(call):
+    with pytest.raises(InputError):
+        call(2.5)
+    with pytest.raises(InputError):
+        call("3")
+    assert call(3.0) == call(3)
 
 
 def test_log_concavity_on_symmetric_square_table():

@@ -185,6 +185,16 @@ def _local_tits(euler, d, theta):
     return local.tits(local.tup(setup.dim))
 
 
+def test_local_quiver_rejects_fractional_multiplicity():
+    # a multiplicity of 1.5 used to be truncated to 1
+    with pytest.raises(InputError):
+        stability.local_quiver(EK2, [((1, 1), 1.5)])
+    with pytest.raises(InputError):
+        stability.local_quiver(EK2, [((1, 1), "2")])
+    setup = stability.local_quiver(EK2, [((1, 1), 2.0)])
+    assert setup == stability.local_quiver(EK2, [((1, 1), 2)])
+
+
 def test_local_quiver_preserves_tits():
     # the local model keeps 1 - q(d): q_local(multiplicities) = q(d)
     cases = [
@@ -328,23 +338,23 @@ def test_schur_stability_equivalence():
 
 
 def test_plan_built_once_per_matrix(monkeypatch):
-    calls = {"is_acyclic": 0, "topological_order": 0}
-    for name in calls:
+    # the plan takes its acyclicity and order from one Kahn pass; count it
+    calls = []
+    original = Quiver._kahn
 
-        def counted(self, _original=getattr(Quiver, name), _name=name):
-            calls[_name] += 1
-            return _original(self)
+    def counted(self):
+        calls.append(self)
+        return original(self)
 
-        monkeypatch.setattr(Quiver, name, counted)
+    monkeypatch.setattr(Quiver, "_kahn", counted)
     # fresh vertex ids, so that no cached answer spares the plan
     quiver = Quiver(("p", "q"), (("a", "p", "q"), ("b", "p", "q")))
     euler = EulerMatrix(quiver)
-    assert calls == {"is_acyclic": 0, "topological_order": 0}
+    assert calls == []
     generic.canonical_decomposition(euler, (3, 2))
     stability.theta_stable_decomposition(euler, (2, 2), (1, -1))
     assert siweights.si_table(euler, (2, 2), (1, -1), 3).dims == (1, 3, 6, 10)
-    assert calls["is_acyclic"] <= 1
-    assert calls["topological_order"] <= 1
+    assert calls == [quiver]
 
 
 CYCLIC = EulerMatrix(Quiver(("1", "2"), (("a", "1", "2"), ("b", "2", "1"))))
