@@ -349,7 +349,7 @@ def rational_invariants_canonical(algebra, d, decomposition=None):
     n = 0
     for root, mult in decomposition:
         rt = algebra.tup(root)
-        mult = int(mult)
+        mult = as_int(mult, "decomposition multiplicity")
         if mult < 1 or not any(rt):
             raise InputError("decomposition entries must be positive")
         total = tuple(a + mult * b for a, b in zip(total, rt))

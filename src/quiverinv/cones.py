@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from . import linalg
-from .errors import InputError
+from .errors import InputError, as_int
 
 
 def _dot(a, b):
@@ -55,6 +55,11 @@ def _split_lineality(lineality, b):
     return kept, w
 
 
+def _functionals(rows):
+    """Linear functionals as int tuples; a fractional entry is an error."""
+    return tuple(tuple(as_int(x, "functional entry") for x in r) for r in rows)
+
+
 def dual_description(n, equalities, inequalities):
     """Extreme rays and lineality of {x in R^n : eqs = 0, ineqs <= 0}.
 
@@ -62,8 +67,8 @@ def dual_description(n, equalities, inequalities):
     sorted for reproducibility.  ``inequalities`` are processed in the order
     given; the output does not depend on it.
     """
-    eqs = [tuple(int(x) for x in e) for e in equalities]
-    ineqs = [tuple(int(x) for x in b) for b in inequalities]
+    eqs = _functionals(equalities)
+    ineqs = _functionals(inequalities)
     for v in eqs + ineqs:
         if len(v) != n:
             raise InputError("functional length mismatch")
@@ -186,8 +191,8 @@ class ConeDescription:
 
 def describe(n, equalities, inequalities):
     """Full cone description with deduplicated, sorted facets."""
-    eqs = tuple(tuple(int(x) for x in e) for e in equalities)
-    ineqs = tuple(tuple(int(x) for x in b) for b in inequalities)
+    eqs = _functionals(equalities)
+    ineqs = _functionals(inequalities)
     lineality, rays = dual_description(n, eqs, ineqs)
     dim = cone_dim(lineality, rays)
     seen = {}

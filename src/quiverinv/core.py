@@ -142,17 +142,18 @@ class BoundQuiver:
 class QuiverPlan(NamedTuple):
     """What the kernels read of a quiver's shape, computed once.
 
-    Vertices are indices into the sorted vertex order and arrows are
-    positions in the sorted arrow list.  ``arrows[k]`` is the (tail, head)
-    pair of arrow k.  ``walk`` lists, in topological order, each vertex with
-    the positions of the arrows leaving it.  ``incidence`` lists, in sorted
-    order, each vertex that an arrow touches with the positions of its tail
-    arrows and of its head arrows.  All three are empty when the quiver has
-    an oriented cycle.
+    Vertices are indices into the sorted vertex order.  Parallel arrows
+    (same tail, same head) form one bundle, and bundles are positions in
+    ``bundles``, which lists each as a ``(tail, head, multiplicity)``
+    triple in sorted (tail, head) order.  ``walk`` lists, in topological
+    order, each vertex with the positions of the bundles leaving it.
+    ``incidence`` lists, in sorted order, each vertex that an arrow touches
+    with the positions of its tail bundles and of its head bundles.  All
+    three are empty when the quiver has an oriented cycle.
     """
 
     acyclic: bool
-    arrows: tuple
+    bundles: tuple
     walk: tuple
     incidence: tuple
 
@@ -164,12 +165,12 @@ class EulerMatrix:
     in sorted vertex order, so that ``<d, e> = d^T E e`` counts homomorphisms
     minus extensions (minus relation corrections) for generic representations.
 
-    ``plan`` holds the quiver's acyclicity and, as index tuples, its arrows,
-    a topological walk and the arrow incidence at each vertex (see
-    :class:`QuiverPlan`), all from one topological sort.  It is built on
-    first use and then kept, so matrices that never reach a kernel never
-    pay for it.  Instances are immutable and safe to share
-    across threads: the plan depends on the quiver alone, so threads racing
+    ``plan`` holds the quiver's acyclicity and, as index tuples, its bundles
+    of parallel arrows, a topological walk and the bundle incidence at each
+    vertex (see :class:`QuiverPlan`), all from one topological sort.  It is
+    built on first use and then kept, so matrices that never reach a kernel
+    never pay for it.  Instances are immutable and safe to share across
+    threads: the plan depends on the quiver alone, so threads racing
     to build it build equal plans and either one serves.
     """
 
@@ -213,12 +214,14 @@ class EulerMatrix:
         if not acyclic:
             return QuiverPlan(False, (), (), ())
         idx = self.index
-        arrows = tuple(
-            (idx[t], idx[h]) for _, t, h in sorted(self.quiver.arrows)
-        )
+        mult = {}
+        for _, t, h in self.quiver.arrows:
+            key = (idx[t], idx[h])
+            mult[key] = mult.get(key, 0) + 1
+        bundles = tuple((t, h, p) for (t, h), p in sorted(mult.items()))
         tails = [[] for _ in range(self.n)]
         heads = [[] for _ in range(self.n)]
-        for k, (t, h) in enumerate(arrows):
+        for k, (t, h, _) in enumerate(bundles):
             tails[t].append(k)
             heads[h].append(k)
         walk = tuple((idx[v], tuple(tails[idx[v]])) for v in order)
@@ -227,7 +230,7 @@ class EulerMatrix:
             for v in range(self.n)
             if tails[v] or heads[v]
         )
-        return QuiverPlan(True, arrows, walk, incidence)
+        return QuiverPlan(True, bundles, walk, incidence)
 
     def tup(self, vec):
         """Coerce a dict keyed by vertex id, or a sequence in sorted vertex

@@ -20,7 +20,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import EulerMatrix, Quiver
-from .errors import BudgetError, InputError, InvariantError, PreconditionError
+from .errors import (
+    BudgetError,
+    InputError,
+    InvariantError,
+    PreconditionError,
+    as_int,
+)
 from .linalg import matvec, rank, vecmat
 
 DEFAULT_SEED = 1729
@@ -92,7 +98,7 @@ def rep_to_json(rep):
 
 
 def rep_from_json(quiver, data):
-    dims = {v: int(x) for v, x in data["dimension"].items()}
+    dims = {v: as_int(x, "dimension") for v, x in data["dimension"].items()}
     matrices = {
         aid: tuple(tuple(Fraction(x) for x in row) for row in mat)
         for aid, mat in data["matrices"].items()

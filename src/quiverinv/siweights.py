@@ -18,13 +18,25 @@ kernels extract with rowwise caps for pruning.
 The block is nonzero only when the partition sizes s_a = |lambda_a| satisfy
 the flow-balance equations sum_out s - sum_in s = theta(v) d(v) at every
 vertex; on an acyclic quiver that flow polytope is bounded, so the whole
-enumeration is finite.  Budgets count partition tuples.  One walk of the
-flow polytope, along the quiver's plan, both sizes the enumeration (by
-cached partition counts, before any partition list is built) and keeps the
-flows that carry tuples; the Cauchy sum then runs over the kept flows only.
+enumeration is finite.
+
+Parallel arrows (same tail, same head) meet the same two vertices, and each
+vertex multiplicity reads its partitions sorted, so every ordering of the
+partitions on a bundle of parallel arrows gives the same block.  The sum
+therefore runs over the quiver's bundles: a flow fixes the total size on
+each bundle, a block takes one multiset of partitions per bundle, and it
+counts once per ordering of that multiset over the bundle's arrows.  A
+generalized Kronecker quiver has one bundle, hence a single flow per weight.
+
+Budgets count ordered partition tuples, one partition per arrow, as if no
+arrows were bundled.  One walk of the bundle flows, along the quiver's plan,
+both sizes the enumeration (by cached partition counts, before any
+partition list is built) and keeps the flows that carry tuples; the Cauchy
+sum then runs over the kept flows only.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from . import linalg, lr
@@ -40,15 +52,17 @@ DEFAULT_BUDGET = 5_000_000
 
 _PARTS_CACHE = {}
 _VERTEX_CACHE = {}
+_COUNT_CACHE = {}
+_TUPLE_COUNT_CACHE = {}
+_SINGLES_CACHE = {}
 
 
 def clear_caches():
     _PARTS_CACHE.clear()
     _VERTEX_CACHE.clear()
     _COUNT_CACHE.clear()
-
-
-_COUNT_CACHE = {}
+    _TUPLE_COUNT_CACHE.clear()
+    _SINGLES_CACHE.clear()
 
 
 def count_partitions(size, rows):
@@ -93,6 +107,69 @@ def partitions_bounded(size, rows):
     result = tuple(out)
     _PARTS_CACHE[key] = result
     return result
+
+
+def _count_tuples(total, p, rows):
+    """Number of ordered p-tuples of partitions, each with at most ``rows``
+    parts, whose sizes sum to ``total``: the coefficient of x^total in the
+    p-th power of the generating function of those partitions."""
+    if p == 1:
+        return count_partitions(total, rows)
+    key = (total, p, rows)
+    found = _TUPLE_COUNT_CACHE.get(key)
+    if found is None:
+        base = [count_partitions(s, rows) for s in range(total + 1)]
+        power = base
+        for _ in range(p - 2):
+            power = [
+                sum(base[s] * power[t - s] for s in range(t + 1))
+                for t in range(total + 1)
+            ]
+        found = sum(base[s] * power[total - s] for s in range(total + 1))
+        _TUPLE_COUNT_CACHE[key] = found
+    return found
+
+
+def _multisets(total, p, rows):
+    """Every multiset of p partitions, each with at most ``rows`` parts,
+    whose sizes sum to ``total``, as ``(weight, parts)`` pairs.
+
+    ``parts`` is the multiset as a sorted tuple and ``weight`` is its number
+    of orderings, p! / prod(m!) over the multiplicities m of its distinct
+    partitions; the weights sum to ``_count_tuples(total, p, rows)``.  The
+    sizes of a multiset, padded with zeros, form a partition of ``total``
+    into at most p parts; each such shape picks a multiset of partitions
+    per distinct size.  Lists for p = 1 are cached: they are as few and as
+    small as the partition lists, and asked for once per arrow and flow.
+    """
+    if p == 1:
+        key = (total, rows)
+        found = _SINGLES_CACHE.get(key)
+        if found is None:
+            found = tuple((1, (lam,)) for lam in partitions_bounded(total, rows))
+            _SINGLES_CACHE[key] = found
+        return found
+    orderings = math.factorial(p)
+    out = []
+    for shape in partitions_bounded(total, p):
+        counts = {}
+        for size in shape + (0,) * (p - len(shape)):
+            counts[size] = counts.get(size, 0) + 1
+        pools = [
+            itertools.combinations_with_replacement(
+                partitions_bounded(size, rows), c
+            )
+            for size, c in counts.items()
+        ]
+        for pick in itertools.product(*pools):
+            weight = orderings
+            for group in pick:
+                run = 1
+                for lam, mu in zip(group, group[1:]):
+                    run = run + 1 if lam == mu else 1
+                    weight //= run
+            out.append((weight, tuple(sorted(itertools.chain(*pick)))))
+    return out
 
 
 def _require_acyclic(euler):
@@ -171,18 +248,19 @@ def _compositions(total, k):
 
 
 def _flows(plan, supply):
-    """Nonnegative arrow flows with prescribed divergence.
+    """Nonnegative bundle flows with prescribed divergence.
 
     supply[v] = (sum of flows out of v) - (sum of flows in), fixed per
     vertex, indexed in sorted vertex order; each flow is an int tuple over
-    the plan's arrows.  Vertices are visited in the plan's topological walk,
-    so inflows are known before outflows are chosen; infeasible branches are
-    cut immediately.
+    the plan's bundles, the total carried by each bundle's parallel arrows.
+    Vertices are visited in the plan's topological walk, so inflows are
+    known before outflows are chosen; infeasible branches are cut
+    immediately.
     """
-    arrows = plan.arrows
+    bundles = plan.bundles
     walk = plan.walk
     inflow = [0] * len(supply)
-    flow = [0] * len(arrows)
+    flow = [0] * len(bundles)
 
     def rec(i):
         if i == len(walk):
@@ -195,10 +273,10 @@ def _flows(plan, supply):
         for combo in _compositions(total, len(outs)):
             for k, s in zip(outs, combo):
                 flow[k] = s
-                inflow[arrows[k][1]] += s
+                inflow[bundles[k][1]] += s
             yield from rec(i + 1)
             for k, s in zip(outs, combo):
-                inflow[arrows[k][1]] -= s
+                inflow[bundles[k][1]] -= s
 
     yield from rec(0)
 
@@ -218,22 +296,29 @@ def _pivot_vector(euler, theta):
 def _sized_flows(plan, dt, th, cap):
     """(cost, flows) for the Cauchy sum of dim SI(Q,dt)_th, from one walk.
 
-    ``cost`` is the number of partition tuples the sum visits, priced by
-    cached partition counts, so no partition list is built; ``flows`` are the
-    flows that carry at least one tuple, hence at most ``cost`` of them.
-    Once more than ``cap`` flows or tuples turn up the walk stops and
-    ``cost`` is ``cap + 1``.
+    ``cost`` is the number of ordered partition tuples, one partition per
+    arrow, behind the sum, priced by cached counts, so no partition list is
+    built; ``flows`` are the bundle flows that carry at least one tuple,
+    hence at most ``cost`` of them.  A bundle of p arrows carrying T stands
+    for C(T + p - 1, p - 1) arrow flows.  Once more than ``cap`` arrow flows
+    or tuples turn up the walk stops and ``cost`` is ``cap + 1``.
     """
-    rows = [min(dt[t], dt[h]) for t, h in plan.arrows]
+    shape = [(min(dt[t], dt[h]), p) for t, h, p in plan.bundles]
+    parallel = [(k, p) for k, (_, p) in enumerate(shape) if p > 1]
     supply = [t * x for t, x in zip(th, dt)]
+    nflows = 0
     cost = 0
     kept = []
-    for nflows, flow in enumerate(_flows(plan, supply), 1):
+    for flow in _flows(plan, supply):
+        n = 1
+        for k, p in parallel:
+            n *= math.comb(flow[k] + p - 1, p - 1)
+        nflows += n
         if nflows > cap:
             return cap + 1, ()
         c = 1
-        for s, r in zip(flow, rows):
-            c *= count_partitions(s, r)
+        for s, (r, p) in zip(flow, shape):
+            c *= _count_tuples(s, p, r)
             if c == 0:
                 break
         if c:
@@ -249,13 +334,15 @@ def si_dim(euler, d, theta, budget=DEFAULT_BUDGET, pivot=True):
 
     Zero whenever theta(d) != 0; otherwise the Cauchy-block sum described in
     the module docstring.  Raises BudgetError once more than ``budget``
-    partition tuples would be examined.
+    ordered partition tuples (one partition per arrow) or arrow flows would
+    be examined; the sum itself visits only one multiset of partitions per
+    bundle of parallel arrows, which is never more.
 
-    One flow walk sizes the enumeration with cached partition counts and
-    keeps the flows that carry tuples; the sum then runs over those flows
-    alone.  Weights of the form -<-,e> for a dimension vector e admit a
-    second, often far smaller enumeration: dim SI(Q,d)_{-<-,e>} equals
-    dim SI(Q,e)_{<d,->}.  When the literal side is over budget or above
+    One walk of the bundle flows sizes the enumeration with cached partition
+    counts and keeps the flows that carry tuples; the sum then runs over
+    those flows alone.  Weights of the form -<-,e> for a dimension vector e
+    admit a second, often far smaller enumeration: dim SI(Q,d)_{-<-,e>}
+    equals dim SI(Q,e)_{<d,->}.  When the literal side is over budget or above
     ``PIVOT_THRESHOLD`` tuples, the other side is sized by a walk of its own
     and the smaller one is summed; ``pivot=False`` forces the literal side,
     which ``circ`` uses to keep its two evaluations independent.
@@ -282,28 +369,43 @@ def _si_dim(euler, dt, th, budget, pivot=True):
     return _cauchy_sum(plan, dt, th, flows)
 
 
+def _merge(combo, ks):
+    """The partitions chosen on the bundles at positions ``ks``, sorted."""
+    return tuple(sorted([lam for k in ks for lam in combo[k][1]]))
+
+
 def _cauchy_sum(plan, dt, th, flows):
-    """The Cauchy blocks over the given flows, each a product of vertex
-    multiplicities over one partition per arrow."""
-    rows = [min(dt[t], dt[h]) for t, h in plan.arrows]
-    incidence = plan.incidence
+    """The Cauchy blocks over the given flows.  Each block takes one
+    multiset of partitions per bundle, counted once per ordering over the
+    bundle's arrows, and is a product of vertex multiplicities."""
+    shape = [(min(dt[t], dt[h]), p) for t, h, p in plan.bundles]
+    # a vertex of dimension zero has multiplicity 1 whatever it is given
+    sides = [
+        (dt[v], th[v], tails, heads)
+        for v, tails, heads in plan.incidence
+        if dt[v]
+    ]
     total = 0
     for flow in flows:
-        choices = [partitions_bounded(s, r) for s, r in zip(flow, rows)]
+        choices = [_multisets(s, p, r) for s, (r, p) in zip(flow, shape)]
         for combo in itertools.product(*choices):
             prod = 1
-            for v, tails, heads in incidence:
+            for dv, tv, tails, heads in sides:
+                # a side fed by one bundle reads its sorted multiset as is
                 mult = _vertex_mult(
-                    dt[v],
-                    th[v],
-                    tuple(sorted([combo[k] for k in tails])),
-                    tuple(sorted([combo[k] for k in heads])),
+                    dv,
+                    tv,
+                    combo[tails[0]][1] if len(tails) == 1 else _merge(combo, tails),
+                    combo[heads[0]][1] if len(heads) == 1 else _merge(combo, heads),
                 )
                 if mult == 0:
                     prod = 0
                     break
                 prod *= mult
-            total += prod
+            if prod:
+                for weight, _ in combo:
+                    prod *= weight
+                total += prod
     return total
 
 

@@ -307,6 +307,15 @@ def test_rational_invariants_canonical_rejects():
         can.rational_invariants_canonical(T4, zero, decomposition=[(zero, 1)])
 
 
+def test_rational_invariants_rejects_fractional_multiplicity():
+    # truncating 2.5 to 2 would count two isotropic roots summing to 2h
+    doubled = tuple(2 * x for x in T4.h())
+    with pytest.raises(InputError):
+        can.rational_invariants_canonical(
+            T4, doubled, decomposition=[(T4.h(), 2.5)]
+        )
+
+
 def test_parse_format_round_trip():
     for weights, lams in (
         ((6, 3, 2), (1,)),

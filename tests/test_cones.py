@@ -3,7 +3,10 @@
 import itertools
 import random
 
+import pytest
+
 from quiverinv import cones
+from quiverinv.errors import InputError
 
 from oracles import in_cone, satisfies
 
@@ -111,3 +114,15 @@ def test_pure_lineality_cone():
     assert len(desc.lineality) == 2
     assert desc.contains((1, 5, 1))
     assert not desc.contains((1, 0, 0))
+
+
+@pytest.mark.parametrize(
+    "equalities, inequalities",
+    [([], [(1.5, -1)]), ([(0.5, 1)], [])],
+    ids=["inequality", "equality"],
+)
+def test_fractional_functional_rejected(equalities, inequalities):
+    # truncation would describe x - y <= 0 (or y = 0) instead
+    for build in (cones.describe, cones.dual_description):
+        with pytest.raises(InputError):
+            build(2, equalities, inequalities)

@@ -91,6 +91,14 @@ def test_rep_json_round_trip():
     assert back.matrices == v.matrices
 
 
+def test_rep_from_json_rejects_fractional_dimension():
+    # truncating 2.5 to 2 would accept the 2 x 1 matrices as they stand
+    data = rep_to_json(random_representation(A3, (2, 1, 2), random.Random(9)))
+    data["dimension"]["v1"] = 2.5
+    with pytest.raises(InputError):
+        rep_from_json(A3, data)
+
+
 def test_generic_hom_ext_examples():
     ea2 = EulerMatrix(A2)
     assert generic_hom_ext(ea2, (1, 0), (0, 1)) == (0, 1)

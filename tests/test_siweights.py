@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings
@@ -108,6 +109,27 @@ WILD_CHAIN = Quiver(
         ("d", "v2", "v3"),
     ),
 )
+# parallel arrows whose bundles share a side of one vertex, so that the
+# partitions of two bundles are merged there: v1 => v2 with v1 -> v3 and
+# v2 -> v3 (the tail side of v1), and v1 => v3 <= v2 (the head side of v3)
+SHARED_TAIL = Quiver(
+    ("v1", "v2", "v3"),
+    (
+        ("a", "v1", "v2"),
+        ("b", "v1", "v2"),
+        ("c", "v1", "v3"),
+        ("d", "v2", "v3"),
+    ),
+)
+SHARED_HEAD = Quiver(
+    ("v1", "v2", "v3"),
+    (
+        ("a", "v1", "v3"),
+        ("b", "v1", "v3"),
+        ("c", "v2", "v3"),
+        ("d", "v2", "v3"),
+    ),
+)
 WALK_QUIVERS = {
     "A~2": euclidean_quiver("A~2"),
     "A~3": euclidean_quiver("A~3"),
@@ -116,6 +138,8 @@ WALK_QUIVERS = {
     "K3": K3,
     "K4": kronecker_quiver(4),
     "wild_chain": WILD_CHAIN,
+    "shared_tail": SHARED_TAIL,
+    "shared_head": SHARED_HEAD,
 }
 
 
@@ -168,6 +192,18 @@ def test_pivot_side_summed_within_budget(name, dt, th, budget, want):
     assert _outcome(ref_si_dim, euler, dt, th, budget) == want
 
 
+@pytest.mark.parametrize("budget, want", [(15, "budget"), (16, 0)])
+def test_budget_counts_arrow_flows_of_every_bundle(budget, want):
+    # v2 has dimension 0: each of the (3 + 1)^2 arrow flows through the two
+    # bundles carries no tuple, yet every one of them counts
+    euler = EulerMatrix(WILD_CHAIN)
+    dt, th = (1, 0, 1), (3, 0, -3)
+    got = _outcome(
+        siweights.si_dim, euler, dt, th, budget=budget, pivot=False
+    )
+    assert got == _outcome(ref_si_dim, euler, dt, th, budget, False) == want
+
+
 def test_budget_raised_before_any_partition_list(monkeypatch):
     # count_partitions(200, 10) alone is 1,212,199,424 tuples: sizing must
     # refuse before a single partition list is built, on either side
@@ -184,15 +220,23 @@ def test_budget_raised_before_any_partition_list(monkeypatch):
     assert built == []
 
 
-def test_si_dim_walks_flows_once_under_pivot_threshold(monkeypatch):
+def _count_walks(monkeypatch):
+    """Record, per ``_flows`` walk, the number of bundle flows it yields."""
     walks = []
     original = siweights._flows
 
     def counted(plan, supply):
-        walks.append(supply)
-        return original(plan, supply)
+        walks.append(0)
+        for flow in original(plan, supply):
+            walks[-1] += 1
+            yield flow
 
     monkeypatch.setattr(siweights, "_flows", counted)
+    return walks
+
+
+def test_si_dim_walks_flows_once_under_pivot_threshold(monkeypatch):
+    walks = _count_walks(monkeypatch)
     euler = EulerMatrix(euclidean_quiver("A~3"))
     dt, th = (2, 2, 2, 2), (1, 1, -1, -1)
     budget = siweights.DEFAULT_BUDGET
@@ -202,6 +246,79 @@ def test_si_dim_walks_flows_once_under_pivot_threshold(monkeypatch):
     got = siweights._si_dim(euler, dt, th, budget)
     assert len(walks) == 1
     assert got == ref_si_dim(euler, dt, th, budget) > 0
+
+
+@pytest.mark.parametrize(
+    "m, dt, th, sides",
+    [
+        # the literal side alone: Sym^6 of k^3, 28 tuples
+        (3, (1, 1), (6, -6), 1),
+        (3, (2, 4), (6, -3), 1),
+        # over the pivot threshold, so the reciprocal side is sized too
+        (3, (2, 4), (12, -6), 2),
+    ],
+)
+def test_si_dim_walks_one_bundle_flow_per_kronecker_side(
+    monkeypatch, m, dt, th, sides
+):
+    # m parallel arrows are one bundle: each sized side walks a single flow
+    # where the arrow-level walk met C(T + m - 1, m - 1) of them
+    euler = EulerMatrix(kronecker_quiver(m))
+    want = ref_si_dim(euler, dt, th, siweights.DEFAULT_BUDGET)
+    walks = _count_walks(monkeypatch)
+    assert siweights.si_dim(euler, dt, th) == want > 0
+    assert walks == [1] * sides
+
+
+def test_multisets_weigh_ordered_tuples():
+    # every ordered p-tuple of partitions falls on exactly one multiset,
+    # and the weight of a multiset is the number of tuples on it
+    for total, p, rows in itertools.product(range(8), range(1, 5), range(4)):
+        ordered = [
+            combo
+            for sizes in itertools.product(range(total + 1), repeat=p)
+            if sum(sizes) == total
+            for combo in itertools.product(
+                *(siweights.partitions_bounded(s, rows) for s in sizes)
+            )
+        ]
+        got = siweights._multisets(total, p, rows)
+        parts = [m for _, m in got]
+        assert all(list(m) == sorted(m) and len(m) == p for m in parts)
+        assert len(set(parts)) == len(parts)
+        assert dict((m, w) for w, m in got) == Counter(
+            tuple(sorted(combo)) for combo in ordered
+        )
+        assert siweights._count_tuples(total, p, rows) == len(ordered)
+
+
+@pytest.mark.parametrize(
+    "quiver", [SHARED_TAIL, SHARED_HEAD], ids=["shared_tail", "shared_head"]
+)
+def test_merged_sides_reach_vertex_cache_sorted(quiver):
+    # a vertex side fed by two bundles is merged into one sorted tuple, so
+    # equal multiplicities share one cache entry
+    euler = EulerMatrix(quiver)
+    siweights.clear_caches()
+    for th in ((2, 1, -3), (3, 0, -3), (1, 2, -3)):
+        siweights.si_dim(euler, (2, 2, 2), th)
+    keys = list(siweights._VERTEX_CACHE)
+    assert any(len(tails) > 2 or len(heads) > 2 for _, _, tails, heads in keys)
+    for _, _, tails, heads in keys:
+        assert list(tails) == sorted(tails) and list(heads) == sorted(heads)
+
+
+def test_clear_caches_empties_every_module_cache():
+    siweights.si_dim(EK3, (2, 4), (6, -3))
+    siweights.si_dim(EA3, (1, 1, 1), (1, 0, -1))
+    caches = {
+        name: value
+        for name, value in vars(siweights).items()
+        if isinstance(value, dict) and not name.startswith("__")
+    }
+    assert len(caches) >= 5 and any(caches.values())
+    siweights.clear_caches()
+    assert {name: len(c) for name, c in caches.items() if c} == {}
 
 
 def test_si_dim_rejects_cyclic():
