@@ -9,13 +9,20 @@ values are computed structurally through the Schofield recursion
     ext(a, b) = max(-<a', b>  :  a' a generic subdimension vector of a)
 
 where a' is a generic subdimension vector of a exactly when
-``ext(a', a - a') = 0``.  All results are cached per process, keyed by the
-Euler matrix.
+``ext(a', a - a') = 0``.  So each vector a is kept as the rows
+``<a', -> = a' M`` of its nonzero generic subdimension vectors: ext(a, b) = 0
+exactly when every row is nonnegative on b, a test that stops at the first
+negative row.  Per process and per Euler matrix, the caches hold the
+subdimension vectors and the rows of each vector met, and the canonical
+decomposition of each vector asked for; nothing is cached per pair.
+``box_limit`` bounds the recursion's total work from a cold cache: the
+points of the subdimension boxes of all v <= d.
 """
 
 import itertools
+import math
 import random
-from operator import mul
+from operator import mul, sub as minus
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -161,20 +168,24 @@ def hom_ext_sampled(quiver, a, b, trials=20, seed=DEFAULT_SEED):
 # ---------------------------------------------------------------------------
 # Schofield recursion
 
-_EXT_CACHE = {}
 _SUBDIMS_CACHE = {}
+_ROWS_CACHE = {}
 _CANDECOMP_CACHE = {}
 
 
 def clear_caches():
-    _EXT_CACHE.clear()
     _SUBDIMS_CACHE.clear()
+    _ROWS_CACHE.clear()
     _CANDECOMP_CACHE.clear()
 
 
 def _dimension_vectors(euler, box_limit, d, *others):
     """The one check of a public call: a hereditary algebra, nonnegative
-    integral vectors, and a subdimension box of ``d`` within ``box_limit``.
+    integral vectors, and recursion work for ``d`` within ``box_limit``.
+
+    From a cold cache the recursion scans the subdimension box of every
+    v <= d, which is prod((d_i + 1)(d_i + 2) / 2) points in all; that total,
+    not the box of ``d`` alone, is what ``box_limit`` bounds.
 
     Returns the vectors as int tuples in sorted vertex order; everything
     below the public functions takes those tuples as they are.
@@ -186,11 +197,11 @@ def _dimension_vectors(euler, box_limit, d, *others):
     vecs = tuple(euler.tup(v) for v in (d,) + others)
     if any(x < 0 for t in vecs for x in t):
         raise InputError("dimension vectors must be nonnegative")
-    size = 1
+    work = 1
     for x in vecs[0]:
-        size *= x + 1
-    if size > box_limit:
-        raise BudgetError("subdimension box size", box_limit)
+        work *= (x + 1) * (x + 2) // 2
+    if work > box_limit:
+        raise BudgetError("subdimension box points summed over all v <= d", box_limit)
     return vecs
 
 
@@ -209,15 +220,51 @@ def _subdims(euler, dt):
     cached = _SUBDIMS_CACHE.get(key)
     if cached is not None:
         return cached
-    out = []
-    # product runs in lexicographic order, so ``out`` comes out sorted
-    for sub in itertools.product(*(range(x + 1) for x in dt)):
-        rest = tuple(a - b for a, b in zip(dt, sub))
-        if _ext(euler, sub, rest) == 0:
-            out.append(sub)
-    result = tuple(out)
+    # product runs in lexicographic order, so the result comes out sorted
+    result = tuple(
+        sub
+        for sub in itertools.product(*(range(x + 1) for x in dt))
+        if _ext_vanishes(euler, sub, tuple(map(minus, dt, sub)))
+    )
     _SUBDIMS_CACHE[key] = result
     return result
+
+
+def _rows(euler, at):
+    """The rows <beta, -> = beta M of the nonzero generic subdimension
+    vectors beta of a, one per direction, in reverse lexicographic order of
+    beta (beta = a first).
+
+    ext(a, b) = max(0, -min(row . b)) over these rows, so they are all the
+    recursion keeps of a; they are cached per vector, never per pair.  M is
+    invertible, so rows share a direction only when their betas do, and the
+    first one seen is the largest multiple, the one the minimum needs.
+    """
+    key = (euler.key, at)
+    rows = _ROWS_CACHE.get(key)
+    if rows is None:
+        columns = tuple(zip(*euler.matrix))
+        by_direction = {}
+        for sub in reversed(_subdims(euler, at)):
+            if any(sub):
+                row = tuple(sum(map(mul, sub, col)) for col in columns)
+                g = math.gcd(*row)
+                by_direction.setdefault(tuple(x // g for x in row), row)
+        rows = tuple(by_direction.values())
+        _ROWS_CACHE[key] = rows
+    return rows
+
+
+def _ext_vanishes(euler, at, bt):
+    """ext(a, b) == 0: every row of a is nonnegative on b (early exit)."""
+    # b = 0 answers before the rows are asked for: ``_subdims(a)`` tests
+    # (a, 0) while it builds the set that the rows of a come from
+    if not any(at) or not any(bt):
+        return True
+    for row in _rows(euler, at):
+        if sum(map(mul, row, bt)) < 0:
+            return False
+    return True
 
 
 def ext_generic(euler, a, b, box_limit=BOX_LIMIT):
@@ -227,18 +274,11 @@ def ext_generic(euler, a, b, box_limit=BOX_LIMIT):
 
 
 def _ext(euler, at, bt):
-    if not any(at) or not any(bt):
+    if not any(bt):
         return 0
-    key = (euler.key, at, bt)
-    cached = _EXT_CACHE.get(key)
-    if cached is not None:
-        return cached
-    # -<sub, b> is one dot product with the column <-, b>; the zero
-    # subvector scores 0, so the maximum is never negative
-    column = matvec(euler.matrix, bt)
-    best = -min(sum(map(mul, sub, column)) for sub in _subdims(euler, at))
-    _EXT_CACHE[key] = best
-    return best
+    # the zero subvector, which has no row, scores 0: ext is never negative
+    scores = (sum(map(mul, row, bt)) for row in _rows(euler, at))
+    return max(0, -min(scores, default=0))
 
 
 def generic_hom_ext(euler, a, b, box_limit=BOX_LIMIT):
@@ -331,7 +371,7 @@ def _candecomp_tuple(euler, dt):
         if not any(sub) or sub == dt:
             continue
         rest = tuple(a - b for a, b in zip(dt, sub))
-        if _ext(euler, rest, sub) == 0:
+        if _ext_vanishes(euler, rest, sub):
             left = _candecomp_tuple(euler, sub)
             right = _candecomp_tuple(euler, rest)
             result = _merge_summands(left, right)

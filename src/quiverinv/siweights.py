@@ -66,19 +66,36 @@ def clear_caches():
 
 
 def count_partitions(size, rows):
-    """Number of partitions of ``size`` with at most ``rows`` parts."""
+    """Number of partitions of ``size`` with at most ``rows`` parts.
+
+    p(s, r) = p(s, r - 1) + p(s - r, r).  A missing value is filled
+    bottom-up from an explicit stack, children first, so large sizes need
+    no deep recursion; every value is cached.
+    """
     if size == 0:
         return 1
     if rows == 0 or size < 0:
         return 0
-    key = (size, rows)
-    found = _COUNT_CACHE.get(key)
-    if found is None:
-        found = count_partitions(size, rows - 1) + count_partitions(
-            size - rows, rows
-        )
-        _COUNT_CACHE[key] = found
-    return found
+    found = _COUNT_CACHE.get((size, rows))
+    if found is not None:
+        return found
+    todo = [(size, rows)]
+    while todo:
+        s, r = todo[-1]
+        # children that are neither a base case above nor cached yet
+        missing = [
+            k
+            for k in ((s, r - 1), (s - r, r))
+            if k[0] > 0 and k[1] > 0 and k not in _COUNT_CACHE
+        ]
+        if missing:
+            todo.append(missing[0])
+        else:
+            _COUNT_CACHE[s, r] = count_partitions(s, r - 1) + count_partitions(
+                s - r, r
+            )
+            todo.pop()
+    return _COUNT_CACHE[size, rows]
 
 
 def partitions_bounded(size, rows):

@@ -476,6 +476,37 @@ def _ref_is_schur_root(euler, dt):
     return True
 
 
+def ref_canonical_weight(euler, d):
+    """<d, -> - <-, d>, the weight at which d is stable iff it is Schur."""
+    n = len(d)
+    m = euler.matrix
+    return tuple(
+        sum(d[i] * m[i][j] for i in range(n)) - sum(m[j][k] * d[k] for k in range(n))
+        for j in range(n)
+    )
+
+
+def ref_is_semistable(euler, d, theta):
+    dt = tuple(int(x) for x in d)
+    if sum(t * x for t, x in zip(theta, dt)) != 0:
+        return False
+    return all(
+        sum(t * x for t, x in zip(theta, sub)) <= 0
+        for sub in ref_generic_subdims(euler, dt)
+    )
+
+
+def ref_is_stable(euler, d, theta):
+    dt = tuple(int(x) for x in d)
+    if not any(dt) or sum(t * x for t, x in zip(theta, dt)) != 0:
+        return False
+    return all(
+        sum(t * x for t, x in zip(theta, sub)) < 0
+        for sub in ref_generic_subdims(euler, dt)
+        if any(sub) and sub != dt
+    )
+
+
 def ref_canonical_decomposition(euler, d):
     """(root, multiplicity, class) triples, as ``canonical_decomposition``
     reports its summands."""

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quiverinv import generic
 from quiverinv.core import EulerMatrix, Quiver, dynkin_quiver, euclidean_quiver, kronecker_quiver
 from quiverinv.errors import BudgetError, InputError, PreconditionError
 from quiverinv.generic import (
@@ -23,13 +24,17 @@ from quiverinv.generic import (
     rep_to_json,
     root_class,
 )
+from quiverinv.stability import is_semistable_generic, is_stable_generic
 
 from oracles import (
     candecomp_exhaustive,
     generic_subdims_scan,
     ref_canonical_decomposition,
+    ref_canonical_weight,
     ref_ext_generic,
     ref_generic_subdims,
+    ref_is_semistable,
+    ref_is_stable,
     subdims_via_sampled_ext,
 )
 
@@ -163,6 +168,28 @@ def test_box_limit():
         generic_subdims(EulerMatrix(K2), (200, 200), box_limit=100)
 
 
+def test_box_limit_bounds_the_whole_recursion(monkeypatch):
+    # the box of (200, 200) has 201^2 = 40,401 points, but from a cold cache
+    # the recursion scans the box of every v <= d: (201 * 202 / 2)^2 points
+    ek2 = EulerMatrix(K2)
+    called = []
+    monkeypatch.setattr(generic, "_subdims", lambda *args: called.append(args))
+    monkeypatch.setattr(
+        "quiverinv.stability._subdims", lambda *args: called.append(args)
+    )
+    for limit in (10**6, generic.BOX_LIMIT):
+        with pytest.raises(BudgetError):
+            generic_subdims(ek2, (200, 200), box_limit=limit)
+        with pytest.raises(BudgetError):
+            is_semistable_generic(ek2, (200, 200), (1, -1), box_limit=limit)
+    assert called == []
+    monkeypatch.undo()
+    # (1, 1) costs exactly (2 * 3 / 2)^2 = 9 points
+    assert generic_subdims(ek2, (1, 1), box_limit=9) == ((0, 0), (0, 1), (1, 1))
+    with pytest.raises(BudgetError):
+        generic_subdims(ek2, (1, 1), box_limit=8)
+
+
 def test_is_schur_root_examples():
     ek2 = EulerMatrix(K2)
     assert is_schur_root(ek2, (1, 1))
@@ -263,8 +290,10 @@ WILD_CHAIN = Quiver(
         (K2, None),
         (K3, None),
         (A3, None),
-        # the recursion costs about the square of the subdimension box, so
-        # D~4 vectors are capped in total: (4,4,4,4,4) alone takes minutes
+        # the reference recursion costs about the square of the subdimension
+        # box, so D~4 vectors are capped in total: on (4,4,4,4,4) the
+        # canonical decomposition takes about 6.5 s in the library and
+        # about 115 s in the reference (CPython 3.11.7, shared 2-core host)
         (euclidean_quiver("D~4"), 8),
         (WILD_CHAIN, None),
     ],
@@ -282,8 +311,38 @@ def test_schofield_recursion_matches_reference(quiver, max_total):
         assert generic_subdims(euler, d) == ref_generic_subdims(euler, d)
         assert ext_generic(euler, d, e) == ref_ext_generic(euler, d, e)
         assert ext_generic(euler, e, d) == ref_ext_generic(euler, e, d)
+        # the early-exit zero test agrees with the full maximum
+        assert generic._ext_vanishes(euler, d, e) == (ref_ext_generic(euler, d, e) == 0)
+        assert generic._ext_vanishes(euler, e, d) == (ref_ext_generic(euler, e, d) == 0)
+        theta = ref_canonical_weight(euler, d)
+        assert is_semistable_generic(euler, d, theta) == ref_is_semistable(euler, d, theta)
+        assert is_stable_generic(euler, d, theta) == ref_is_stable(euler, d, theta)
         assert canonical_decomposition(euler, d).summands == (
             ref_canonical_decomposition(euler, d)
         )
 
     check()
+
+
+def test_clear_caches_empties_every_module_cache():
+    canonical_decomposition(EulerMatrix(K3), (3, 4))
+    caches = {
+        name: value
+        for name, value in vars(generic).items()
+        if isinstance(value, dict) and not name.startswith("__")
+    }
+    assert len(caches) >= 3 and all(caches.values())
+    generic.clear_caches()
+    assert {name: len(c) for name, c in caches.items() if c} == {}
+
+
+def test_recursion_caches_one_entry_per_vector():
+    # rows are kept per vector, next to its subdimension vectors; no cache
+    # keyed by a pair of vectors is left to grow with the square of the box
+    generic.clear_caches()
+    euler = EulerMatrix(K3)
+    canonical_decomposition(euler, (6, 9))
+    rows, subdims = generic._ROWS_CACHE, generic._SUBDIMS_CACHE
+    assert 0 < len(rows) <= len(subdims)
+    assert set(rows) <= set(subdims)
+    assert {key[0] for key in subdims} == {euler.key}

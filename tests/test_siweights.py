@@ -55,6 +55,14 @@ def test_partition_helpers_against_brute_force():
             assert siweights.count_partitions(size, rows) == len(want)
 
 
+def test_count_partitions_needs_no_deep_recursion():
+    # p(s, r) = p(s, r - 1) + p(s - r, r) would recurse about s / r deep
+    siweights.clear_caches()
+    assert siweights.count_partitions(3000, 2) == 1501
+    assert siweights.count_partitions(5000, 3) == round(5003**2 / 12)
+    assert siweights.si_dim(EA2, (1, 1), (1500, -1500)) == 1
+
+
 def test_si_dim_kronecker_ray():
     for n in range(7):
         assert siweights.si_dim(EK2, (1, 1), (n, -n)) == n + 1
