@@ -145,17 +145,107 @@ class QuiverPlan(NamedTuple):
     Vertices are indices into the sorted vertex order.  Parallel arrows
     (same tail, same head) form one bundle, and bundles are positions in
     ``bundles``, which lists each as a ``(tail, head, multiplicity)``
-    triple in sorted (tail, head) order.  ``walk`` lists, in topological
-    order, each vertex with the positions of the bundles leaving it.
-    ``incidence`` lists, in sorted order, each vertex that an arrow touches
-    with the positions of its tail bundles and of its head bundles.  All
-    three are empty when the quiver has an oriented cycle.
+    triple in sorted (tail, head) order.  ``incidence`` lists, in sorted
+    order, each vertex that an arrow touches with the positions of its tail
+    bundles and of its head bundles.
+
+    The rest is a spanning forest of the bundle graph, which maps a supply
+    (out minus in, per vertex) to every bundle flow that has it.
+    ``components`` holds the vertex set of each connected component; a
+    flow exists only where each of them has net supply zero.  ``tree``
+    lists each tree bundle as ``(position, sign, far, bridge)``: with the
+    other bundles empty it carries ``sign`` times the net supply of the
+    vertices ``far`` on one side of it, and ``bridge`` says that no cycle
+    row below touches it.  ``cycles`` lists each of the
+    #bundles - #vertices + #components other bundles as
+    ``(position, row, closing)``: its flow t is a free coordinate, and
+    ``row`` holds the ``(tree position, +1 or -1)`` entries of its
+    fundamental cycle, so that each unit of t adds them to the tree flows.
+    ``closing`` is the part of ``row`` on tree bundles that no later cycle
+    touches.  All of these are empty when the quiver has an oriented cycle.
     """
 
     acyclic: bool
     bundles: tuple
-    walk: tuple
     incidence: tuple
+    components: tuple
+    tree: tuple
+    cycles: tuple
+
+
+def _spanning_forest(n, bundles, tails, heads):
+    """``(components, tree, cycles)`` of :class:`QuiverPlan`, from a
+    breadth-first forest of the bundle graph rooted at the least vertex of
+    each component."""
+    parent = [None] * n  # (parent vertex, bundle position) per vertex
+    depth = [0] * n
+    seen = [False] * n
+    components = []
+    visits = []
+    for root in range(n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        comp = [root]
+        for v in comp:
+            for k in tails[v] + heads[v]:
+                t, h, _ = bundles[k]
+                w = h if t == v else t
+                if not seen[w]:
+                    seen[w] = True
+                    parent[w] = (v, k)
+                    depth[w] = depth[v] + 1
+                    comp.append(w)
+        components.append(tuple(sorted(comp)))
+        visits.append(comp)
+    # the tree edge above v splits its component into the subtree at v and
+    # the rest; deepest vertices first, so children are complete before v
+    below = [[v] for v in range(n)]
+    for comp in visits:
+        for v in reversed(comp[1:]):
+            below[parent[v][0]].extend(below[v])
+    # the fundamental cycle of a non-tree bundle (a, b): the bundle itself,
+    # then the tree path from b back to a; a tree bundle counts +1 where the
+    # path runs along it and -1 where it runs against it
+    in_tree = {p[1] for p in parent if p is not None}
+    rows = []
+    for k, (a, b, _) in enumerate(bundles):
+        if k in in_tree:
+            continue
+        up_b, up_a = [], []
+        x, y = b, a
+        while x != y:
+            if depth[x] >= depth[y]:
+                u, e = parent[x]
+                up_b.append((e, 1 if bundles[e][0] == x else -1))
+                x = u
+            else:
+                u, e = parent[y]
+                up_a.append((e, -1 if bundles[e][0] == y else 1))
+                y = u
+        rows.append((k, tuple(sorted(up_b + up_a))))
+    last = {}
+    for i, (_, row) in enumerate(rows):
+        for e, _ in row:
+            last[e] = i
+    cycles = tuple(
+        (k, row, tuple((e, c) for e, c in row if last[e] == i))
+        for i, (k, row) in enumerate(rows)
+    )
+    comp_of = {v: comp for comp in components for v in comp}
+    tree = []
+    for v in range(n):
+        if parent[v] is None:
+            continue
+        k = parent[v][1]
+        far = sorted(below[v])
+        if 2 * len(far) > len(comp_of[v]):
+            far = sorted(set(comp_of[v]) - set(far))
+        # with no flow off the tree, the bundle carries the net supply of
+        # its tail side, which is minus that of its head side
+        sign = 1 if bundles[k][0] in far else -1
+        tree.append((k, sign, tuple(far), k not in last))
+    return tuple(components), tuple(sorted(tree)), cycles
 
 
 class EulerMatrix:
@@ -165,13 +255,14 @@ class EulerMatrix:
     in sorted vertex order, so that ``<d, e> = d^T E e`` counts homomorphisms
     minus extensions (minus relation corrections) for generic representations.
 
-    ``plan`` holds the quiver's acyclicity and, as index tuples, its bundles
-    of parallel arrows, a topological walk and the bundle incidence at each
-    vertex (see :class:`QuiverPlan`), all from one topological sort.  It is
-    built on first use and then kept, so matrices that never reach a kernel
-    never pay for it.  Instances are immutable and safe to share across
-    threads: the plan depends on the quiver alone, so threads racing
-    to build it build equal plans and either one serves.
+    ``plan`` holds the quiver's acyclicity, from one topological sort, and,
+    as index tuples, its bundles of parallel arrows, the bundle incidence at
+    each vertex and a spanning forest of the bundles that turns a supply
+    into flows (see :class:`QuiverPlan`).  It is built on first use and then
+    kept, so matrices that never reach a kernel never pay for it.  Instances
+    are immutable and safe to share across threads: the plan depends on the
+    quiver alone, so threads racing to build it build equal plans and either
+    one serves.
     """
 
     def __init__(self, source):
@@ -210,9 +301,9 @@ class EulerMatrix:
 
     @cached_property
     def plan(self):
-        order, acyclic = self.quiver._kahn()
+        _, acyclic = self.quiver._kahn()
         if not acyclic:
-            return QuiverPlan(False, (), (), ())
+            return QuiverPlan(False, (), (), (), (), ())
         idx = self.index
         mult = {}
         for _, t, h in self.quiver.arrows:
@@ -224,13 +315,13 @@ class EulerMatrix:
         for k, (t, h, _) in enumerate(bundles):
             tails[t].append(k)
             heads[h].append(k)
-        walk = tuple((idx[v], tuple(tails[idx[v]])) for v in order)
         incidence = tuple(
             (v, tuple(tails[v]), tuple(heads[v]))
             for v in range(self.n)
             if tails[v] or heads[v]
         )
-        return QuiverPlan(True, bundles, walk, incidence)
+        forest = _spanning_forest(self.n, bundles, tails, heads)
+        return QuiverPlan(True, bundles, incidence, *forest)
 
     def tup(self, vec):
         """Coerce a dict keyed by vertex id, or a sequence in sorted vertex

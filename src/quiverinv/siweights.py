@@ -28,11 +28,19 @@ each bundle, a block takes one multiset of partitions per bundle, and it
 counts once per ordering of that multiset over the bundle's arrows.  A
 generalized Kronecker quiver has one bundle, hence a single flow per weight.
 
+The bundle flows are read off a spanning forest of the bundles, kept in
+the quiver's plan: the supplies theta(v) d(v) fix the flow on every tree
+bundle once the flows on the other bundles, one free coordinate per
+independent cycle, are chosen.  Where the bundles form a forest (Dynkin
+quivers, D~n, E~n, Kronecker quivers) a weight has at most one flow; A~n
+has one free coordinate.
+
 Budgets count ordered partition tuples, one partition per arrow, as if no
-arrows were bundled.  One walk of the bundle flows, along the quiver's plan,
-both sizes the enumeration (by cached partition counts, before any
-partition list is built) and keeps the flows that carry tuples; the Cauchy
-sum then runs over the kept flows only.
+arrows were bundled.  One pass over the bundle flows both sizes the
+enumeration (by cached partition counts, before any partition list is
+built) and keeps the flows that carry tuples; the Cauchy sum then runs over
+the kept flows only.  Both totals are sums, so neither the budget nor the
+answer depends on the order in which the flows arrive.
 """
 
 import itertools
@@ -74,7 +82,7 @@ def count_partitions(size, rows):
     """
     if size == 0:
         return 1
-    if rows == 0 or size < 0:
+    if rows <= 0 or size < 0:
         return 0
     found = _COUNT_CACHE.get((size, rows))
     if found is not None:
@@ -207,6 +215,14 @@ def _dimension_vectors(euler, *vecs):
     return out
 
 
+def _budget(budget):
+    """The one check of a public call's budget: a nonnegative integer."""
+    budget = as_int(budget, "budget")
+    if budget < 0:
+        raise InputError("budget must be nonnegative")
+    return budget
+
+
 def _shift(nu, dv, m):
     """nu - m * (1,...,1) over dv rows, trimmed, or None when not a partition."""
     padded = list(nu) + [0] * (dv - len(nu))
@@ -250,52 +266,72 @@ def _vertex_mult(dv, tv, tails, heads):
     return result
 
 
-def _compositions(total, k):
-    """All k-tuples of nonnegative ints summing to ``total``."""
-    if k == 0:
-        if total == 0:
-            yield ()
-        return
-    if k == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, k - 1):
-            yield (first,) + rest
-
-
 def _flows(plan, supply):
     """Nonnegative bundle flows with prescribed divergence.
 
     supply[v] = (sum of flows out of v) - (sum of flows in), fixed per
     vertex, indexed in sorted vertex order; each flow is an int tuple over
     the plan's bundles, the total carried by each bundle's parallel arrows.
-    Vertices are visited in the plan's topological walk, so inflows are
-    known before outflows are chosen; infeasible branches are cut
-    immediately.
+
+    The plan's spanning forest gives every such flow as base + sum t_i *
+    row_i: ``base`` puts on each tree bundle the net supply of one of its
+    sides, and the free coordinates t are the flows on the other bundles.
+    With no free coordinate (Dynkin quivers, D~n, E~n, Kronecker quivers)
+    the flow is fixed and only its signs are checked.  Otherwise each free
+    coordinate runs over 0 <= t <= the sum of the positive supplies (no
+    bundle of a nonnegative flow on an acyclic quiver carries more),
+    narrowed by the tree bundles that no later coordinate touches.  The
+    last coordinate, the only one on A~n, thus takes an exact interval, and
+    only flows are yielded.
     """
-    bundles = plan.bundles
-    walk = plan.walk
-    inflow = [0] * len(supply)
-    flow = [0] * len(bundles)
+    for comp in plan.components:
+        if sum(map(supply.__getitem__, comp)):
+            return
+    flow = [0] * len(plan.bundles)
+    for k, sign, far, bridge in plan.tree:
+        # most far sides are a single leaf
+        f = sum(map(supply.__getitem__, far)) if len(far) > 1 else supply[far[0]]
+        if sign < 0:
+            f = -f
+        if f < 0 and bridge:
+            return
+        flow[k] = f
+    cycles = plan.cycles
+    if not cycles:
+        yield tuple(flow)
+        return
+    bound = sum(s for s in supply if s > 0)
+    yield from _free_flows(flow, cycles, 0, bound)
 
-    def rec(i):
-        if i == len(walk):
+
+def _free_flows(flow, cycles, i, bound):
+    """The flows for coordinates i, i + 1, ... of ``cycles``, with the
+    earlier ones already added into ``flow``; ``flow`` is restored after."""
+    j, row, closing = cycles[i]
+    lo, hi = 0, bound
+    for k, c in closing:
+        f = flow[k]
+        if c > 0:
+            if -f > lo:
+                lo = -f
+        elif f < hi:
+            hi = f
+    if lo > hi:
+        return
+    last = i + 1 == len(cycles)
+    for k, c in row:
+        flow[k] += c * lo
+    for t in range(lo, hi + 1):
+        flow[j] = t
+        if last:
             yield tuple(flow)
-            return
-        v, outs = walk[i]
-        total = supply[v] + inflow[v]
-        if total < 0:
-            return
-        for combo in _compositions(total, len(outs)):
-            for k, s in zip(outs, combo):
-                flow[k] = s
-                inflow[bundles[k][1]] += s
-            yield from rec(i + 1)
-            for k, s in zip(outs, combo):
-                inflow[bundles[k][1]] -= s
-
-    yield from rec(0)
+        else:
+            yield from _free_flows(flow, cycles, i + 1, bound)
+        for k, c in row:
+            flow[k] += c
+    for k, c in row:
+        flow[k] -= c * (hi + 1)
+    flow[j] = 0
 
 
 PIVOT_THRESHOLD = 10_000
@@ -311,14 +347,17 @@ def _pivot_vector(euler, theta):
 
 
 def _sized_flows(plan, dt, th, cap):
-    """(cost, flows) for the Cauchy sum of dim SI(Q,dt)_th, from one walk.
+    """(cost, flows) for the Cauchy sum of dim SI(Q,dt)_th, from one pass
+    over the bundle flows.
 
     ``cost`` is the number of ordered partition tuples, one partition per
     arrow, behind the sum, priced by cached counts, so no partition list is
     built; ``flows`` are the bundle flows that carry at least one tuple,
     hence at most ``cost`` of them.  A bundle of p arrows carrying T stands
     for C(T + p - 1, p - 1) arrow flows.  Once more than ``cap`` arrow flows
-    or tuples turn up the walk stops and ``cost`` is ``cap + 1``.
+    or tuples turn up the pass stops and ``cost`` is ``cap + 1``; both are
+    running sums, so whether that happens does not depend on the order of
+    the flows.
     """
     shape = [(min(dt[t], dt[h]), p) for t, h, p in plan.bundles]
     parallel = [(k, p) for k, (_, p) in enumerate(shape) if p > 1]
@@ -355,17 +394,21 @@ def si_dim(euler, d, theta, budget=DEFAULT_BUDGET, pivot=True):
     be examined; the sum itself visits only one multiset of partitions per
     bundle of parallel arrows, which is never more.
 
-    One walk of the bundle flows sizes the enumeration with cached partition
+    One pass over the bundle flows, which the quiver's spanning forest maps
+    from its cycle space, sizes the enumeration with cached partition
     counts and keeps the flows that carry tuples; the sum then runs over
     those flows alone.  Weights of the form -<-,e> for a dimension vector e
     admit a second, often far smaller enumeration: dim SI(Q,d)_{-<-,e>}
     equals dim SI(Q,e)_{<d,->}.  When the literal side is over budget or above
-    ``PIVOT_THRESHOLD`` tuples, the other side is sized by a walk of its own
+    ``PIVOT_THRESHOLD`` tuples, the other side is sized by a pass of its own
     and the smaller one is summed; ``pivot=False`` forces the literal side,
     which ``circ`` uses to keep its two evaluations independent.
+
+    ``budget`` must be a nonnegative integer; anything else, here and in
+    the other public functions of this module, is an ``InputError``.
     """
     (dt,) = _dimension_vectors(euler, d)
-    return _si_dim(euler, dt, euler.tup(theta), budget, pivot)
+    return _si_dim(euler, dt, euler.tup(theta), _budget(budget), pivot)
 
 
 def _si_dim(euler, dt, th, budget, pivot=True):
@@ -444,6 +487,7 @@ def si_table(euler, d, theta, n_max, budget=DEFAULT_BUDGET):
     n_max = as_int(n_max, "table length")
     if n_max < 0:
         raise InputError("table length must be nonnegative")
+    budget = _budget(budget)
     if sum(t * x for t, x in zip(th, dt)) != 0:
         return SIWeightTable(th, (0,) * (n_max + 1))
     dims = tuple(
@@ -460,7 +504,7 @@ def circ(euler, d, e, budget=DEFAULT_BUDGET):
     agree; either number is the value.
     """
     dt, et = _dimension_vectors(euler, d, e)
-    return _circ(euler, dt, et, budget)
+    return _circ(euler, dt, et, _budget(budget))
 
 
 def _circ(euler, dt, et, budget):
@@ -533,6 +577,7 @@ def polynomiality_check(euler, d, e, n_max, budget=DEFAULT_BUDGET):
     n_max = as_int(n_max, "n_max")
     if n_max < 1:
         raise InputError("n_max must be at least 1")
+    budget = _budget(budget)
     if _circ(euler, dt, et, budget) == 0:
         raise PreconditionError("polynomiality requires circ(d, e) != 0")
     wl = linalg.vecmat(dt, euler.matrix)
@@ -624,6 +669,7 @@ def wild_violation_search(
     if cls.type != "wild":
         raise PreconditionError("violation search requires a wild quiver")
     _require_acyclic(euler)
+    budget = _budget(budget)
     n = euler.n
     frontier = []
     for entries in itertools.product(range(dprime_max + 1), repeat=n):

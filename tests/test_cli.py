@@ -140,6 +140,14 @@ def test_budget_error_exit_4(capsys, k2):
     assert json.loads(out)["error"]["type"] == "BudgetError"
 
 
+def test_negative_budget_is_input_error_exit_2(capsys, k2):
+    code, out, _ = run(
+        capsys, "si-dim", "-f", k2, "-d", "1,1", "-t", "1,-1", "--budget", "-1"
+    )
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "InputError"
+
+
 def test_invariant_error_exit_5(capsys, tmp_path):
     path = tmp_path / "a2.quiver"
     path.write_text("quiver\nvertices: v1 v2\narrow a1: v1 -> v2\n")

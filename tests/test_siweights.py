@@ -55,6 +55,14 @@ def test_partition_helpers_against_brute_force():
             assert siweights.count_partitions(size, rows) == len(want)
 
 
+def test_partition_helpers_agree_on_nonpositive_rows():
+    for size in range(5):
+        for rows in (-2, -1, 0):
+            want = len(siweights.partitions_bounded(size, rows))
+            assert want == (1 if size == 0 else 0)
+            assert siweights.count_partitions(size, rows) == want
+
+
 def test_count_partitions_needs_no_deep_recursion():
     # p(s, r) = p(s, r - 1) + p(s - r, r) would recurse about s / r deep
     siweights.clear_caches()
@@ -106,6 +114,23 @@ def test_si_dim_budget():
         siweights.si_dim(EK2, (8, 8), (8, -8), budget=10)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda b: siweights.si_dim(EK2, (1, 1), (1, -1), budget=b),
+        lambda b: siweights.si_table(EK2, (1, 1), (1, -1), 3, budget=b),
+        lambda b: siweights.circ(EK2, (1, 1), (1, 1), budget=b),
+        lambda b: siweights.polynomiality_check(EK2, (1, 1), (1, 1), 4, budget=b),
+        lambda b: siweights.wild_violation_search(EK3, budget=b),
+    ],
+    ids=["si_dim", "si_table", "circ", "polynomiality_check", "wild_search"],
+)
+@pytest.mark.parametrize("budget", ["7", None, -1, 2.5])
+def test_budget_must_be_a_nonnegative_integer(call, budget):
+    with pytest.raises(InputError):
+        call(budget)
+
+
 # v1 => v2 => v3, doubled arrows: a wild chain with a two-dimensional cycle
 # space, next to the Euclidean catalogue and the Kronecker quivers
 WILD_CHAIN = Quiver(
@@ -138,6 +163,33 @@ SHARED_HEAD = Quiver(
         ("d", "v2", "v3"),
     ),
 )
+# v1 -> v2 -> v4, v1 -> v3 -> v4 and the chord v1 -> v4: two independent
+# cycles, so the flows have two free coordinates
+DIAMOND_CHORD = Quiver(
+    ("v1", "v2", "v3", "v4"),
+    (
+        ("a", "v1", "v2"),
+        ("b", "v1", "v3"),
+        ("c", "v2", "v4"),
+        ("d", "v3", "v4"),
+        ("e", "v1", "v4"),
+    ),
+)
+# every arrow vi -> vj with i < j on four vertices: three free coordinates,
+# and tree bundles that several cycles cross in the same direction
+TOURNAMENT = Quiver(
+    ("v1", "v2", "v3", "v4"),
+    tuple(
+        (f"a{i}{j}", f"v{i}", f"v{j}")
+        for i in range(1, 5)
+        for j in range(i + 1, 5)
+    ),
+)
+# three components, one of them a vertex that no arrow touches
+DISCONNECTED = Quiver(
+    ("a", "b", "x", "y", "z"),
+    (("p", "a", "b"), ("q", "x", "y")),
+)
 WALK_QUIVERS = {
     "A~2": euclidean_quiver("A~2"),
     "A~3": euclidean_quiver("A~3"),
@@ -148,7 +200,75 @@ WALK_QUIVERS = {
     "wild_chain": WILD_CHAIN,
     "shared_tail": SHARED_TAIL,
     "shared_head": SHARED_HEAD,
+    "diamond_chord": DIAMOND_CHORD,
+    "tournament": TOURNAMENT,
+    "disconnected": DISCONNECTED,
 }
+# free cycle coordinates: #bundles - #vertices + #components
+CYCLE_RANK = {
+    "A~2": 1,
+    "A~3": 1,
+    "A~4": 1,
+    "D~4": 0,
+    "K3": 0,
+    "K4": 0,
+    "wild_chain": 0,
+    "shared_tail": 1,
+    "shared_head": 0,
+    "diamond_chord": 2,
+    "tournament": 3,
+    "disconnected": 0,
+}
+
+
+def _brute_flows(plan, supply):
+    """Every bundle flow in the box [0, sum of positive supplies]^bundles
+    with the given divergence, by filtering the whole box."""
+    top = sum(s for s in supply if s > 0)
+    out = []
+    for flow in itertools.product(range(top + 1), repeat=len(plan.bundles)):
+        div = list(supply)
+        for (t, h, _), s in zip(plan.bundles, flow):
+            div[t] -= s
+            div[h] += s
+        if not any(div):
+            out.append(flow)
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(WALK_QUIVERS))
+def test_flows_match_brute_force(name):
+    euler = EulerMatrix(WALK_QUIVERS[name])
+    plan = euler.plan
+    assert len(plan.cycles) == CYCLE_RANK[name]
+    rng = random.Random(name)
+    checked = 0
+    while checked < 40:
+        supply = [rng.randint(-2, 2) for _ in range(euler.n)]
+        if rng.random() < 0.8:
+            supply[rng.randrange(euler.n)] -= sum(supply)
+        # keep the box of the brute force small
+        if sum(s for s in supply if s > 0) > 4:
+            continue
+        checked += 1
+        got = list(siweights._flows(plan, supply))
+        assert len(set(got)) == len(got)
+        assert sorted(got) == _brute_flows(plan, supply)
+
+
+@pytest.mark.parametrize(
+    "name", sorted(n for n, c in CYCLE_RANK.items() if c == 0)
+)
+def test_flows_fixed_by_supply_without_cycles(name):
+    # a forest of bundles leaves no free coordinate: a supply has one flow
+    # or none
+    euler = EulerMatrix(WALK_QUIVERS[name])
+    hits = 0
+    for supply in itertools.product(range(-2, 3), repeat=euler.n):
+        flows = list(siweights._flows(euler.plan, supply))
+        assert len(flows) <= 1
+        hits += len(flows)
+    assert hits > 0
 
 
 def _outcome(fn, *args, **kwargs):
@@ -229,7 +349,7 @@ def test_budget_raised_before_any_partition_list(monkeypatch):
 
 
 def _count_walks(monkeypatch):
-    """Record, per ``_flows`` walk, the number of bundle flows it yields."""
+    """Record, per ``_flows`` call, the number of bundle flows it yields."""
     walks = []
     original = siweights._flows
 
