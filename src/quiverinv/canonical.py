@@ -22,6 +22,7 @@ from .errors import (
     InputError,
     InvariantError,
     PreconditionError,
+    as_budget,
     as_int,
 )
 from .stability import RationalInvariantsProfile, field_for_count
@@ -277,8 +278,10 @@ def kronecker_pair(source, d, budget=SEARCH_BUDGET):
     ``source`` may be a CanonicalAlgebra or any EulerMatrix (the Euclidean
     path-algebra case runs through the same arithmetic).  For an isotropic
     Schur root of a tame algebra a pair must exist, so exhausting the box is
-    an invariant failure, not a routine miss.
+    an invariant failure, not a routine miss.  ``budget`` bounds the box of
+    d, prod(d_i + 1) candidates, and must be a nonnegative integer.
     """
+    budget = as_budget(budget)
     euler = _euler_form_of(source)
     dt = euler.tup(d)
     q = euler.tits(dt)

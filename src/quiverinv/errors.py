@@ -13,7 +13,10 @@ exit code so scripted callers can dispatch on it:
 
 Integral input goes through one rule, ``as_int``: a value is accepted when
 ``int`` takes it and gives back an equal number; anything else is an
-``InputError``, never a truncation.
+``InputError``, never a truncation.  Every enumeration bound a caller
+passes in (a budget, a box limit) goes through ``as_budget``: ``as_int``,
+then ``InputError`` when negative.  Only a bound that passes can raise
+``BudgetError``.
 """
 
 
@@ -56,3 +59,12 @@ def as_int(x, what):
     if i is None or i != x:
         raise InputError(f"{what} {x!r} is not an integer")
     return i
+
+
+def as_budget(x, what="budget"):
+    """``x`` as a nonnegative int, by ``as_int``; a negative bound raises
+    ``InputError`` naming ``what``."""
+    x = as_int(x, what)
+    if x < 0:
+        raise InputError(f"{what} must be nonnegative")
+    return x

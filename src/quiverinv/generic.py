@@ -32,6 +32,7 @@ from .errors import (
     InputError,
     InvariantError,
     PreconditionError,
+    as_budget,
     as_int,
 )
 from .linalg import matvec, rank, vecmat
@@ -181,7 +182,8 @@ def clear_caches():
 
 def _dimension_vectors(euler, box_limit, d, *others):
     """The one check of a public call: a hereditary algebra, nonnegative
-    integral vectors, and recursion work for ``d`` within ``box_limit``.
+    integral vectors, a nonnegative integral ``box_limit``, and recursion
+    work for ``d`` within it.
 
     From a cold cache the recursion scans the subdimension box of every
     v <= d, which is prod((d_i + 1)(d_i + 2) / 2) points in all; that total,
@@ -197,6 +199,7 @@ def _dimension_vectors(euler, box_limit, d, *others):
     vecs = tuple(euler.tup(v) for v in (d,) + others)
     if any(x < 0 for t in vecs for x in t):
         raise InputError("dimension vectors must be nonnegative")
+    box_limit = as_budget(box_limit, "box_limit")
     work = 1
     for x in vecs[0]:
         work *= (x + 1) * (x + 2) // 2

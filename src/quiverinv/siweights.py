@@ -41,6 +41,11 @@ enumeration (by cached partition counts, before any partition list is
 built) and keeps the flows that carry tuples; the Cauchy sum then runs over
 the kept flows only.  Both totals are sums, so neither the budget nor the
 answer depends on the order in which the flows arrive.
+
+What both read of the dimension vector alone (bundle row bounds, parallel
+bundles, the vertex sides) is its layout, built once per vector: once per
+call of ``si_dim`` and per side of ``circ``, once per ray of ``si_table``
+and ``polynomiality_check``, and once per vector scanned by the wild search.
 """
 
 import itertools
@@ -53,6 +58,7 @@ from .errors import (
     InputError,
     InvariantError,
     PreconditionError,
+    as_budget,
     as_int,
 )
 
@@ -215,14 +221,6 @@ def _dimension_vectors(euler, *vecs):
     return out
 
 
-def _budget(budget):
-    """The one check of a public call's budget: a nonnegative integer."""
-    budget = as_int(budget, "budget")
-    if budget < 0:
-        raise InputError("budget must be nonnegative")
-    return budget
-
-
 def _shift(nu, dv, m):
     """nu - m * (1,...,1) over dv rows, trimmed, or None when not a partition."""
     padded = list(nu) + [0] * (dv - len(nu))
@@ -346,9 +344,28 @@ def _pivot_vector(euler, theta):
     return tuple(int(x) for x in e)
 
 
-def _sized_flows(plan, dt, th, cap):
+def _layout(plan, dt):
+    """What the flow pass and the Cauchy sum read of the dimension vector
+    ``dt``, whatever the weight: ``(shape, parallel, sides)``.
+
+    ``shape`` gives each bundle's row bound min(d(tail), d(head)) and
+    number of arrows, ``parallel`` the ``(position, arrows)`` of each bundle
+    of two or more arrows, and ``sides`` the ``(v, d(v), tail bundles, head
+    bundles)`` of each vertex that an arrow touches and d does not vanish on
+    (a vertex of dimension zero has multiplicity 1 whatever it is given).
+    Callers build it once per vector, so a ray of weights shares one.
+    """
+    shape = tuple((min(dt[t], dt[h]), p) for t, h, p in plan.bundles)
+    parallel = tuple((k, p) for k, (_, p) in enumerate(shape) if p > 1)
+    sides = tuple(
+        (v, dt[v], tails, heads) for v, tails, heads in plan.incidence if dt[v]
+    )
+    return shape, parallel, sides
+
+
+def _sized_flows(plan, dt, layout, th, cap):
     """(cost, flows) for the Cauchy sum of dim SI(Q,dt)_th, from one pass
-    over the bundle flows.
+    over the bundle flows; ``layout`` is ``_layout(plan, dt)``.
 
     ``cost`` is the number of ordered partition tuples, one partition per
     arrow, behind the sum, priced by cached counts, so no partition list is
@@ -359,13 +376,11 @@ def _sized_flows(plan, dt, th, cap):
     running sums, so whether that happens does not depend on the order of
     the flows.
     """
-    shape = [(min(dt[t], dt[h]), p) for t, h, p in plan.bundles]
-    parallel = [(k, p) for k, (_, p) in enumerate(shape) if p > 1]
-    supply = [t * x for t, x in zip(th, dt)]
+    shape, parallel, _ = layout
     nflows = 0
     cost = 0
     kept = []
-    for flow in _flows(plan, supply):
+    for flow in _flows(plan, [t * x for t, x in zip(th, dt)]):
         n = 1
         for k, p in parallel:
             n *= math.comb(flow[k] + p - 1, p - 1)
@@ -408,25 +423,31 @@ def si_dim(euler, d, theta, budget=DEFAULT_BUDGET, pivot=True):
     the other public functions of this module, is an ``InputError``.
     """
     (dt,) = _dimension_vectors(euler, d)
-    return _si_dim(euler, dt, euler.tup(theta), _budget(budget), pivot)
+    layout = _layout(euler.plan, dt)
+    return _si_dim(euler, dt, layout, euler.tup(theta), as_budget(budget), pivot)
 
 
-def _si_dim(euler, dt, th, budget, pivot=True):
-    if sum(t * x for t, x in zip(th, dt)) != 0:
-        return 0
+def _si_dim(euler, dt, layout, th, budget, pivot=True):
+    """dim SI(Q,dt)_th for int tuples, with ``layout = _layout(plan, dt)``.
+
+    A weight with th(dt) != 0 needs no test of its own: some component's
+    supplies then miss zero, so ``_flows`` yields nothing, the cost is 0
+    and the sum is 0, with no pivot and no BudgetError.
+    """
     plan = euler.plan
-    cost, flows = _sized_flows(plan, dt, th, budget)
+    cost, flows = _sized_flows(plan, dt, layout, th, budget)
     if pivot and (cost > budget or cost > PIVOT_THRESHOLD):
         e = _pivot_vector(euler, th)
         if e is not None:
             wl = linalg.vecmat(dt, euler.matrix)
             cap = min(cost - 1, budget)
-            pivot_cost, pivot_flows = _sized_flows(plan, e, wl, cap)
+            e_layout = _layout(plan, e)
+            pivot_cost, pivot_flows = _sized_flows(plan, e, e_layout, wl, cap)
             if pivot_cost <= cap:
-                return _cauchy_sum(plan, e, wl, pivot_flows)
+                return _cauchy_sum(e_layout, wl, pivot_flows)
     if cost > budget:
         raise BudgetError("semi-invariant partition tuples", budget)
-    return _cauchy_sum(plan, dt, th, flows)
+    return _cauchy_sum(layout, th, flows)
 
 
 def _merge(combo, ks):
@@ -434,27 +455,22 @@ def _merge(combo, ks):
     return tuple(sorted([lam for k in ks for lam in combo[k][1]]))
 
 
-def _cauchy_sum(plan, dt, th, flows):
-    """The Cauchy blocks over the given flows.  Each block takes one
-    multiset of partitions per bundle, counted once per ordering over the
-    bundle's arrows, and is a product of vertex multiplicities."""
-    shape = [(min(dt[t], dt[h]), p) for t, h, p in plan.bundles]
-    # a vertex of dimension zero has multiplicity 1 whatever it is given
-    sides = [
-        (dt[v], th[v], tails, heads)
-        for v, tails, heads in plan.incidence
-        if dt[v]
-    ]
+def _cauchy_sum(layout, th, flows):
+    """The Cauchy blocks over the given flows, for the vector that
+    ``layout`` was built from.  Each block takes one multiset of partitions
+    per bundle, counted once per ordering over the bundle's arrows, and is
+    a product of vertex multiplicities."""
+    shape, _, sides = layout
     total = 0
     for flow in flows:
         choices = [_multisets(s, p, r) for s, (r, p) in zip(flow, shape)]
         for combo in itertools.product(*choices):
             prod = 1
-            for dv, tv, tails, heads in sides:
+            for v, dv, tails, heads in sides:
                 # a side fed by one bundle reads its sorted multiset as is
                 mult = _vertex_mult(
                     dv,
-                    tv,
+                    th[v],
                     combo[tails[0]][1] if len(tails) == 1 else _merge(combo, tails),
                     combo[heads[0]][1] if len(heads) == 1 else _merge(combo, heads),
                 )
@@ -482,16 +498,24 @@ class SIWeightTable:
 
 
 def si_table(euler, d, theta, n_max, budget=DEFAULT_BUDGET):
+    """dim SI(Q,d)_{n theta} for n = 0, ..., n_max, each as ``si_dim``
+    gives it, with its budget and pivot rule.
+
+    The input is checked once and the layout of d is built once for the
+    whole ray; along it only the weight, and so the supply, changes.  When
+    theta(d) != 0 the table is zero throughout, n = 0 included.
+    """
     (dt,) = _dimension_vectors(euler, d)
     th = euler.tup(theta)
     n_max = as_int(n_max, "table length")
     if n_max < 0:
         raise InputError("table length must be nonnegative")
-    budget = _budget(budget)
+    budget = as_budget(budget)
     if sum(t * x for t, x in zip(th, dt)) != 0:
         return SIWeightTable(th, (0,) * (n_max + 1))
+    layout = _layout(euler.plan, dt)
     dims = tuple(
-        _si_dim(euler, dt, tuple(n * t for t in th), budget)
+        _si_dim(euler, dt, layout, tuple(n * t for t in th), budget)
         for n in range(n_max + 1)
     )
     return SIWeightTable(th, dims)
@@ -504,16 +528,23 @@ def circ(euler, d, e, budget=DEFAULT_BUDGET):
     agree; either number is the value.
     """
     dt, et = _dimension_vectors(euler, d, e)
-    return _circ(euler, dt, et, _budget(budget))
+    return _circ(euler, dt, et, as_budget(budget))
 
 
 def _circ(euler, dt, et, budget):
+    plan = euler.plan
     left = _si_dim(
-        euler, et, linalg.vecmat(dt, euler.matrix), budget, pivot=False
+        euler,
+        et,
+        _layout(plan, et),
+        linalg.vecmat(dt, euler.matrix),
+        budget,
+        pivot=False,
     )
     right = _si_dim(
         euler,
         dt,
+        _layout(plan, dt),
         tuple(-x for x in linalg.matvec(euler.matrix, et)),
         budget,
         pivot=False,
@@ -577,17 +608,19 @@ def polynomiality_check(euler, d, e, n_max, budget=DEFAULT_BUDGET):
     n_max = as_int(n_max, "n_max")
     if n_max < 1:
         raise InputError("n_max must be at least 1")
-    budget = _budget(budget)
+    budget = as_budget(budget)
     if _circ(euler, dt, et, budget) == 0:
         raise PreconditionError("polynomiality requires circ(d, e) != 0")
     wl = linalg.vecmat(dt, euler.matrix)
     wr = tuple(-x for x in linalg.matvec(euler.matrix, et))
+    e_layout = _layout(euler.plan, et)
     first = tuple(
-        _si_dim(euler, et, tuple(n * t for t in wl), budget)
+        _si_dim(euler, et, e_layout, tuple(n * t for t in wl), budget)
         for n in range(n_max + 1)
     )
+    d_layout = _layout(euler.plan, dt)
     second = tuple(
-        _si_dim(euler, dt, tuple(n * t for t in wr), budget)
+        _si_dim(euler, dt, d_layout, tuple(n * t for t in wr), budget)
         for n in range(n_max + 1)
     )
     degrees = []
@@ -669,7 +702,7 @@ def wild_violation_search(
     if cls.type != "wild":
         raise PreconditionError("violation search requires a wild quiver")
     _require_acyclic(euler)
-    budget = _budget(budget)
+    budget = as_budget(budget)
     n = euler.n
     frontier = []
     for entries in itertools.product(range(dprime_max + 1), repeat=n):
@@ -689,12 +722,14 @@ def wild_violation_search(
             continue
         theta = tuple(-x for x in euler.weight_right(entries))
         double = tuple(2 * x for x in entries)
+        single_layout = _layout(euler.plan, entries)
+        double_layout = _layout(euler.plan, double)
         reached = 0
         try:
             for nn in range(1, n_cap + 1):
                 weight = tuple(nn * t for t in theta_dp)
-                u = _si_dim(euler, entries, weight, budget)
-                w = _si_dim(euler, double, weight, budget)
+                u = _si_dim(euler, entries, single_layout, weight, budget)
+                w = _si_dim(euler, double, double_layout, weight, budget)
                 reached = nn
                 if w > u * u:
                     return WildViolation(

@@ -9,6 +9,7 @@ scans of ``generic_subdims``; no representations are ever materialized.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from . import cones, siweights
 from .core import Quiver, classify_path_algebra
@@ -23,7 +24,7 @@ from .generic import (
 
 
 def _dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def _vector_and_weight(euler, d, theta, box_limit):
@@ -292,10 +293,8 @@ def projective_space_verdict(
         raise PreconditionError(
             "projective-space verdict requires a semistable input"
         )
-    dims = [
-        siweights.si_dim(euler, dt, tuple(n * t for t in th), budget=budget)
-        for n in range(n_max + 1)
-    ]
+    # semistability gives theta(d) = 0, so the table is the ray itself
+    dims = siweights.si_table(euler, dt, th, n_max, budget=budget).dims
     if dims[0] != 1:
         raise InvariantError("effective weight with SI(0) != 1")
     if any(v == 0 for v in dims):

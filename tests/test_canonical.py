@@ -272,6 +272,9 @@ def test_kronecker_pair_rejects():
         can.kronecker_pair(T4, doubled)
     with pytest.raises(BudgetError):
         can.kronecker_pair(T4, T4.h(), budget=1)
+    for bad in (-1, "7", 2.5):
+        with pytest.raises(InputError):
+            can.kronecker_pair(T4, T4.h(), budget=bad)
 
 
 def test_rational_invariants_canonical():

@@ -146,6 +146,12 @@ def test_negative_budget_is_input_error_exit_2(capsys, k2):
     )
     assert code == 2
     assert json.loads(out)["error"]["type"] == "InputError"
+    # the Kronecker search box follows the same rule
+    code, out, _ = run(
+        capsys, "kronecker-pair", "-f", k2, "-d", "1,1", "--budget", "-1"
+    )
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "InputError"
 
 
 def test_invariant_error_exit_5(capsys, tmp_path):

@@ -166,6 +166,13 @@ def test_generic_subdims_against_sampled_ext_oracle():
 def test_box_limit():
     with pytest.raises(BudgetError):
         generic_subdims(EulerMatrix(K2), (200, 200), box_limit=100)
+    # a malformed or negative limit is bad input, not an exhausted budget
+    for bad in ("7", -1, 2.5, None):
+        with pytest.raises(InputError):
+            generic_subdims(EulerMatrix(K2), (1, 1), box_limit=bad)
+        with pytest.raises(InputError):
+            is_semistable_generic(EulerMatrix(K2), (1, 1), (1, -1), box_limit=bad)
+    assert generic_subdims(EulerMatrix(K2), (0, 0), box_limit=1.0) == ((0, 0),)
 
 
 def test_box_limit_bounds_the_whole_recursion(monkeypatch):

@@ -278,14 +278,10 @@ def _outcome(fn, *args, **kwargs):
         return "budget"
 
 
-@pytest.mark.parametrize("pivot", [True, False], ids=["pivot", "literal"])
-@pytest.mark.parametrize("name", sorted(WALK_QUIVERS))
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(data=st.data())
-def test_si_dim_matches_two_walk_reference(name, pivot, data):
-    euler = EulerMatrix(WALK_QUIVERS[name])
-    dt = data.draw(st.tuples(*[st.integers(0, 2)] * euler.n))
-    th = list(data.draw(st.tuples(*[st.integers(-2, 2)] * euler.n)))
+def _draw_balanced(data, n):
+    """A small dimension vector d and a weight theta with theta(d) = 0."""
+    dt = data.draw(st.tuples(*[st.integers(0, 2)] * n))
+    th = list(data.draw(st.tuples(*[st.integers(-2, 2)] * n)))
     # solve theta(d) = 0 for the last vertex in the support of d, so that
     # most drawn weights reach the enumeration
     live = [i for i, x in enumerate(dt) if x]
@@ -294,7 +290,16 @@ def test_si_dim_matches_two_walk_reference(name, pivot, data):
         rest = sum(t * x for t, x in zip(th, dt)) - th[k] * dt[k]
         assume(rest % dt[k] == 0 and abs(rest // dt[k]) <= 2)
         th[k] = -rest // dt[k]
-    th = tuple(th)
+    return dt, tuple(th)
+
+
+@pytest.mark.parametrize("pivot", [True, False], ids=["pivot", "literal"])
+@pytest.mark.parametrize("name", sorted(WALK_QUIVERS))
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_si_dim_matches_two_walk_reference(name, pivot, data):
+    euler = EulerMatrix(WALK_QUIVERS[name])
+    dt, th = _draw_balanced(data, euler.n)
     # small budgets push the pivot rule and BudgetError into play
     budget = data.draw(
         st.sampled_from([siweights.DEFAULT_BUDGET, 0, 3, 20, 100, 400])
@@ -302,6 +307,75 @@ def test_si_dim_matches_two_walk_reference(name, pivot, data):
     want = _outcome(ref_si_dim, euler, dt, th, budget, pivot)
     got = _outcome(siweights.si_dim, euler, dt, th, budget=budget, pivot=pivot)
     assert got == want
+
+
+@pytest.mark.parametrize("name", sorted(WALK_QUIVERS))
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_si_table_ray_equals_its_points(name, data):
+    # one layout serves the whole ray: each entry, and the first budget
+    # failure along it, must be what the point on its own gives
+    euler = EulerMatrix(WALK_QUIVERS[name])
+    dt, th = _draw_balanced(data, euler.n)
+    n_max = data.draw(st.integers(1, 4))
+    # budgets that run out part way along the ray as well as at once
+    budget = data.draw(
+        st.sampled_from([siweights.DEFAULT_BUDGET, 0, 5, 20, 100, 400])
+    )
+    points = []
+    for n in range(n_max + 1):
+        points.append(
+            _outcome(ref_si_dim, euler, dt, tuple(n * t for t in th), budget)
+        )
+        if points[-1] == "budget":
+            break
+    if points[-1] == "budget":
+        with pytest.raises(BudgetError):
+            siweights.si_table(euler, dt, th, n_max, budget=budget)
+        # and not before that point
+        if len(points) > 1:
+            shorter = siweights.si_table(
+                euler, dt, th, len(points) - 2, budget=budget
+            )
+            assert list(shorter.dims) == points[:-1]
+    else:
+        assert list(siweights.si_table(euler, dt, th, n_max, budget).dims) == points
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda b: siweights.si_dim(EK2, (3, 3), (2, -1), budget=b),
+        lambda b: siweights.si_dim(EK2, (3, 3), (2, -1), budget=b, pivot=False),
+        lambda b: siweights.circ(EK2, (2, 1), (1, 1), budget=b),
+        lambda b: siweights.circ(EA2, (1, 1), (1, 1), budget=b),
+    ],
+    ids=["si_dim", "si_dim_literal", "circ_k2", "circ_a2"],
+)
+def test_weight_missing_d_is_zero_within_any_budget(call):
+    # theta(d) != 0: no flow, so no tuple is counted and no pivot is tried
+    assert call(0) == 0
+
+
+def test_si_table_builds_one_layout_per_ray(monkeypatch):
+    built = []
+    original = siweights._layout
+
+    def counted(plan, dt):
+        built.append(dt)
+        return original(plan, dt)
+
+    monkeypatch.setattr(siweights, "_layout", counted)
+    table = siweights.si_table(EK2, (2, 2), (1, -1), 5)
+    assert table.dims == tuple((n + 1) * (n + 2) // 2 for n in range(6))
+    assert built == [(2, 2)]
+    built.clear()
+    # at n = 1 the literal side is over budget (81 tuples against 10), and
+    # the pivot side builds the layout of its own vector
+    euler = EulerMatrix(euclidean_quiver("D~4"))
+    dt, th = (2, 2, 2, 2, 2), (0, 2, 2, -2, -2)
+    assert siweights.si_table(euler, dt, th, 1, budget=10).dims == (1, 1)
+    assert len(built) == 2 and built[0] == dt != built[1]
 
 
 @pytest.mark.parametrize(
@@ -368,10 +442,11 @@ def test_si_dim_walks_flows_once_under_pivot_threshold(monkeypatch):
     euler = EulerMatrix(euclidean_quiver("A~3"))
     dt, th = (2, 2, 2, 2), (1, 1, -1, -1)
     budget = siweights.DEFAULT_BUDGET
-    cost, _ = siweights._sized_flows(euler.plan, dt, th, budget)
+    layout = siweights._layout(euler.plan, dt)
+    cost, _ = siweights._sized_flows(euler.plan, dt, layout, th, budget)
     assert 0 < cost <= siweights.PIVOT_THRESHOLD
     walks.clear()
-    got = siweights._si_dim(euler, dt, th, budget)
+    got = siweights._si_dim(euler, dt, layout, th, budget)
     assert len(walks) == 1
     assert got == ref_si_dim(euler, dt, th, budget) > 0
 
