@@ -189,12 +189,6 @@ def coxeter_matrix(algebra):
     return algebra.euler.coxeter()
 
 
-def _power_apply(matrix, vec, k):
-    for _ in range(k):
-        vec = linalg.matvec(matrix, vec)
-    return vec
-
-
 def isotropic_hull(algebra, dprime):
     """Normalized Coxeter-orbit sum: the indivisible Phi-fixed isotropic
     vector generated by any nonzero dprime on a tubular algebra."""
@@ -318,13 +312,13 @@ def kronecker_pair(source, d, budget=SEARCH_BUDGET):
     raise InvariantError(f"no Kronecker pair below {dt} despite q(d) = 0")
 
 
-def _single_root_count(algebra, dt):
+def _single_root_count(algebra, dt, budget):
     """Isotropic-count contribution of one claimed generic root."""
     q = algebra.euler.tits(dt)
     if q == 1:
         return 0
     if q == 0:
-        kronecker_pair(algebra, dt)
+        kronecker_pair(algebra, dt, budget)
         return 1
     raise InputError(
         f"q(d) = {q}; generic roots of tame canonical algebras have q in "
@@ -332,13 +326,17 @@ def _single_root_count(algebra, dt):
     )
 
 
-def rational_invariants_canonical(algebra, d, decomposition=None):
+def rational_invariants_canonical(
+    algebra, d, decomposition=None, budget=SEARCH_BUDGET
+):
     """Transcendence profile of the rational invariants on the canonical
     algebra: each real root contributes nothing, each isotropic root one
-    parameter (witnessed by a Kronecker pair).  Composite vectors need the
-    caller to name the generic decomposition; summand arithmetic is checked
-    but genericity itself is the caller's claim.
+    parameter (witnessed by a Kronecker pair, searched within ``budget`` as
+    ``kronecker_pair`` does).  Composite vectors need the caller to name the
+    generic decomposition; summand arithmetic is checked but genericity
+    itself is the caller's claim.
     """
+    budget = as_budget(budget)
     if classify_canonical(algebra) == "wild":
         raise PreconditionError(
             "rational invariants are only profiled for tame canonical "
@@ -346,7 +344,7 @@ def rational_invariants_canonical(algebra, d, decomposition=None):
         )
     dt = algebra.tup(d)
     if decomposition is None:
-        n = _single_root_count(algebra, dt)
+        n = _single_root_count(algebra, dt, budget)
         return RationalInvariantsProfile(n, field_for_count(n))
     total = (0,) * algebra.euler.n
     n = 0
@@ -356,7 +354,7 @@ def rational_invariants_canonical(algebra, d, decomposition=None):
         if mult < 1 or not any(rt):
             raise InputError("decomposition entries must be positive")
         total = tuple(a + mult * b for a, b in zip(total, rt))
-        n += mult * _single_root_count(algebra, rt)
+        n += mult * _single_root_count(algebra, rt, budget)
     if total != dt:
         raise InputError("decomposition does not sum to d")
     return RationalInvariantsProfile(n, field_for_count(n))

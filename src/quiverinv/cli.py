@@ -17,7 +17,13 @@ from . import canonical as canonical_mod
 from . import siweights, stability
 from .core import EulerMatrix, classify_path_algebra, null_root, parse_quiver
 from .errors import InputError, QuiverInvError
-from .generic import DEFAULT_SEED, canonical_decomposition, is_schur_root, root_class
+from .generic import (
+    BOX_LIMIT,
+    DEFAULT_SEED,
+    canonical_decomposition,
+    is_schur_root,
+    root_class,
+)
 
 
 class _Source:
@@ -149,11 +155,14 @@ def _run_command(args):
     echo = {}
     if source is not None:
         echo["source"] = source.describe()
-    budget = args.budget if args.budget is not None else siweights.DEFAULT_BUDGET
     if args.budget is not None:
         echo["budget"] = args.budget
     if args.seed != DEFAULT_SEED:
         echo["seed"] = args.seed
+
+    def budget(default):
+        """--budget when given, else the library default of the command."""
+        return default if args.budget is None else args.budget
 
     def dim(flag="d", attr=None):
         text = getattr(args, attr or flag)
@@ -197,7 +206,9 @@ def _run_command(args):
 
     if cmd == "candecomp":
         _need_kind(source, "quiver", cmd)
-        decomp = canonical_decomposition(source.euler, dim())
+        decomp = canonical_decomposition(
+            source.euler, dim(), budget(BOX_LIMIT)
+        )
         rows, pretty = _summands_json(decomp.summands, source)
         return echo, {"summands": rows, "pretty": pretty}, 0
 
@@ -207,7 +218,7 @@ def _run_command(args):
         return (
             echo,
             {
-                "schur": is_schur_root(source.euler, d),
+                "schur": is_schur_root(source.euler, d, budget(BOX_LIMIT)),
                 "class": root_class(source.euler, d),
             },
             0,
@@ -215,25 +226,29 @@ def _run_command(args):
 
     if cmd == "stable":
         _need_kind(source, "quiver", cmd)
-        d, th = dim(), weight()
+        d, th, limit = dim(), weight(), budget(BOX_LIMIT)
         return (
             echo,
             {
-                "semistable": stability.is_semistable_generic(source.euler, d, th),
-                "stable": stability.is_stable_generic(source.euler, d, th),
+                "semistable": stability.is_semistable_generic(
+                    source.euler, d, th, limit
+                ),
+                "stable": stability.is_stable_generic(source.euler, d, th, limit),
             },
             0,
         )
 
     if cmd == "stable-decomp":
         _need_kind(source, "quiver", cmd)
-        dec = stability.theta_stable_decomposition(source.euler, dim(), weight())
+        dec = stability.theta_stable_decomposition(
+            source.euler, dim(), weight(), budget(BOX_LIMIT)
+        )
         rows, pretty = _summands_json(dec.factors, source)
         return echo, {"factors": rows, "pretty": pretty}, 0
 
     if cmd == "eff-cone":
         _need_kind(source, "quiver", cmd)
-        cone = stability.effective_cone(source.euler, dim())
+        cone = stability.effective_cone(source.euler, dim(), budget(BOX_LIMIT))
         return echo, _cone_json(cone, source), 0
 
     if cmd == "local-quiver":
@@ -257,13 +272,19 @@ def _run_command(args):
 
     if cmd == "si-dim":
         _need_kind(source, "quiver", cmd)
-        value = siweights.si_dim(source.euler, dim(), weight(), budget=budget)
+        value = siweights.si_dim(
+            source.euler, dim(), weight(), budget(siweights.DEFAULT_BUDGET)
+        )
         return echo, {"dim": value}, 0
 
     if cmd == "si-table":
         _need_kind(source, "quiver", cmd)
         table = siweights.si_table(
-            source.euler, dim(), weight(), length(), budget=budget
+            source.euler,
+            dim(),
+            weight(),
+            length(),
+            budget(siweights.DEFAULT_BUDGET),
         )
         check = siweights.log_concavity_check(table.dims)
         return (
@@ -279,7 +300,9 @@ def _run_command(args):
 
     if cmd == "circ":
         _need_kind(source, "quiver", cmd)
-        value = siweights.circ(source.euler, dim("d"), dim("e"), budget=budget)
+        value = siweights.circ(
+            source.euler, dim("d"), dim("e"), budget(siweights.DEFAULT_BUDGET)
+        )
         return echo, {"value": value}, 0
 
     if cmd == "logconcave":
@@ -292,7 +315,9 @@ def _run_command(args):
 
     if cmd == "wild-search":
         _need_kind(source, "quiver", cmd)
-        hit = siweights.wild_violation_search(source.euler, budget=budget)
+        hit = siweights.wild_violation_search(
+            source.euler, budget=budget(siweights.DEFAULT_BUDGET)
+        )
         vec = lambda v: None if v is None else _vec_json(v, source)
         return (
             echo,
@@ -313,13 +338,19 @@ def _run_command(args):
 
     if cmd == "moduli":
         _need_kind(source, "quiver", cmd)
-        value = stability.moduli_dimension(source.euler, dim(), weight())
+        value = stability.moduli_dimension(
+            source.euler, dim(), weight(), budget(BOX_LIMIT)
+        )
         return echo, {"dimension": value}, 0
 
     if cmd == "pspace":
         _need_kind(source, "quiver", cmd)
         verdict = stability.projective_space_verdict(
-            source.euler, dim(), weight(), length(), budget=budget
+            source.euler,
+            dim(),
+            weight(),
+            length(),
+            budget(siweights.DEFAULT_BUDGET),
         )
         return (
             echo,
@@ -342,10 +373,12 @@ def _run_command(args):
                     for v, m in decomposition
                 ]
             profile = canonical_mod.rational_invariants_canonical(
-                source.algebra, d, decomposition
+                source.algebra, d, decomposition, budget(canonical_mod.SEARCH_BUDGET)
             )
         else:
-            profile = stability.rational_invariants_profile(source.euler, d)
+            profile = stability.rational_invariants_profile(
+                source.euler, d, budget(BOX_LIMIT)
+            )
         return (
             echo,
             {
@@ -392,7 +425,9 @@ def _run_command(args):
 
     if cmd == "kronecker-pair":
         holder = source.algebra if source.kind == "canonical" else source.euler
-        pair = canonical_mod.kronecker_pair(holder, dim(), budget=budget)
+        pair = canonical_mod.kronecker_pair(
+            holder, dim(), budget(canonical_mod.SEARCH_BUDGET)
+        )
         return (
             echo,
             {"d1": _vec_json(pair.d1, source), "d2": _vec_json(pair.d2, source)},

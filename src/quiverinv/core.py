@@ -147,7 +147,9 @@ class QuiverPlan(NamedTuple):
     ``bundles``, which lists each as a ``(tail, head, multiplicity)``
     triple in sorted (tail, head) order.  ``incidence`` lists, in sorted
     order, each vertex that an arrow touches with the positions of its tail
-    bundles and of its head bundles.
+    bundles and of its head bundles.  ``ends`` lists a ``(position, v,
+    sign)`` for each bundle end at a one-sided vertex v, one with tail
+    bundles only (sign +1) or head bundles only (sign -1).
 
     The rest is a spanning forest of the bundle graph, which maps a supply
     (out minus in, per vertex) to every bundle flow that has it.
@@ -168,6 +170,7 @@ class QuiverPlan(NamedTuple):
     acyclic: bool
     bundles: tuple
     incidence: tuple
+    ends: tuple
     components: tuple
     tree: tuple
     cycles: tuple
@@ -303,7 +306,7 @@ class EulerMatrix:
     def plan(self):
         _, acyclic = self.quiver._kahn()
         if not acyclic:
-            return QuiverPlan(False, (), (), (), (), ())
+            return QuiverPlan(False, (), (), (), (), (), ())
         idx = self.index
         mult = {}
         for _, t, h in self.quiver.arrows:
@@ -320,8 +323,14 @@ class EulerMatrix:
             for v in range(self.n)
             if tails[v] or heads[v]
         )
+        ends = tuple(
+            (k, v, 1 if tails[v] else -1)
+            for v in range(self.n)
+            if not (tails[v] and heads[v])
+            for k in tails[v] or heads[v]
+        )
         forest = _spanning_forest(self.n, bundles, tails, heads)
-        return QuiverPlan(True, bundles, incidence, *forest)
+        return QuiverPlan(True, bundles, incidence, ends, *forest)
 
     def tup(self, vec):
         """Coerce a dict keyed by vertex id, or a sequence in sorted vertex
@@ -341,9 +350,6 @@ class EulerMatrix:
                 f"vector length {len(t)} does not match {self.n} vertices"
             )
         return t
-
-    def as_dict(self, vec):
-        return {v: x for v, x in zip(self.order, self.tup(vec))}
 
     def euler(self, d, e):
         d = self.tup(d)

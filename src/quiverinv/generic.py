@@ -72,9 +72,6 @@ class Representation:
                 if len(row) != self.dim.get(tail, 0):
                     raise InputError(f"matrix for {aid!r} has wrong column count")
 
-    def dim_tuple(self, euler):
-        return euler.tup(self.dim)
-
 
 def random_representation(quiver, d, rng=None, pool=SAMPLE_POOL):
     """Representation with entries drawn uniformly from the sample pool."""

@@ -162,7 +162,7 @@ def lr_coefficient(lam, mu, nu):
 def _fold(lams, rows, cap):
     """tensor_fold on a sorted sequence of trimmed partitions, an int
     ``rows`` and an int-tuple ``cap`` (or None)."""
-    acc = {(): 1}
+    acc = None
     for lam in lams:
         if not lam:
             continue
@@ -175,6 +175,10 @@ def _fold(lams, rows, cap):
         )
         if not contained:
             return {}
+        if acc is None:
+            # the product with S_() is the factor itself
+            acc = {lam: 1}
+            continue
         nxt = {}
         for nu, mult in acc.items():
             for out, c in _product(nu, lam, rows, cap).items():
@@ -182,7 +186,7 @@ def _fold(lams, rows, cap):
         acc = nxt
         if not acc:
             break
-    return acc
+    return {(): 1} if acc is None else acc
 
 
 def tensor_fold(lams, rows, cap=None):

@@ -12,8 +12,12 @@ determinant-power bookkeeping, and the per-vertex multiplicity becomes
     sum_nu  c_nu(tail factors) * c_{nu - theta(v)*1}(head factors)
 
 with nu running over partitions with at most d(v) rows.  Tails-only and
-heads-only vertices degenerate to a single rectangle coefficient, which the
-kernels extract with rowwise caps for pruning.
+heads-only vertices degenerate to a single coefficient of the rectangle
+R = (|theta(v)|^d(v)); a heads-only side is read as the tails-only side of
+-theta(v), so both share one cache entry.  Since c^R_{alpha,beta} is 1 when
+beta is the complement of alpha in R and 0 otherwise, that coefficient is
+a join of two half folds, each capped at R:
+sum_alpha c_alpha(first half) * c_{R - alpha}(second half).
 
 The block is nonzero only when the partition sizes s_a = |lambda_a| satisfy
 the flow-balance equations sum_out s - sum_in s = theta(v) d(v) at every
@@ -35,17 +39,23 @@ independent cycle, are chosen.  Where the bundles form a forest (Dynkin
 quivers, D~n, E~n, Kronecker quivers) a weight has at most one flow; A~n
 has one free coordinate.
 
+Every factor of a rectangle coefficient fits inside the rectangle, so a
+bundle that meets a one-sided vertex v only takes partitions of width at
+most |theta(v)|; the sum skips the wider ones, which give that vertex
+multiplicity 0.
+
 Budgets count ordered partition tuples, one partition per arrow, as if no
-arrows were bundled.  One pass over the bundle flows both sizes the
-enumeration (by cached partition counts, before any partition list is
-built) and keeps the flows that carry tuples; the Cauchy sum then runs over
-the kept flows only.  Both totals are sums, so neither the budget nor the
-answer depends on the order in which the flows arrive.
+arrows were bundled and no width were bounded.  One pass over the bundle
+flows both sizes the enumeration (by cached partition counts, before any
+partition list is built) and keeps the flows that carry tuples; the Cauchy
+sum then runs over the kept flows only.  Both totals are sums, so neither
+the budget nor the answer depends on the order in which the flows arrive.
 
 What both read of the dimension vector alone (bundle row bounds, parallel
-bundles, the vertex sides) is its layout, built once per vector: once per
-call of ``si_dim`` and per side of ``circ``, once per ray of ``si_table``
-and ``polynomiality_check``, and once per vector scanned by the wild search.
+bundles, the vertex sides and their one-sided ends) is its layout, built
+once per vector: once per call of ``si_dim`` and per side of ``circ``, once
+per ray of ``si_table`` and ``polynomiality_check``, and once per vector
+scanned by the wild search.
 """
 
 import itertools
@@ -112,9 +122,19 @@ def count_partitions(size, rows):
     return _COUNT_CACHE[size, rows]
 
 
-def partitions_bounded(size, rows):
-    """All partitions of ``size`` with at most ``rows`` parts, as a tuple."""
-    key = (size, rows)
+def partitions_bounded(size, rows, width=None):
+    """All partitions of ``size`` with at most ``rows`` parts, and with no
+    part above ``width`` when it is given, as a tuple.
+
+    Parts are positive, so a negative ``width`` leaves the empty partition
+    alone, as ``width = 0`` does; a ``width`` of ``size`` or more bounds
+    nothing.
+    """
+    if width is None or width > size:
+        width = size
+    elif width < 0:
+        width = 0
+    key = (size, rows, width)
     found = _PARTS_CACHE.get(key)
     if found is not None:
         return found
@@ -134,7 +154,7 @@ def partitions_bounded(size, rows):
             rec(remaining - p, p, slots - 1, prefix)
             prefix.pop()
 
-    rec(size, size, rows, [])
+    rec(size, width, rows, [])
     result = tuple(out)
     _PARTS_CACHE[key] = result
     return result
@@ -161,34 +181,43 @@ def _count_tuples(total, p, rows):
     return found
 
 
-def _multisets(total, p, rows):
-    """Every multiset of p partitions, each with at most ``rows`` parts,
-    whose sizes sum to ``total``, as ``(weight, parts)`` pairs.
+def _multisets(total, p, rows, width=None):
+    """Every multiset of p partitions, each with at most ``rows`` parts and
+    none above ``width`` (see ``partitions_bounded``), whose sizes sum to
+    ``total``, as ``(weight, parts)`` pairs.
 
     ``parts`` is the multiset as a sorted tuple and ``weight`` is its number
     of orderings, p! / prod(m!) over the multiplicities m of its distinct
-    partitions; the weights sum to ``_count_tuples(total, p, rows)``.  The
-    sizes of a multiset, padded with zeros, form a partition of ``total``
-    into at most p parts; each such shape picks a multiset of partitions
-    per distinct size.  Lists for p = 1 are cached: they are as few and as
-    small as the partition lists, and asked for once per arrow and flow.
+    partitions; the weights sum to the number of ordered p-tuples of such
+    partitions, ``_count_tuples(total, p, rows)`` when nothing bounds the
+    width.  The sizes of a multiset, padded with zeros, form a partition of
+    ``total`` into at most p parts, none above rows * width; each such shape
+    picks a multiset of partitions per distinct size.  Lists for p = 1 are
+    cached: they are as few and as small as the partition lists, and asked
+    for once per arrow and flow.
     """
     if p == 1:
-        key = (total, rows)
+        key = (total, rows, width)
         found = _SINGLES_CACHE.get(key)
         if found is None:
-            found = tuple((1, (lam,)) for lam in partitions_bounded(total, rows))
+            found = tuple(
+                (1, (lam,)) for lam in partitions_bounded(total, rows, width)
+            )
             _SINGLES_CACHE[key] = found
         return found
+    if width is None or width > total:
+        width = total
+    elif width < 0:
+        width = 0
     orderings = math.factorial(p)
     out = []
-    for shape in partitions_bounded(total, p):
+    for shape in partitions_bounded(total, p, rows * width):
         counts = {}
         for size in shape + (0,) * (p - len(shape)):
             counts[size] = counts.get(size, 0) + 1
         pools = [
             itertools.combinations_with_replacement(
-                partitions_bounded(size, rows), c
+                partitions_bounded(size, rows, width), c
             )
             for size, c in counts.items()
         ]
@@ -232,26 +261,68 @@ def _shift(nu, dv, m):
     return tuple(shifted)
 
 
+def _complement(lam, dv, w):
+    """The complement of ``lam`` in the rectangle (w^dv), rotated to a
+    partition and trimmed, or None when ``lam`` does not fit inside it."""
+    if len(lam) > dv or (lam and lam[0] > w):
+        return None
+    out = [w] * (dv - len(lam)) + [w - x for x in reversed(lam)]
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def _rect_mult(dv, w, factors):
+    """c^R(factors): the multiplicity of R = (w^dv), w >= 0, in the product
+    of the sorted ``factors``, as a join of two half folds.
+
+    c^R_{alpha,beta} is 1 when beta is the complement of alpha in R and 0
+    otherwise, so c^R(factors) = sum_alpha A[alpha] * B[R - alpha], where A
+    and B fold the first half of the factors and the rest, each capped at R.
+    One factor must be R itself; with three, A is a single cached product
+    and B one lookup.
+    """
+    factors = [lam for lam in factors if lam]
+    if sum(map(sum, factors)) != w * dv:
+        return 0
+    if not factors:
+        return 1
+    rect = (w,) * dv
+    if len(factors) == 1:
+        return 1 if factors[0] == rect else 0
+    half = (len(factors) + 1) // 2
+    left = lr._fold(factors[:half], dv, rect)
+    if len(factors) - half == 1:
+        rest = _complement(factors[-1], dv, w)
+        return 0 if rest is None else left.get(rest, 0)
+    right = lr._fold(factors[half:], dv, rect)
+    if len(right) < len(left):
+        left, right = right, left
+    total = 0
+    for alpha, c in left.items():
+        c2 = right.get(_complement(alpha, dv, w))
+        if c2:
+            total += c * c2
+    return total
+
+
 def _vertex_mult(dv, tv, tails, heads):
-    """Multiplicity of det^tv in (tail product) tensor (head product)^*."""
+    """Multiplicity of det^tv in (tail product) tensor (head product)^*.
+
+    A heads-only side at tv is the tails-only side at -tv, and is cached
+    under that key, so a source and a sink with the same rectangle
+    (tv^dv) share one entry; a one-sided multiplicity is ``_rect_mult``.
+    """
     if dv == 0:
         return 1
+    if not tails:
+        tv, tails, heads = -tv, heads, ()
     key = (dv, tv, tails, heads)
     found = _VERTEX_CACHE.get(key)
     if found is not None:
         return found
     if not heads:
-        if tv < 0:
-            result = 0
-        else:
-            rect = (tv,) * dv if tv else ()
-            result = lr._fold(tails, dv, rect).get(rect, 0)
-    elif not tails:
-        if tv > 0:
-            result = 0
-        else:
-            rect = (-tv,) * dv if tv else ()
-            result = lr._fold(heads, dv, rect).get(rect, 0)
+        result = _rect_mult(dv, tv, tails) if tv >= 0 else 0
     else:
         left = lr._fold(tails, dv, None)
         right = lr._fold(heads, dv, None)
@@ -346,13 +417,19 @@ def _pivot_vector(euler, theta):
 
 def _layout(plan, dt):
     """What the flow pass and the Cauchy sum read of the dimension vector
-    ``dt``, whatever the weight: ``(shape, parallel, sides)``.
+    ``dt``, whatever the weight: ``(shape, parallel, sides, ends)``.
 
     ``shape`` gives each bundle's row bound min(d(tail), d(head)) and
     number of arrows, ``parallel`` the ``(position, arrows)`` of each bundle
     of two or more arrows, and ``sides`` the ``(v, d(v), tail bundles, head
     bundles)`` of each vertex that an arrow touches and d does not vanish on
     (a vertex of dimension zero has multiplicity 1 whatever it is given).
+    ``ends`` is the plan's ``(position, v, sign)`` of each bundle end at a
+    one-sided vertex (sign +1 at a vertex with tails only, -1 at one with
+    heads only): every partition on the bundle must fit inside the
+    rectangle (|theta(v)|^d(v)) there, so its width is at most
+    sign * theta(v).  Where d(v) vanishes, the flows that carry tuples put
+    nothing on the bundle, and the empty partition fits any width.
     Callers build it once per vector, so a ray of weights shares one.
     """
     shape = tuple((min(dt[t], dt[h]), p) for t, h, p in plan.bundles)
@@ -360,7 +437,7 @@ def _layout(plan, dt):
     sides = tuple(
         (v, dt[v], tails, heads) for v, tails, heads in plan.incidence if dt[v]
     )
-    return shape, parallel, sides
+    return shape, parallel, sides, plan.ends
 
 
 def _sized_flows(plan, dt, layout, th, cap):
@@ -376,7 +453,7 @@ def _sized_flows(plan, dt, layout, th, cap):
     running sums, so whether that happens does not depend on the order of
     the flows.
     """
-    shape, parallel, _ = layout
+    shape, parallel, _, _ = layout
     nflows = 0
     cost = 0
     kept = []
@@ -407,7 +484,8 @@ def si_dim(euler, d, theta, budget=DEFAULT_BUDGET, pivot=True):
     the module docstring.  Raises BudgetError once more than ``budget``
     ordered partition tuples (one partition per arrow) or arrow flows would
     be examined; the sum itself visits only one multiset of partitions per
-    bundle of parallel arrows, which is never more.
+    bundle of parallel arrows, and skips partitions wider than the rectangle
+    of a one-sided vertex, which is never more.
 
     One pass over the bundle flows, which the quiver's spanning forest maps
     from its cycle space, sizes the enumeration with cached partition
@@ -459,20 +537,36 @@ def _cauchy_sum(layout, th, flows):
     """The Cauchy blocks over the given flows, for the vector that
     ``layout`` was built from.  Each block takes one multiset of partitions
     per bundle, counted once per ordering over the bundle's arrows, and is
-    a product of vertex multiplicities."""
-    shape, _, sides = layout
+    a product of vertex multiplicities.  A bundle at a one-sided vertex
+    only takes partitions that fit inside its rectangle; the others would
+    give that vertex multiplicity 0."""
+    if not flows:
+        return 0
+    shape, _, sides, ends = layout
+    widths = [None] * len(shape)
+    for k, v, sign in ends:
+        w = sign * th[v]
+        if widths[k] is None or w < widths[k]:
+            widths[k] = w
     total = 0
     for flow in flows:
-        choices = [_multisets(s, p, r) for s, (r, p) in zip(flow, shape)]
+        choices = [
+            _multisets(s, p, r, w) for s, (r, p), w in zip(flow, shape, widths)
+        ]
         for combo in itertools.product(*choices):
             prod = 1
             for v, dv, tails, heads in sides:
-                # a side fed by one bundle reads its sorted multiset as is
+                # a side fed by one bundle reads its sorted multiset as is,
+                # and an empty side (a source or a sink) reads nothing
                 mult = _vertex_mult(
                     dv,
                     th[v],
-                    combo[tails[0]][1] if len(tails) == 1 else _merge(combo, tails),
-                    combo[heads[0]][1] if len(heads) == 1 else _merge(combo, heads),
+                    combo[tails[0]][1]
+                    if len(tails) == 1
+                    else _merge(combo, tails) if tails else (),
+                    combo[heads[0]][1]
+                    if len(heads) == 1
+                    else _merge(combo, heads) if heads else (),
                 )
                 if mult == 0:
                     prod = 0

@@ -9,7 +9,9 @@ canonical decompositions by exhaustive multiset search, the Schofield
 recursion by a plain copy of its first implementation that reads nothing
 of the Euler matrix but ``euler.matrix``, the signature of a symmetric
 matrix by the sign pattern of its characteristic polynomial, and
-semi-invariant dimensions by a copy of the first two-walk ``si_dim``.
+semi-invariant dimensions by a copy of the first two-walk ``si_dim`` over
+every ordered partition tuple, with vertex multiplicities read off
+sequential ``lr.tensor_fold`` products.
 """
 
 import functools
@@ -604,8 +606,9 @@ def ref_symmetric_signature(matrix):
 # sums the Cauchy blocks, and the sorted arrows, row bounds, supplies and
 # incidence lists are rebuilt from the quiver on every call.  Only
 # ``euler.quiver``, ``euler.order`` and ``euler.matrix`` are read, so no
-# plan is shared; the partition lists and vertex multiplicities come from
-# ``siweights``.
+# plan is shared.  Partition lists are enumerated here, with no width
+# bound, and vertex multiplicities are folded one factor at a time with the
+# public ``lr.tensor_fold``: no rectangle join, no dualized cache key.
 
 
 def _ref_topological_order(quiver):
@@ -690,9 +693,49 @@ def _ref_si_cost(euler, dt, th, cap):
     return cost
 
 
+@functools.lru_cache(maxsize=None)
+def _ref_partitions(size, rows):
+    """Partitions of ``size`` with at most ``rows`` parts, largest first."""
+    if size == 0:
+        return ((),)
+    if rows <= 0:
+        return ()
+    return tuple(
+        (first,) + rest
+        for first in range(size, 0, -1)
+        for rest in _ref_partitions(size - first, rows - 1)
+        if not rest or rest[0] <= first
+    )
+
+
+def _ref_vertex_mult(dv, tv, tails, heads):
+    """Multiplicity of det^tv in (tail product) tensor (head product)^*.
+
+    One-sided: the sequential fold read at the rectangle (|tv|^dv).  Both
+    sides: sum_nu c_nu(tails) * c_{nu - tv*1}(heads), nu with <= dv rows.
+    """
+    from quiverinv.lr import tensor_fold
+
+    if dv == 0:
+        return 1
+    if not heads or not tails:
+        w = tv if not heads else -tv
+        if w < 0:
+            return 0
+        rect = (w,) * dv if w else ()
+        return tensor_fold(tails or heads, dv, rect).get(rect, 0)
+    right = tensor_fold(heads, dv)
+    total = 0
+    for nu, c in tensor_fold(tails, dv).items():
+        shifted = [x - tv for x in list(nu) + [0] * (dv - len(nu))]
+        if shifted[-1] < 0:
+            continue
+        total += c * right.get(tuple(x for x in shifted if x), 0)
+    return total
+
+
 def _ref_si_dim_direct(euler, dt, th, budget):
     from quiverinv.errors import BudgetError
-    from quiverinv.siweights import _vertex_mult, partitions_bounded
 
     idx = {v: i for i, v in enumerate(euler.order)}
     supply = {v: th[idx[v]] * dt[idx[v]] for v in euler.order}
@@ -711,7 +754,7 @@ def _ref_si_dim_direct(euler, dt, th, budget):
         choices = []
         cost = 1
         for aid, _, _ in arrows:
-            plist = partitions_bounded(flow[aid], rows_by_arrow[aid])
+            plist = _ref_partitions(flow[aid], rows_by_arrow[aid])
             if not plist:
                 cost = 0
                 break
@@ -726,7 +769,7 @@ def _ref_si_dim_direct(euler, dt, th, budget):
             chosen = {aid: lam for (aid, _, _), lam in zip(arrows, combo)}
             prod = 1
             for v, tails_at, heads_at in incidence:
-                mult = _vertex_mult(
+                mult = _ref_vertex_mult(
                     dt[idx[v]],
                     th[idx[v]],
                     tuple(sorted(chosen[a] for a in tails_at)),

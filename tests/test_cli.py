@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from quiverinv import cli
+from quiverinv import canonical, cli
 
 K2 = "quiver\nvertices: v1 v2\narrow a1: v1 -> v2\narrow a2: v1 -> v2\n"
 K3 = (
@@ -152,6 +152,81 @@ def test_negative_budget_is_input_error_exit_2(capsys, k2):
     )
     assert code == 2
     assert json.loads(out)["error"]["type"] == "InputError"
+
+
+# commands that run the Schofield recursion on K2, each with the work bound
+# of its d, prod((d_i + 1)(d_i + 2) / 2) subdimension box points
+RECURSION_COMMANDS = [
+    (("candecomp", "-d", "3,1"), 30),
+    (("schur", "-d", "3,1"), 30),
+    (("stable", "-d", "1,1", "-t", "1,-1"), 9),
+    (("stable-decomp", "-d", "1,1", "-t", "1,-1"), 9),
+    (("eff-cone", "-d", "3,1"), 30),
+    (("moduli", "-d", "1,1", "-t", "1,-1"), 9),
+    (("rational-invariants", "-d", "3,1"), 30),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, box", RECURSION_COMMANDS, ids=[a[0] for a, _ in RECURSION_COMMANDS]
+)
+def test_budget_bounds_recursion_commands(capsys, k2, argv, box):
+    command, *rest = argv
+    code, default, _ = run(capsys, command, "-f", k2, *rest)
+    assert code == 0 and "budget" not in json.loads(default)["input"]
+    code, out, _ = run(capsys, command, "-f", k2, *rest, "--budget", str(box - 1))
+    assert code == 4
+    assert json.loads(out)["error"]["type"] == "BudgetError"
+    code, out, _ = run(capsys, command, "-f", k2, *rest, "--budget", str(box))
+    assert code == 0
+    assert json.loads(out)["result"] == json.loads(default)["result"]
+
+
+def test_budget_bounds_canonical_rational_invariants(capsys, tubular):
+    # the radical generator h of the tubular algebra is isotropic, and its
+    # Kronecker pair is searched in the box of h, 2^6 candidates
+    argv = ("rational-invariants", "-f", tubular, "-d", "1,1,1,1,1,1")
+    code, default, _ = run(capsys, *argv)
+    assert code == 0 and json.loads(default)["result"]["n_isotropic"] == 1
+    code, out, _ = run(capsys, *argv, "--budget", "63")
+    assert code == 4
+    assert json.loads(out)["error"]["type"] == "BudgetError"
+    code, out, _ = run(capsys, *argv, "--budget", "64")
+    assert code == 0
+    assert json.loads(out)["result"] == json.loads(default)["result"]
+    # a real root needs no search, but its bound is still checked
+    code, out, _ = run(
+        capsys,
+        "rational-invariants",
+        "-f",
+        tubular,
+        "-d",
+        "1,0,0,0,0,0",
+        "--budget",
+        "-1",
+    )
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "InputError"
+
+
+def test_kronecker_pair_defaults_to_the_library_search_budget(
+    capsys, k2, monkeypatch
+):
+    seen = []
+    original = canonical.kronecker_pair
+
+    def spy(source, d, budget=canonical.SEARCH_BUDGET):
+        seen.append(budget)
+        return original(source, d, budget)
+
+    monkeypatch.setattr(canonical, "kronecker_pair", spy)
+    code, _, _ = run(capsys, "kronecker-pair", "-f", k2, "-d", "1,1")
+    assert code == 0
+    code, _, _ = run(
+        capsys, "kronecker-pair", "-f", k2, "-d", "1,1", "--budget", "3"
+    )
+    assert code == 4
+    assert seen == [canonical.SEARCH_BUDGET, 3]
 
 
 def test_invariant_error_exit_5(capsys, tmp_path):

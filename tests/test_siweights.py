@@ -5,7 +5,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from quiverinv.core import (
@@ -16,7 +16,7 @@ from quiverinv.core import (
     kronecker_quiver,
 )
 from quiverinv.errors import BudgetError, InputError, PreconditionError
-from quiverinv import siweights, stability
+from quiverinv import lr, siweights, stability
 
 from oracles import ref_si_dim, si_dim_thin
 
@@ -46,6 +46,10 @@ def brute_partitions(size, rows):
     return out
 
 
+def _fits(lam, width):
+    return all(x <= width for x in lam)
+
+
 def test_partition_helpers_against_brute_force():
     for size in range(7):
         for rows in range(5):
@@ -53,6 +57,13 @@ def test_partition_helpers_against_brute_force():
             got = list(siweights.partitions_bounded(size, rows))
             assert sorted(got) == sorted(want)
             assert siweights.count_partitions(size, rows) == len(want)
+            # a width bound keeps exactly the partitions with no part above
+            # it; a negative width keeps the empty partition alone
+            for width in range(-2, size + 3):
+                got = siweights.partitions_bounded(size, rows, width)
+                assert sorted(got) == sorted(
+                    lam for lam in want if _fits(lam, width)
+                )
 
 
 def test_partition_helpers_agree_on_nonpositive_rows():
@@ -475,24 +486,95 @@ def test_si_dim_walks_one_bundle_flow_per_kronecker_side(
 
 def test_multisets_weigh_ordered_tuples():
     # every ordered p-tuple of partitions falls on exactly one multiset,
-    # and the weight of a multiset is the number of tuples on it
+    # and the weight of a multiset is the number of tuples on it, with or
+    # without a width bound
     for total, p, rows in itertools.product(range(8), range(1, 5), range(4)):
-        ordered = [
-            combo
-            for sizes in itertools.product(range(total + 1), repeat=p)
-            if sum(sizes) == total
-            for combo in itertools.product(
-                *(siweights.partitions_bounded(s, rows) for s in sizes)
+        for width in (None, *range(-1, total + 2)):
+            fits = [
+                [
+                    lam
+                    for lam in siweights.partitions_bounded(s, rows)
+                    if width is None or _fits(lam, width)
+                ]
+                for s in range(total + 1)
+            ]
+            ordered = [
+                combo
+                for sizes in itertools.product(range(total + 1), repeat=p)
+                if sum(sizes) == total
+                for combo in itertools.product(*(fits[s] for s in sizes))
+            ]
+            got = siweights._multisets(total, p, rows, width)
+            parts = [m for _, m in got]
+            assert all(list(m) == sorted(m) and len(m) == p for m in parts)
+            assert len(set(parts)) == len(parts)
+            assert dict((m, w) for w, m in got) == Counter(
+                tuple(sorted(combo)) for combo in ordered
             )
-        ]
-        got = siweights._multisets(total, p, rows)
-        parts = [m for _, m in got]
-        assert all(list(m) == sorted(m) and len(m) == p for m in parts)
-        assert len(set(parts)) == len(parts)
-        assert dict((m, w) for w, m in got) == Counter(
-            tuple(sorted(combo)) for combo in ordered
-        )
-        assert siweights._count_tuples(total, p, rows) == len(ordered)
+            assert sum(w for w, _ in got) == len(ordered)
+            if width is None:
+                assert siweights._count_tuples(total, p, rows) == len(ordered)
+
+
+def test_width_bound_keeps_the_budget_of_unpruned_tuples():
+    # K3 at d = (2, 4), theta = (18, -9): one flow of 36 boxes over three
+    # arrows, 112,651 ordered tuples of partitions with at most 2 rows, of
+    # which the 782 multisets inside the source and sink rectangles are
+    # summed; the budget still prices every tuple
+    dt, th = (2, 4), (18, -9)
+    assert siweights._count_tuples(36, 3, 2) == 112_651
+    assert len(siweights._multisets(36, 3, 2)) == 19_135
+    assert len(siweights._multisets(36, 3, 2, 9)) == 782
+    assert siweights.si_dim(EK3, dt, th) == 2002
+    got = siweights.si_dim(EK3, dt, th, budget=112_651, pivot=False)
+    assert got == 2002
+    with pytest.raises(BudgetError):
+        siweights.si_dim(EK3, dt, th, budget=112_650, pivot=False)
+
+
+@st.composite
+def _rectangle_factors(draw):
+    """(d, w, factors): sorted trimmed factors, most of them cut from the
+    rectangle (w^d) so that the coefficient is often nonzero."""
+    dv = draw(st.integers(1, 3))
+    w = draw(st.integers(0, 4))
+    k = draw(st.integers(0, 6))
+    cuts = sorted(draw(st.lists(st.integers(0, w * dv), min_size=k, max_size=k)))
+    sizes = [b - a for a, b in zip([0] + cuts, cuts + [w * dv])]
+    factors = []
+    for size in sizes:
+        fits = siweights.partitions_bounded(size, dv, w)
+        if fits:
+            factors.append(draw(st.sampled_from(fits)))
+    # sometimes a factor that need not fit, or a size that misses
+    if draw(st.booleans()):
+        stray = siweights.partitions_bounded(draw(st.integers(0, 5)), 4)
+        factors.append(draw(st.sampled_from(stray)))
+    return dv, w, tuple(sorted(factors))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=_rectangle_factors(), heads_first=st.booleans())
+# both halves fold (1)^3 to 2 * (2,1) + (1,1,1): 2 * 2 + 1 * 1 = 5 tableaux
+@example(case=(3, 2, ((1,),) * 6), heads_first=False)
+def test_one_sided_vertex_mult_matches_sequential_fold(case, heads_first):
+    # the complement join, read under either side's cache key, against
+    # the public fold of every factor at the rectangle
+    dv, w, factors = case
+    rect = (w,) * dv if w else ()
+    want = lr.tensor_fold(factors, dv, rect).get(rect, 0)
+    siweights.clear_caches()
+    calls = [
+        lambda: siweights._vertex_mult(dv, w, factors, ()),
+        lambda: siweights._vertex_mult(dv, -w, (), factors),
+    ]
+    if heads_first:
+        calls.reverse()
+    assert [call() for call in calls] == [want, want]
+    # a one-sided vertex never takes the determinant's other sign
+    if w:
+        assert siweights._vertex_mult(dv, -w, factors, ()) == 0
+        assert siweights._vertex_mult(dv, w, (), factors) == 0
 
 
 @pytest.mark.parametrize(
