@@ -19,7 +19,6 @@ from .core import EulerMatrix, classify_path_algebra, null_root, parse_quiver
 from .errors import InputError, QuiverInvError
 from .generic import (
     BOX_LIMIT,
-    DEFAULT_SEED,
     canonical_decomposition,
     is_schur_root,
     root_class,
@@ -157,8 +156,6 @@ def _run_command(args):
         echo["source"] = source.describe()
     if args.budget is not None:
         echo["budget"] = args.budget
-    if args.seed != DEFAULT_SEED:
-        echo["seed"] = args.seed
 
     def budget(default):
         """--budget when given, else the library default of the command."""
@@ -489,7 +486,6 @@ def _build_parser():
         action="append",
         help="dimension vector with optional :multiplicity; repeatable",
     )
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     parser.add_argument("--budget", type=int, default=None)
     parser.add_argument("--json-pretty", action="store_true")
     parser.add_argument(

@@ -165,6 +165,12 @@ class QuiverPlan(NamedTuple):
     fundamental cycle, so that each unit of t adds them to the tree flows.
     ``closing`` is the part of ``row`` on tree bundles that no later cycle
     touches.  All of these are empty when the quiver has an oriented cycle.
+
+    The last three fields memoise the Schofield recursion of
+    :mod:`quiverinv.generic` on the plan's matrix, keyed by the int-tuple
+    dimension vector alone: its generic subdimension vectors, the rows
+    that ext reads off them, and its canonical decomposition.  They start
+    empty and are freed with the matrix.
     """
 
     acyclic: bool
@@ -174,6 +180,9 @@ class QuiverPlan(NamedTuple):
     components: tuple
     tree: tuple
     cycles: tuple
+    subdims: dict
+    rows: dict
+    candecomp: dict
 
 
 def _spanning_forest(n, bundles, tails, heads):
@@ -262,10 +271,12 @@ class EulerMatrix:
     as index tuples, its bundles of parallel arrows, the bundle incidence at
     each vertex and a spanning forest of the bundles that turns a supply
     into flows (see :class:`QuiverPlan`).  It is built on first use and then
-    kept, so matrices that never reach a kernel never pay for it.  Instances
-    are immutable and safe to share across threads: the plan depends on the
-    quiver alone, so threads racing to build it build equal plans and either
-    one serves.
+    kept, so matrices that never reach a kernel never pay for it.  The plan
+    also memoises the Schofield recursion's results for this matrix, one
+    entry per dimension vector, and they are freed with it.  Instances are
+    safe to share across threads: the plan and each memo entry depend on the
+    matrix and the vector alone, so threads racing to build the plan or to
+    fill an entry compute equal values and either one serves.
     """
 
     def __init__(self, source):
@@ -306,7 +317,7 @@ class EulerMatrix:
     def plan(self):
         _, acyclic = self.quiver._kahn()
         if not acyclic:
-            return QuiverPlan(False, (), (), (), (), (), ())
+            return QuiverPlan(False, (), (), (), (), (), (), {}, {}, {})
         idx = self.index
         mult = {}
         for _, t, h in self.quiver.arrows:
@@ -330,7 +341,7 @@ class EulerMatrix:
             for k in tails[v] or heads[v]
         )
         forest = _spanning_forest(self.n, bundles, tails, heads)
-        return QuiverPlan(True, bundles, incidence, ends, *forest)
+        return QuiverPlan(True, bundles, incidence, ends, *forest, {}, {}, {})
 
     def tup(self, vec):
         """Coerce a dict keyed by vertex id, or a sequence in sorted vertex

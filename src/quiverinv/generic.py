@@ -12,11 +12,11 @@ where a' is a generic subdimension vector of a exactly when
 ``ext(a', a - a') = 0``.  So each vector a is kept as the rows
 ``<a', -> = a' M`` of its nonzero generic subdimension vectors: ext(a, b) = 0
 exactly when every row is nonnegative on b, a test that stops at the first
-negative row.  Per process and per Euler matrix, the caches hold the
+negative row.  On the matrix's plan, freed with it, the caches hold the
 subdimension vectors and the rows of each vector met, and the canonical
 decomposition of each vector asked for; nothing is cached per pair.
-``box_limit`` bounds the recursion's total work from a cold cache: the
-points of the subdimension boxes of all v <= d.
+``box_limit`` bounds the recursion's total work from a cold cache, as on a
+fresh matrix: the points of the subdimension boxes of all v <= d.
 """
 
 import itertools
@@ -33,7 +33,6 @@ from .errors import (
     InvariantError,
     PreconditionError,
     as_budget,
-    as_int,
 )
 from .linalg import matvec, rank, vecmat
 
@@ -88,26 +87,6 @@ def random_representation(quiver, d, rng=None, pool=SAMPLE_POOL):
             tuple(rng.choice(pool) for _ in range(dims[tail]))
             for _ in range(dims[head])
         )
-    return Representation(quiver, dims, matrices)
-
-
-def rep_to_json(rep):
-    """JSON-ready dict; rational entries become 'p/q' strings."""
-    return {
-        "dimension": {v: rep.dim[v] for v in sorted(rep.dim)},
-        "matrices": {
-            aid: [[str(Fraction(x)) for x in row] for row in mat]
-            for aid, mat in sorted(rep.matrices.items())
-        },
-    }
-
-
-def rep_from_json(quiver, data):
-    dims = {v: as_int(x, "dimension") for v, x in data["dimension"].items()}
-    matrices = {
-        aid: tuple(tuple(Fraction(x) for x in row) for row in mat)
-        for aid, mat in data["matrices"].items()
-    }
     return Representation(quiver, dims, matrices)
 
 
@@ -166,25 +145,15 @@ def hom_ext_sampled(quiver, a, b, trials=20, seed=DEFAULT_SEED):
 # ---------------------------------------------------------------------------
 # Schofield recursion
 
-_SUBDIMS_CACHE = {}
-_ROWS_CACHE = {}
-_CANDECOMP_CACHE = {}
-
-
-def clear_caches():
-    _SUBDIMS_CACHE.clear()
-    _ROWS_CACHE.clear()
-    _CANDECOMP_CACHE.clear()
-
-
 def _dimension_vectors(euler, box_limit, d, *others):
     """The one check of a public call: a hereditary algebra, nonnegative
     integral vectors, a nonnegative integral ``box_limit``, and recursion
     work for ``d`` within it.
 
-    From a cold cache the recursion scans the subdimension box of every
-    v <= d, which is prod((d_i + 1)(d_i + 2) / 2) points in all; that total,
-    not the box of ``d`` alone, is what ``box_limit`` bounds.
+    From a cold cache (a fresh matrix) the recursion scans the subdimension
+    box of every v <= d, which is prod((d_i + 1)(d_i + 2) / 2) points in
+    all; that total, not the box of ``d`` alone, is what ``box_limit``
+    bounds.
 
     Returns the vectors as int tuples in sorted vertex order; everything
     below the public functions takes those tuples as they are.
@@ -216,8 +185,8 @@ def generic_subdims(euler, d, box_limit=BOX_LIMIT):
 
 
 def _subdims(euler, dt):
-    key = (euler.key, dt)
-    cached = _SUBDIMS_CACHE.get(key)
+    cache = euler.plan.subdims
+    cached = cache.get(dt)
     if cached is not None:
         return cached
     # product runs in lexicographic order, so the result comes out sorted
@@ -226,7 +195,7 @@ def _subdims(euler, dt):
         for sub in itertools.product(*(range(x + 1) for x in dt))
         if _ext_vanishes(euler, sub, tuple(map(minus, dt, sub)))
     )
-    _SUBDIMS_CACHE[key] = result
+    cache[dt] = result
     return result
 
 
@@ -240,8 +209,8 @@ def _rows(euler, at):
     invertible, so rows share a direction only when their betas do, and the
     first one seen is the largest multiple, the one the minimum needs.
     """
-    key = (euler.key, at)
-    rows = _ROWS_CACHE.get(key)
+    cache = euler.plan.rows
+    rows = cache.get(at)
     if rows is None:
         columns = tuple(zip(*euler.matrix))
         by_direction = {}
@@ -251,7 +220,7 @@ def _rows(euler, at):
                 g = math.gcd(*row)
                 by_direction.setdefault(tuple(x // g for x in row), row)
         rows = tuple(by_direction.values())
-        _ROWS_CACHE[key] = rows
+        cache[at] = rows
     return rows
 
 
@@ -358,13 +327,13 @@ def canonical_decomposition(euler, d, box_limit=BOX_LIMIT):
 def _candecomp_tuple(euler, dt):
     if not any(dt):
         return ()
-    key = (euler.key, dt)
-    cached = _CANDECOMP_CACHE.get(key)
+    cache = euler.plan.candecomp
+    cached = cache.get(dt)
     if cached is not None:
         return cached
     if _is_schur(euler, dt):
         result = ((dt, 1),)
-        _CANDECOMP_CACHE[key] = result
+        cache[dt] = result
         return result
     result = None
     for sub in _subdims(euler, dt):
@@ -378,7 +347,7 @@ def _candecomp_tuple(euler, dt):
             break
     if result is None:
         raise InvariantError("non-Schur vector admits no generic splitting")
-    _CANDECOMP_CACHE[key] = result
+    cache[dt] = result
     return result
 
 

@@ -660,33 +660,19 @@ class PolynomialityResult:
     second: tuple
 
 
-def _fit_degree(values):
-    """Smallest k with all (k+1)-th forward differences zero, or None."""
+def _pin_polynomial(values):
+    """Minimal polynomial degree consistent with the samples, plus the
+    constant top difference.  (None, None) when the difference table never
+    flattens before running out of entries, i.e. the samples do not pin a
+    degree."""
     level = list(values)
-    k = 0
-    while any(level):
-        nxt = [b - a for a, b in zip(level, level[1:])]
-        if not nxt:
-            return None
-        level = nxt
-        k += 1
-    return max(k - 1, 0)
-
-
-def _newton_eval(values, degree, n):
-    """Evaluate the forward-difference interpolant of the value prefix."""
-    level = list(values[: degree + 1])
-    coeffs = []
-    while level:
-        coeffs.append(level[0])
+    degree = 0
+    while len(level) >= 2:
+        if all(v == level[0] for v in level):
+            return degree, level[0]
         level = [b - a for a, b in zip(level, level[1:])]
-    total = 0
-    binom = 1
-    for k, c in enumerate(coeffs):
-        if k:
-            binom = binom * (n - k + 1) // k
-        total += c * binom
-    return total
+        degree += 1
+    return None, None
 
 
 def polynomiality_check(euler, d, e, n_max, budget=DEFAULT_BUDGET):
@@ -694,9 +680,10 @@ def polynomiality_check(euler, d, e, n_max, budget=DEFAULT_BUDGET):
 
     The fit must be pinned by the data: the difference table has to bottom
     out strictly before the last column, otherwise the sample proves nothing
-    and the call is rejected.  A fitted polynomial that misses a sample, or
-    a constant term other than 1, is reported as violated (neither can occur
-    unless the enumeration itself is broken).
+    and the call is rejected.  A pinned degree k meets every sample, since
+    all (k+1)-th differences vanish; a constant term other than 1 is
+    reported as violated at 0 (which cannot occur unless the enumeration
+    itself is broken).
     """
     dt, et = _dimension_vectors(euler, d, e)
     n_max = as_int(n_max, "n_max")
@@ -717,29 +704,13 @@ def polynomiality_check(euler, d, e, n_max, budget=DEFAULT_BUDGET):
         _si_dim(euler, dt, d_layout, tuple(n * t for t in wr), budget)
         for n in range(n_max + 1)
     )
-    degrees = []
-    for values in (first, second):
-        deg = _fit_degree(values)
-        if deg is None:
-            raise PreconditionError(
-                f"n_max={n_max} leaves the interpolating degree unpinned"
-            )
-        degrees.append(deg)
-
-    def check(values, deg):
-        if values[0] != 1:
-            return 0
-        for n, v in enumerate(values):
-            if _newton_eval(values, deg, n) != v:
-                return n
-        return None
-
-    for values, deg in ((first, degrees[0]), (second, degrees[1])):
-        bad = check(values, deg)
-        if bad is not None:
-            return PolynomialityResult(
-                "violated", None, None, bad, first, second
-            )
+    degrees = tuple(_pin_polynomial(values)[0] for values in (first, second))
+    if None in degrees:
+        raise PreconditionError(
+            f"n_max={n_max} leaves the interpolating degree unpinned"
+        )
+    if first[0] != 1 or second[0] != 1:
+        return PolynomialityResult("violated", None, None, 0, first, second)
     return PolynomialityResult(
         "ok", degrees[0], degrees[1], None, first, second
     )

@@ -258,21 +258,6 @@ def _binom_poly(q, m, n):
     return out
 
 
-def _pin_polynomial(values):
-    """Minimal polynomial degree consistent with the samples, plus the
-    constant top difference.  (None, None) when the difference table never
-    flattens before running out of entries, i.e. the samples do not pin a
-    degree."""
-    level = [Fraction(v) for v in values]
-    degree = 0
-    while len(level) >= 2:
-        if all(v == level[0] for v in level):
-            return degree, level[0]
-        level = [b - a for a, b in zip(level, level[1:])]
-        degree += 1
-    return None, None
-
-
 def projective_space_verdict(
     euler, d, theta, n_max, budget=siweights.DEFAULT_BUDGET
 ):
@@ -284,6 +269,9 @@ def projective_space_verdict(
     from exact finite differences and verified against all samples.  When
     the difference table is not pinned by n_max samples the verdict is
     inconclusive rather than guessed.
+
+    ``budget`` bounds only the ``si_table`` ray; the semistability test
+    before it runs at the default ``box_limit`` of ``BOX_LIMIT`` (10^7).
     """
     n_max = as_int(n_max, "n_max")
     if n_max < 1:
@@ -303,7 +291,7 @@ def projective_space_verdict(
         return PSpaceVerdict("not_projective_space", None, None)
     if all(v == 1 for v in dims):
         return PSpaceVerdict("is_P_m", 0, Fraction(0))
-    m, top = _pin_polynomial(dims)
+    m, top = siweights._pin_polynomial(dims)
     if m is None:
         return PSpaceVerdict("inconclusive", None, None)
     q = _rational_root(top, m)

@@ -252,6 +252,14 @@ def test_unknown_command_exits_argparse(capsys, k2):
     assert info.value.code == 2
 
 
+def test_seed_flag_is_a_usage_error(capsys, k2):
+    # no command draws random numbers, so there is no seed to pass
+    with pytest.raises(SystemExit) as info:
+        cli.main(["candecomp", "-f", k2, "-d", "3,1", "--seed", "5"])
+    assert info.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
 def test_wrong_source_kind(capsys, k2, tubular):
     code, out, _ = run(capsys, "canonical-info", "-f", k2)
     assert code == 2

@@ -20,8 +20,6 @@ from quiverinv.generic import (
     hom_ext_sampled,
     is_schur_root,
     random_representation,
-    rep_from_json,
-    rep_to_json,
     root_class,
 )
 from quiverinv.stability import is_semistable_generic, is_stable_generic
@@ -86,22 +84,6 @@ def test_representation_shape_validation():
         Representation(
             K2, {"v1": 1, "v2": 1}, {"a1": ((1, 2),), "a2": ((1,),)}
         )
-
-
-def test_rep_json_round_trip():
-    rng = random.Random(9)
-    v = random_representation(A3, (2, 1, 2), rng)
-    back = rep_from_json(A3, rep_to_json(v))
-    assert back.dim == v.dim
-    assert back.matrices == v.matrices
-
-
-def test_rep_from_json_rejects_fractional_dimension():
-    # truncating 2.5 to 2 would accept the 2 x 1 matrices as they stand
-    data = rep_to_json(random_representation(A3, (2, 1, 2), random.Random(9)))
-    data["dimension"]["v1"] = 2.5
-    with pytest.raises(InputError):
-        rep_from_json(A3, data)
 
 
 def test_generic_hom_ext_examples():
@@ -331,25 +313,34 @@ def test_schofield_recursion_matches_reference(quiver, max_total):
     check()
 
 
-def test_clear_caches_empties_every_module_cache():
-    canonical_decomposition(EulerMatrix(K3), (3, 4))
-    caches = {
-        name: value
+def test_recursion_caches_live_on_the_matrix_plan():
+    # no module-level cache outlives a matrix; an equal matrix starts empty
+    assert not any(
+        isinstance(value, dict) and not name.startswith("__")
         for name, value in vars(generic).items()
-        if isinstance(value, dict) and not name.startswith("__")
-    }
-    assert len(caches) >= 3 and all(caches.values())
-    generic.clear_caches()
-    assert {name: len(c) for name, c in caches.items() if c} == {}
+    )
+    first = EulerMatrix(K3)
+    answer = canonical_decomposition(first, (3, 4))
+    assert first.plan.subdims and first.plan.rows and first.plan.candecomp
+    second = EulerMatrix(K3)
+    assert second == first
+    plan = second.plan
+    assert (plan.subdims, plan.rows, plan.candecomp) == ({}, {}, {})
+    assert canonical_decomposition(second, (3, 4)) == answer
+    assert generic_subdims(second, (3, 4)) == generic_subdims(first, (3, 4))
+    assert plan.subdims == first.plan.subdims
 
 
 def test_recursion_caches_one_entry_per_vector():
     # rows are kept per vector, next to its subdimension vectors; no cache
     # keyed by a pair of vectors is left to grow with the square of the box
-    generic.clear_caches()
     euler = EulerMatrix(K3)
     canonical_decomposition(euler, (6, 9))
-    rows, subdims = generic._ROWS_CACHE, generic._SUBDIMS_CACHE
+    rows, subdims = euler.plan.rows, euler.plan.subdims
     assert 0 < len(rows) <= len(subdims)
     assert set(rows) <= set(subdims)
-    assert {key[0] for key in subdims} == {euler.key}
+    keys = set(subdims) | set(euler.plan.candecomp)
+    assert all(
+        type(key) is tuple and len(key) == euler.n and all(type(x) is int for x in key)
+        for key in keys
+    )
