@@ -202,7 +202,7 @@ def isotropic_hull(algebra, dprime):
     orbit = [dt]
     x = dt
     for _ in range(m):
-        x = tuple(linalg.matvec(phi, x))
+        x = linalg.matvec(phi, x)
         if x == dt:
             break
         orbit.append(x)
@@ -220,7 +220,7 @@ def isotropic_hull(algebra, dprime):
         raise InvariantError(f"orbit sum {total} is not a positive vector")
     g = math.gcd(*total)
     iso = tuple(v // g for v in total)
-    if tuple(linalg.matvec(phi, iso)) != iso or algebra.euler.tits(iso) != 0:
+    if linalg.matvec(phi, iso) != iso or algebra.euler.tits(iso) != 0:
         raise InvariantError(f"hull {iso} is not a Coxeter-fixed isotropic")
     return iso
 
@@ -239,11 +239,12 @@ def riemann_roch_check(algebra, d, e):
     et = algebra.tup(e)
     phi = coxeter_matrix(algebra)
     m = algebra.m_lcm
+    w = linalg.matvec(algebra.euler.matrix, et)  # <x, e> = x . w
     lhs = 0
     x = dt
     for _ in range(m):
-        lhs += algebra.euler.euler(x, et)
-        x = tuple(linalg.matvec(phi, x))
+        lhs += sum(a * b for a, b in zip(x, w))
+        x = linalg.matvec(phi, x)
     g = virtual_genus(algebra)
     rk_d, deg_d = rank_degree(algebra, dt)
     rk_e, deg_e = rank_degree(algebra, et)
@@ -259,6 +260,13 @@ class KroneckerPair:
 
     d1: tuple
     d2: tuple
+
+
+def _form(matrix, x, y):
+    """<x, y> = x^T E y for int tuples x, y, already checked by the caller."""
+    return sum(
+        a * sum(e * b for e, b in zip(row, y)) for a, row in zip(x, matrix) if a
+    )
 
 
 def _euler_form_of(source):
@@ -288,7 +296,7 @@ def kronecker_pair(source, d, budget=SEARCH_BUDGET):
     if isinstance(source, CanonicalAlgebra):
         if classify_canonical(source) == "tubular":
             phi = coxeter_matrix(source)
-            if tuple(linalg.matvec(phi, dt)) != dt:
+            if linalg.matvec(phi, dt) != dt:
                 raise PreconditionError(
                     "tubular isotropic candidates must be Coxeter-fixed"
                 )
@@ -297,16 +305,17 @@ def kronecker_pair(source, d, budget=SEARCH_BUDGET):
         box *= v + 1
     if box > budget:
         raise BudgetError("Kronecker search box", budget)
+    m = euler.matrix
     for d1 in itertools.product(*(range(v + 1) for v in dt)):
         if not any(d1) or d1 == dt:
             continue
-        if euler.tits(d1) != 1:
+        if _form(m, d1, d1) != 1:
             continue
         d2 = tuple(a - b for a, b in zip(dt, d1))
         if (
-            euler.tits(d2) == 1
-            and euler.euler(d1, d2) == 0
-            and euler.euler(d2, d1) == -2
+            _form(m, d2, d2) == 1
+            and _form(m, d1, d2) == 0
+            and _form(m, d2, d1) == -2
         ):
             return KroneckerPair(d1, d2)
     raise InvariantError(f"no Kronecker pair below {dt} despite q(d) = 0")

@@ -4,13 +4,14 @@ Everything in this package that looks like numerical linear algebra is done
 here, exactly.  Matrices are sequences of equal-length rows with ``int`` or
 ``Fraction`` entries; results come back as tuples.  Sizes are tiny (vertex
 counts of quivers, representation dimensions), so the simple cubic
-algorithms below are the right tool: echelon forms for rank, kernels and
-inverses, Bareiss elimination for determinants, and a symmetric LDL^T
-elimination for the signature of a Tits form.
+algorithms below are the right tool: echelon forms for rank and kernels,
+and fraction-free Bareiss elimination on Python ints for determinants,
+inverses and the signature of a Tits form.  The Bareiss routines first
+scale rational input to integers by the lcm of its denominators.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import InputError, InvariantError
 
@@ -155,9 +156,68 @@ def transpose(a):
     return tuple(zip(*a))
 
 
-def det(matrix):
-    """Determinant by fraction-free Bareiss elimination (integer entries)."""
+def _square_integer_rows(matrix):
+    """The rows of a square matrix as lists of ints, scaled by the positive
+    lcm L of the denominators of its entries, together with L.  A
+    non-square or ragged matrix raises ``InputError``."""
     rows = _as_rows(matrix)
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise InputError("expected a square matrix")
+    if all(type(x) is int for row in rows for x in row):
+        return rows, 1
+    fracs = [[Fraction(x) for x in row] for row in rows]
+    scale = lcm(*(x.denominator for row in fracs for x in row))
+    return [[int(x * scale) for x in row] for row in fracs], scale
+
+
+def _adjugate(rows):
+    """``(det M, adj M)`` of a square integer matrix M, given as a list of
+    row lists that it consumes, by fraction-free (Bareiss) Gauss-Jordan
+    elimination on ``[M | I]``.
+
+    Each step multiplies every other row by the pivot, subtracts a multiple
+    of the pivot row and divides exactly by the previous pivot, so every
+    entry stays an integer (a minor of M).  A zero pivot is swapped with a
+    nonzero one below it; a singular M raises ``InvariantError``.  The
+    elimination ends at ``[D I | D (PM)^-1]`` for the row-swapped matrix PM
+    of determinant D.  It runs in place: step k clears column k of the left
+    block as column k of the right block first leaves the identity, so that
+    column holds the right block's from then on.  The swaps are undone on
+    the columns at the end, since M^-1 = (PM)^-1 P.
+    """
+    n = len(rows)
+    swaps = []
+    prev = 1
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if rows[i][k]), None)
+        if pivot is None:
+            raise InvariantError("matrix is singular")
+        if pivot != k:
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            swaps.append((k, pivot))
+        top = rows[k]
+        p = top[k]
+        for i in range(n):
+            if i != k:
+                f = rows[i][k]
+                row = [(p * x - f * y) // prev for x, y in zip(rows[i], top)]
+                row[k] = -f
+                rows[i] = row
+        top[k] = prev
+        prev = p
+    for k, pivot in reversed(swaps):
+        for row in rows:
+            row[k], row[pivot] = row[pivot], row[k]
+    sign = (-1) ** len(swaps)
+    return sign * prev, [[sign * x for x in row] for row in rows]
+
+
+def det(matrix):
+    """Exact determinant by fraction-free Bareiss elimination: an ``int``
+    when every entry is integral, else a ``Fraction``.  A non-square matrix
+    raises ``InputError``."""
+    rows, scale = _square_integer_rows(matrix)
     n = len(rows)
     if n == 0:
         return 1
@@ -179,34 +239,30 @@ def det(matrix):
                 rows[i][j] = (rows[i][j] * rows[k][k] - rows[i][k] * rows[k][j]) // prev
             rows[i][k] = 0
         prev = rows[k][k]
-    return sign * rows[n - 1][n - 1]
+    d = sign * rows[n - 1][n - 1]
+    return d if scale == 1 else Fraction(d, scale ** n)
 
 
 def inverse(matrix):
-    """Exact inverse over Fraction (raises if singular)."""
-    n = len(matrix)
-    aug = [
-        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-        for i, row in enumerate(matrix)
-    ]
-    rows, pivots = rref(aug)
-    if pivots[:n] != list(range(n)):
-        raise InvariantError("matrix is singular")
-    return tuple(tuple(row[n:]) for row in rows[:n])
+    """Exact inverse over Fraction, adj M / det M from the Bareiss
+    elimination.  A singular matrix raises ``InvariantError``, a non-square
+    one ``InputError``."""
+    rows, scale = _square_integer_rows(matrix)
+    d, adj = _adjugate(rows)
+    return tuple(tuple(Fraction(scale * x, d) for x in row) for row in adj)
 
 
 def int_inverse(matrix):
-    """Inverse of a unimodular integer matrix, as integers."""
-    inv = inverse(matrix)
-    out = []
-    for row in inv:
-        irow = []
-        for x in row:
-            if x.denominator != 1:
-                raise InvariantError("matrix is not unimodular")
-            irow.append(int(x))
-        out.append(tuple(irow))
-    return tuple(out)
+    """Inverse of a unimodular integer matrix, as integers: adj M / det M,
+    which is integral exactly when det M = +-1.  Any other matrix raises
+    ``InvariantError`` (a rational one only when its inverse is not
+    integral), a non-square one ``InputError``."""
+    rows, scale = _square_integer_rows(matrix)
+    d, adj = _adjugate(rows)
+    inv = [[scale * x for x in row] for row in adj]
+    if any(x % d for row in inv for x in row):
+        raise InvariantError("matrix is not unimodular")
+    return tuple(tuple(x // d for x in row) for row in inv)
 
 
 def symmetric_signature(matrix):
@@ -214,20 +270,22 @@ def symmetric_signature(matrix):
     ``positive_definite``, ``positive_semidefinite`` (singular), or
     ``indefinite``, together with the corank (``None`` when indefinite).
 
-    One symmetric elimination S = L D L^T over Fraction, in order and without
-    pivoting, on the upper triangle.  A negative pivot makes S indefinite.  A
-    zero pivot whose remaining row is nonzero does too, since the principal
-    minor [[0, b], [b, c]] has determinant -b^2 < 0.  A zero pivot whose
-    remaining row is zero adds one to the corank.  A non-square or
-    non-symmetric matrix raises ``InputError``.
+    One symmetric Bareiss elimination on the upper triangle of S, scaled to
+    integers by a positive factor, in order and without pivoting.  Each
+    step divides exactly by the previous nonzero pivot, so a pivot is the
+    principal minor on its own row and the earlier pivot rows, and has the
+    sign of the matching pivot of S = L D L^T.  A negative pivot makes S
+    indefinite.  A zero pivot whose remaining row is nonzero does too,
+    since the principal minor [[0, b], [b, c]] has determinant -b^2 < 0.  A
+    zero pivot whose remaining row is zero adds one to the corank.  A
+    non-square or non-symmetric matrix raises ``InputError``.
     """
-    n = len(matrix)
-    if any(len(row) != n for row in matrix):
-        raise InputError("signature needs a square matrix")
-    if any(matrix[i][j] != matrix[j][i] for i in range(n) for j in range(i)):
+    a, _ = _square_integer_rows(matrix)
+    n = len(a)
+    if any(a[i][j] != a[j][i] for i in range(n) for j in range(i)):
         raise InputError("signature needs a symmetric matrix")
-    a = [[Fraction(x) for x in row] for row in matrix]
     corank = 0
+    prev = 1
     for k in range(n):
         row = a[k]
         p = row[k]
@@ -239,11 +297,10 @@ def symmetric_signature(matrix):
             corank += 1
             continue
         for i in range(k + 1, n):
-            f = row[i] / p
-            if f:
-                below = a[i]
-                for j in range(i, n):
-                    below[j] -= f * row[j]
+            f = row[i]
+            below = a[i]
+            below[i:] = [(p * x - f * y) // prev for x, y in zip(below[i:], row[i:])]
+        prev = p
     if corank == 0:
         return "positive_definite", 0
     return "positive_semidefinite", corank

@@ -407,12 +407,13 @@ PIVOT_THRESHOLD = 10_000
 
 
 def _pivot_vector(euler, theta):
-    """The e with theta = -<-, e>, when it is a genuine dimension vector."""
-    inv = linalg.inverse(euler.matrix)
-    e = linalg.matvec(inv, tuple(-t for t in theta))
-    if any(x.denominator != 1 or x < 0 for x in e):
+    """The e with theta = -<-, e>, when it is a genuine dimension vector.
+    The Euler matrix of an acyclic path algebra is unitriangular in a
+    topological order, so its inverse is integral and e is too."""
+    e = linalg.matvec(linalg.int_inverse(euler.matrix), tuple(-t for t in theta))
+    if any(x < 0 for x in e):
         return None
-    return tuple(int(x) for x in e)
+    return e
 
 
 def _layout(plan, dt):

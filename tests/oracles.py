@@ -8,7 +8,8 @@ field, thin semi-invariant dimensions by torus character counts,
 canonical decompositions by exhaustive multiset search, the Schofield
 recursion by a plain copy of its first implementation that reads nothing
 of the Euler matrix but ``euler.matrix``, the signature of a symmetric
-matrix by the sign pattern of its characteristic polynomial, and
+matrix by the sign pattern of its characteristic polynomial, inverses
+by Gauss-Jordan elimination over Fraction, and
 semi-invariant dimensions by a copy of the first two-walk ``si_dim`` over
 every ordered partition tuple, with vertex multiplicities read off
 sequential ``lr.tensor_fold`` products.
@@ -20,6 +21,7 @@ from fractions import Fraction
 
 from quiverinv import linalg
 from quiverinv.core import EulerMatrix
+from quiverinv.errors import InvariantError
 from quiverinv.generic import ext_generic, is_schur_root
 
 
@@ -550,6 +552,51 @@ def _ref_candecomp(euler, dt):
 
 
 # ---------------------------------------------------------------------------
+# Inverse by Gauss-Jordan over Fraction
+#
+# The library's first inverse: reduce [M | I] to reduced row echelon form,
+# dividing each pivot row by its pivot, with every entry a Fraction.
+
+
+def _ref_gauss_jordan(matrix):
+    """(det M, M^-1) over Fraction, or (0, None) when M is singular."""
+    n = len(matrix)
+    rows = [
+        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+        for i, row in enumerate(matrix)
+    ]
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((i for i in range(col, n) if rows[i][col]), None)
+        if pivot is None:
+            return Fraction(0), None
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            det = -det
+        p = rows[col][col]
+        det *= p
+        rows[col] = [x / p for x in rows[col]]
+        for i in range(n):
+            if i != col and rows[i][col]:
+                q = rows[i][col]
+                rows[i] = [a - q * b for a, b in zip(rows[i], rows[col])]
+    return det, tuple(tuple(row[n:]) for row in rows)
+
+
+def ref_inverse(matrix):
+    """Exact inverse over Fraction; a singular matrix raises InvariantError."""
+    _, inv = _ref_gauss_jordan(matrix)
+    if inv is None:
+        raise InvariantError("matrix is singular")
+    return inv
+
+
+def ref_det(matrix):
+    """The determinant, as the signed product of the Gauss-Jordan pivots."""
+    return _ref_gauss_jordan(matrix)[0]
+
+
+# ---------------------------------------------------------------------------
 # Signature by the characteristic polynomial
 #
 # The library's first signature: Faddeev-LeVerrier over Fraction, then the
@@ -792,7 +839,7 @@ def ref_si_dim(euler, dt, th, budget, pivot=True):
         return 0
     cost = _ref_si_cost(euler, dt, th, budget)
     if pivot and (cost > budget or cost > PIVOT_THRESHOLD):
-        inv = linalg.inverse(euler.matrix)
+        inv = ref_inverse(euler.matrix)
         e = linalg.matvec(inv, tuple(-t for t in th))
         if all(x.denominator == 1 and x >= 0 for x in e):
             e = tuple(int(x) for x in e)

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import ref_inverse
 from quiverinv import canonical as can
 from quiverinv import linalg
 from quiverinv.core import EulerMatrix, euclidean_quiver, kronecker_quiver, null_root
@@ -232,6 +233,33 @@ def test_riemann_roch_random():
             d = tuple(rng.randrange(0, 4) for _ in range(n))
             e = tuple(rng.randrange(0, 4) for _ in range(n))
             assert can.riemann_roch_check(algebra, d, e).status == "ok"
+
+
+# The AC10 weight tuples (n in {3, 4}, weights 2..7) with at most 12
+# vertices: the tuples the genus_scan benchmark workload scans.
+SCAN_WEIGHTS = [
+    w
+    for n in (3, 4)
+    for w in itertools.combinations_with_replacement(range(7, 1, -1), n)
+    if 2 + sum(m - 1 for m in w) <= 12
+]
+
+
+def test_coxeter_and_riemann_roch_against_gauss_jordan_inverse():
+    rng = random.Random(29)
+    for weights in SCAN_WEIGHTS:
+        algebra = can.build_canonical(weights, (1, 2)[: len(weights) - 2])
+        m = algebra.euler.matrix
+        expected = tuple(
+            tuple(-x for x in row)
+            for row in linalg.matmul(ref_inverse(m), linalg.transpose(m))
+        )
+        assert can.coxeter_matrix(algebra) == expected, weights
+        n = algebra.euler.n
+        for _ in range(3):
+            d = tuple(rng.randrange(0, 4) for _ in range(n))
+            e = tuple(rng.randrange(-3, 4) for _ in range(n))
+            assert can.riemann_roch_check(algebra, d, e).status == "ok", weights
 
 
 def test_kronecker_pair_euclidean():
