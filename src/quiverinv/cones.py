@@ -171,13 +171,22 @@ class ConeDescription:
     facets: tuple
 
     def contains(self, point):
+        """Whether ``point`` lies in the cone; a point of any length other
+        than the ambient dimension ``n`` is an ``InputError``."""
         point = tuple(point)
+        if len(point) != self.n:
+            raise InputError(
+                f"point length {len(point)} does not match dimension {self.n}"
+            )
         return all(_dot(e, point) == 0 for e in self.equalities) and all(
             _dot(b, point) <= 0 for b in self.inequalities
         )
 
     def same_cone(self, other):
-        """Exact set equality, checked generator-against-constraints."""
+        """Exact set equality, checked generator-against-constraints; cones
+        in spaces of different dimensions are never equal."""
+        if self.n != other.n:
+            return False
         mine = [x for l in self.lineality for x in (l, tuple(-y for y in l))]
         mine += list(self.rays)
         theirs = [

@@ -93,27 +93,22 @@ class Quiver:
         return len(seen) == len(self.vertices)
 
 
-def _paths_of_length_two_or_more(quiver):
-    """Set of (i, j) joined by some path of length >= 2."""
-    verts = quiver.order
-    idx = {v: i for i, v in enumerate(verts)}
-    n = len(verts)
-    adj = [[False] * n for _ in range(n)]
+def _has_long_path(quiver, i, j):
+    """Whether some path of length >= 2 runs from i to j: a search for j
+    from the heads of the arrows out of i, one arrow at a time."""
+    heads = {}
     for _, t, h in quiver.arrows:
-        adj[idx[t]][idx[h]] = True
-    closure = [row[:] for row in adj]
-    for k in range(n):
-        for i in range(n):
-            if closure[i][k]:
-                for j in range(n):
-                    if closure[k][j]:
-                        closure[i][j] = True
-    out = set()
-    for i in range(n):
-        for j in range(n):
-            if any(adj[i][k] and closure[k][j] for k in range(n)):
-                out.add((verts[i], verts[j]))
-    return out
+        heads.setdefault(t, []).append(h)
+    todo = list(heads.get(i, ()))
+    seen = set(todo)
+    while todo:
+        for w in heads.get(todo.pop(), ()):
+            if w == j:
+                return True
+            if w not in seen:
+                seen.add(w)
+                todo.append(w)
+    return False
 
 
 @dataclass(frozen=True)
@@ -129,11 +124,10 @@ class BoundQuiver:
     relation_counts: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        allowed = _paths_of_length_two_or_more(self.quiver)
         for (i, j), r in self.relation_counts.items():
             if r < 0:
                 raise InputError("negative relation count")
-            if r > 0 and (i, j) not in allowed:
+            if r > 0 and not _has_long_path(self.quiver, i, j):
                 raise InputError(
                     f"relation count on ({i}, {j}) without a path of length >= 2"
                 )

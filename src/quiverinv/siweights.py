@@ -51,6 +51,15 @@ partition list is built) and keeps the flows that carry tuples; the Cauchy
 sum then runs over the kept flows only.  Both totals are sums, so neither
 the budget nor the answer depends on the order in which the flows arrive.
 
+Only the support of d matters: if d vanishes off a full subquiver Q',
+SI(Q,d)_theta = SI(Q',d|Q')_{theta|Q'}, and when theta|Q' = 0 that is the
+ring of invariants of GL(d|Q') on rep(Q',d|Q'), which on an acyclic quiver
+is the constants (Derksen-Weyman).  So a weight that vanishes on the
+support of d, n = 0 on every ray among them, has dimension 1 along its
+whole ray with no flow pass and no sum.  The sum would visit one tuple
+there, every partition empty, and that one tuple is still charged: at
+budget 0 such a weight raises BudgetError, as the flow pass would.
+
 What both read of the dimension vector alone (bundle row bounds, parallel
 bundles, the vertex sides and their one-sided ends) is its layout, built
 once per vector: once per call of ``si_dim`` and per side of ``circ``, once
@@ -441,6 +450,20 @@ def _layout(plan, dt):
     return shape, parallel, sides, plan.ends
 
 
+def _constant(dt, th, budget):
+    """1 when ``th`` vanishes on the support of ``dt``, else None.
+
+    Such a weight gives the all-zero supply, hence the zero flow alone and
+    one ordered tuple of empty partitions, whose block is 1; the shortcut
+    keeps that price of one tuple, so budget 0 raises BudgetError.
+    """
+    if any(t for t, x in zip(th, dt) if x):
+        return None
+    if budget < 1:
+        raise BudgetError("semi-invariant partition tuples", budget)
+    return 1
+
+
 def _sized_flows(plan, dt, layout, th, cap):
     """(cost, flows) for the Cauchy sum of dim SI(Q,dt)_th, from one pass
     over the bundle flows; ``layout`` is ``_layout(plan, dt)``.
@@ -481,12 +504,13 @@ def _sized_flows(plan, dt, layout, th, cap):
 def si_dim(euler, d, theta, budget=DEFAULT_BUDGET, pivot=True):
     """dim SI(Q,d)_theta, exactly.
 
-    Zero whenever theta(d) != 0; otherwise the Cauchy-block sum described in
-    the module docstring.  Raises BudgetError once more than ``budget``
-    ordered partition tuples (one partition per arrow) or arrow flows would
-    be examined; the sum itself visits only one multiset of partitions per
-    bundle of parallel arrows, and skips partitions wider than the rectangle
-    of a one-sided vertex, which is never more.
+    Zero whenever theta(d) != 0 and one whenever theta vanishes on the
+    support of d (priced as one tuple); otherwise the Cauchy-block sum
+    described in the module docstring.  Raises BudgetError once more than
+    ``budget`` ordered partition tuples (one partition per arrow) or arrow
+    flows would be examined; the sum itself visits only one multiset of
+    partitions per bundle of parallel arrows, and skips partitions wider
+    than the rectangle of a one-sided vertex, which is never more.
 
     One pass over the bundle flows, which the quiver's spanning forest maps
     from its cycle space, sizes the enumeration with cached partition
@@ -511,8 +535,12 @@ def _si_dim(euler, dt, layout, th, budget, pivot=True):
 
     A weight with th(dt) != 0 needs no test of its own: some component's
     supplies then miss zero, so ``_flows`` yields nothing, the cost is 0
-    and the sum is 0, with no pivot and no BudgetError.
+    and the sum is 0, with no pivot and no BudgetError.  A weight that
+    vanishes on the support of dt reads no layout: it is ``_constant``.
     """
+    one = _constant(dt, th, budget)
+    if one:
+        return one
     plan = euler.plan
     cost, flows = _sized_flows(plan, dt, layout, th, budget)
     if pivot and (cost > budget or cost > PIVOT_THRESHOLD):
@@ -585,7 +613,9 @@ class SIWeightTable:
     """Dimensions of SI(Q,d) along the ray of a weight: dims[n] at n*theta.
 
     A weight with theta(d) != 0 never admits semi-invariants anywhere on its
-    ray, and the table is identically zero in that case.
+    ray, and the table is identically zero in that case; a weight that
+    vanishes on the support of d admits only the constants, and the table
+    is identically one.
     """
 
     base_weight: tuple
@@ -598,7 +628,10 @@ def si_table(euler, d, theta, n_max, budget=DEFAULT_BUDGET):
 
     The input is checked once and the layout of d is built once for the
     whole ray; along it only the weight, and so the supply, changes.  When
-    theta(d) != 0 the table is zero throughout, n = 0 included.
+    theta(d) != 0 the table is zero throughout, n = 0 included.  When theta
+    vanishes on the support of d so does every n theta, and the table is one
+    throughout, with no layout built; it costs one tuple, as does n = 0 on
+    any ray with theta(d) = 0, so ``budget=0`` raises BudgetError there.
     """
     (dt,) = _dimension_vectors(euler, d)
     th = euler.tup(theta)
@@ -608,6 +641,9 @@ def si_table(euler, d, theta, n_max, budget=DEFAULT_BUDGET):
     budget = as_budget(budget)
     if sum(t * x for t, x in zip(th, dt)) != 0:
         return SIWeightTable(th, (0,) * (n_max + 1))
+    one = _constant(dt, th, budget)
+    if one:
+        return SIWeightTable(th, (one,) * (n_max + 1))
     layout = _layout(euler.plan, dt)
     dims = tuple(
         _si_dim(euler, dt, layout, tuple(n * t for t in th), budget)

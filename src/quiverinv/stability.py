@@ -78,7 +78,14 @@ class WeightCone:
     facets: tuple
 
     def contains(self, theta):
+        """Whether ``theta``, one entry per vertex in sorted order, lies in
+        the cone; a weight of any other length is an ``InputError``."""
         theta = tuple(theta)
+        if len(theta) != len(self.dimension):
+            raise InputError(
+                f"weight length {len(theta)} does not match "
+                f"{len(self.dimension)} vertices"
+            )
         return all(_dot(e, theta) == 0 for e in self.equalities) and all(
             _dot(b, theta) <= 0 for b in self.inequalities
         )

@@ -105,6 +105,15 @@ def test_same_cone_under_scaling_and_permutation():
     assert desc.same_cone(scaled)
     other = cones.describe(3, [(1, 1, 1)], [(0, 1, 0)])
     assert not desc.same_cone(other)
+    assert not desc.same_cone(cones.describe(2, [(1, 1)], [(0, 1)]))
+
+
+@pytest.mark.parametrize("point", [(), (0,), (0, 0, 0, 0)])
+def test_contains_rejects_wrong_length(point):
+    # zip used to truncate the point: () was in every cone
+    desc = cones.describe(3, [(1, 1, 1)], [(0, 0, 1), (0, 1, 0)])
+    with pytest.raises(InputError):
+        desc.contains(point)
 
 
 def test_pure_lineality_cone():

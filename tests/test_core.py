@@ -201,6 +201,21 @@ def test_bound_quiver_relations():
         BoundQuiver(chain, {("1", "3"): -1})
 
 
+def test_bound_quiver_relation_keys_need_a_long_path():
+    # 1 -> 2 -> 3 -> 4 with a shortcut 1 -> 4 and a loop-free detour
+    quiver = Quiver(
+        ("1", "2", "3", "4"),
+        (("a", "1", "2"), ("b", "2", "3"), ("c", "3", "4"), ("s", "1", "4")),
+    )
+    for key in (("1", "3"), ("1", "4"), ("2", "4")):
+        BoundQuiver(quiver, {key: 1})
+    # zero counts are never checked against the quiver
+    BoundQuiver(quiver, {("4", "1"): 0, ("x", "y"): 0})
+    for key in (("1", "2"), ("3", "4"), ("4", "1"), ("2", "1"), ("1", "x")):
+        with pytest.raises(InputError, match="without a path of length >= 2"):
+            BoundQuiver(quiver, {key: 1})
+
+
 def test_parse_format_round_trip():
     for name in DYNKIN_NAMES + EUCLIDEAN_NAMES:
         q = dynkin_quiver(name) if "~" not in name else euclidean_quiver(name)

@@ -289,9 +289,18 @@ def _outcome(fn, *args, **kwargs):
         return "budget"
 
 
-def _draw_balanced(data, n):
-    """A small dimension vector d and a weight theta with theta(d) = 0."""
-    dt = data.draw(st.tuples(*[st.integers(0, 2)] * n))
+def _draw_with_zeros(data, n):
+    """A small dimension vector with at least one zero entry."""
+    dt = list(data.draw(st.tuples(*[st.integers(0, 2)] * n)))
+    dt[data.draw(st.integers(0, n - 1))] = 0
+    return tuple(dt)
+
+
+def _draw_balanced(data, n, dt=None):
+    """A small dimension vector d, unless one is given, and a weight theta
+    with theta(d) = 0."""
+    if dt is None:
+        dt = data.draw(st.tuples(*[st.integers(0, 2)] * n))
     th = list(data.draw(st.tuples(*[st.integers(-2, 2)] * n)))
     # solve theta(d) = 0 for the last vertex in the support of d, so that
     # most drawn weights reach the enumeration
@@ -387,6 +396,67 @@ def test_si_table_builds_one_layout_per_ray(monkeypatch):
     dt, th = (2, 2, 2, 2, 2), (0, 2, 2, -2, -2)
     assert siweights.si_table(euler, dt, th, 1, budget=10).dims == (1, 1)
     assert len(built) == 2 and built[0] == dt != built[1]
+
+
+@pytest.mark.parametrize("pivot", [True, False], ids=["pivot", "literal"])
+@pytest.mark.parametrize("name", sorted(WALK_QUIVERS))
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_weight_zero_on_support_is_constant(name, pivot, data):
+    # SI(Q,d)_theta only reads theta on the support of d; zero there leaves
+    # the invariants of an acyclic quiver, the constants, priced as one tuple
+    euler = EulerMatrix(WALK_QUIVERS[name])
+    dt = _draw_with_zeros(data, euler.n)
+    th = tuple(0 if x else data.draw(st.integers(-3, 3)) for x in dt)
+    budget = data.draw(st.sampled_from([0, 1, 2, siweights.DEFAULT_BUDGET]))
+    want = 1 if budget else "budget"
+    assert _outcome(ref_si_dim, euler, dt, th, budget, pivot) == want
+    got = _outcome(siweights.si_dim, euler, dt, th, budget=budget, pivot=pivot)
+    assert got == want
+    n_max = data.draw(st.integers(0, 3))
+    if budget:
+        table = siweights.si_table(euler, dt, th, n_max, budget=budget)
+        assert table.dims == (1,) * (n_max + 1)
+    else:
+        with pytest.raises(BudgetError):
+            siweights.si_table(euler, dt, th, n_max, budget=budget)
+
+
+@pytest.mark.parametrize("name", sorted(WALK_QUIVERS))
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_weight_read_only_on_support(name, data):
+    # changing theta off the support of d leaves every dimension alone
+    euler = EulerMatrix(WALK_QUIVERS[name])
+    dt, th = _draw_balanced(data, euler.n, _draw_with_zeros(data, euler.n))
+    moved = tuple(
+        t if x else data.draw(st.integers(-3, 3)) for t, x in zip(th, dt)
+    )
+    want = ref_si_dim(euler, dt, th, siweights.DEFAULT_BUDGET)
+    assert siweights.si_dim(euler, dt, th) == want
+    assert siweights.si_dim(euler, dt, moved) == want
+
+
+def test_si_table_zero_on_support_walks_nothing(monkeypatch):
+    calls = []
+    for fn in ("_layout", "_sized_flows"):
+        monkeypatch.setattr(
+            siweights, fn, lambda *args, fn=fn: calls.append(fn)
+        )
+    euler = EulerMatrix(euclidean_quiver("A~3"))
+    dt, th = (1, 1, 0, 0), (0, 0, 1, -1)
+    assert siweights.si_table(euler, dt, th, 5).dims == (1,) * 6
+    # each point of the ray on its own, n = 0 included, sizes no flow and
+    # reads no layout either
+    for n in range(6):
+        assert siweights._si_dim(euler, dt, None, (0, 0, n, -n), 1) == 1
+    with pytest.raises(BudgetError) as err:
+        siweights.si_table(euler, dt, th, 5, budget=0)
+    assert (err.value.what, err.value.bound) == (
+        "semi-invariant partition tuples",
+        0,
+    )
+    assert calls == []
 
 
 @pytest.mark.parametrize(

@@ -96,6 +96,18 @@ def test_effective_cone_is_a_cone():
     assert not cone.contains((-1, 1))
 
 
+@pytest.mark.parametrize("theta", [(), (1,), (0, 0, 0, 0, 0, 0)])
+def test_weight_cone_rejects_wrong_length(theta):
+    # a shorter or longer weight used to be truncated by zip
+    cone = stability.effective_cone(
+        EulerMatrix(euclidean_quiver("D~4")), (1, 1, 1, 1, 2)
+    )
+    with pytest.raises(InputError):
+        cone.contains(theta)
+    with pytest.raises(InputError):
+        cone.description().contains(theta)
+
+
 def test_stable_decomposition_examples():
     dec = stability.theta_stable_decomposition(EK2, (2, 2), (1, -1))
     assert dec.factors == (((1, 1), 2, "isotropic"),)
