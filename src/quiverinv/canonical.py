@@ -262,13 +262,6 @@ class KroneckerPair:
     d2: tuple
 
 
-def _form(matrix, x, y):
-    """<x, y> = x^T E y for int tuples x, y, already checked by the caller."""
-    return sum(
-        a * sum(e * b for e, b in zip(row, y)) for a, row in zip(x, matrix) if a
-    )
-
-
 def _euler_form_of(source):
     return source.euler if isinstance(source, CanonicalAlgebra) else source
 
@@ -309,13 +302,13 @@ def kronecker_pair(source, d, budget=SEARCH_BUDGET):
     for d1 in itertools.product(*(range(v + 1) for v in dt)):
         if not any(d1) or d1 == dt:
             continue
-        if _form(m, d1, d1) != 1:
+        if linalg.bilinear(m, d1, d1) != 1:
             continue
         d2 = tuple(a - b for a, b in zip(dt, d1))
         if (
-            _form(m, d2, d2) == 1
-            and _form(m, d1, d2) == 0
-            and _form(m, d2, d1) == -2
+            linalg.bilinear(m, d2, d2) == 1
+            and linalg.bilinear(m, d1, d2) == 0
+            and linalg.bilinear(m, d2, d1) == -2
         ):
             return KroneckerPair(d1, d2)
     raise InvariantError(f"no Kronecker pair below {dt} despite q(d) = 0")

@@ -12,10 +12,7 @@ from math import gcd
 
 from . import linalg
 from .errors import InputError, as_int
-
-
-def _dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
+from .linalg import dot
 
 
 def primitive(vec):
@@ -35,7 +32,7 @@ def _split_lineality(lineality, b):
     so that b.w < 0, or (lineality, None) when the basis is already
     orthogonal to b.
     """
-    vals = [_dot(b, l) for l in lineality]
+    vals = [dot(b, l) for l in lineality]
     pivot = next((i for i, v in enumerate(vals) if v != 0), None)
     if pivot is None:
         return lineality, None
@@ -73,7 +70,7 @@ def dual_description(n, equalities, inequalities):
         if len(v) != n:
             raise InputError("functional length mismatch")
     if eqs:
-        lineality = [primitive(v) for v in linalg.kernel_basis(eqs)]
+        lineality = linalg.kernel_basis(eqs)
     else:
         lineality = [
             tuple(int(i == j) for j in range(n)) for i in range(n)
@@ -91,15 +88,15 @@ def dual_description(n, equalities, inequalities):
         return out
 
     def tight_set(r):
-        return frozenset(k for k, b in enumerate(done) if _dot(b, r) == 0)
+        return frozenset(k for k, b in enumerate(done) if dot(b, r) == 0)
 
     for b in ineqs:
         lineality, w = _split_lineality(lineality, b)
         if w is not None:
-            bw = _dot(b, w)
+            bw = dot(b, w)
             adjusted = []
             for r in rays:
-                br = _dot(b, r)
+                br = dot(b, r)
                 if br == 0:
                     adjusted.append(r)
                 else:
@@ -111,7 +108,7 @@ def dual_description(n, equalities, inequalities):
             rays = dedupe(adjusted + [w])
             done.append(b)
             continue
-        vals = [_dot(b, r) for r in rays]
+        vals = [dot(b, r) for r in rays]
         if all(v <= 0 for v in vals):
             done.append(b)
             continue
@@ -178,8 +175,8 @@ class ConeDescription:
             raise InputError(
                 f"point length {len(point)} does not match dimension {self.n}"
             )
-        return all(_dot(e, point) == 0 for e in self.equalities) and all(
-            _dot(b, point) <= 0 for b in self.inequalities
+        return all(dot(e, point) == 0 for e in self.equalities) and all(
+            dot(b, point) <= 0 for b in self.inequalities
         )
 
     def same_cone(self, other):
@@ -204,18 +201,15 @@ def describe(n, equalities, inequalities):
     ineqs = _functionals(inequalities)
     lineality, rays = dual_description(n, eqs, ineqs)
     dim = cone_dim(lineality, rays)
-    seen = {}
-    for b in ineqs:
-        face_rays = tuple(r for r in rays if _dot(b, r) == 0)
+    faces = dict.fromkeys(tuple(r for r in rays if dot(b, r) == 0) for b in ineqs)
+    facets = []
+    for face_rays in faces:
         if cone_dim(lineality, face_rays) != dim - 1:
             continue
-        seen.setdefault(face_rays, None)
-    facets = []
-    for face_rays in seen:
         defining = tuple(
             b
             for b in ineqs
-            if all(_dot(b, r) == 0 for r in face_rays)
+            if all(dot(b, r) == 0 for r in face_rays)
         )
         point = tuple(
             sum(r[i] for r in face_rays) for i in range(n)

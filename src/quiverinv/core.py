@@ -357,13 +357,7 @@ class EulerMatrix:
         return t
 
     def euler(self, d, e):
-        d = self.tup(d)
-        e = self.tup(e)
-        return sum(
-            d[i] * self.matrix[i][j] * e[j]
-            for i in range(self.n)
-            for j in range(self.n)
-        )
+        return linalg.bilinear(self.matrix, self.tup(d), self.tup(e))
 
     def tits(self, d):
         return self.euler(d, d)

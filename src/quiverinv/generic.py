@@ -34,7 +34,7 @@ from .errors import (
     PreconditionError,
     as_budget,
 )
-from .linalg import matvec, rank, vecmat
+from .linalg import dot, matvec, rank, vecmat
 
 DEFAULT_SEED = 1729
 BOX_LIMIT = 10**7
@@ -267,17 +267,25 @@ def is_schur_root(euler, d, box_limit=BOX_LIMIT):
     (dt,) = _dimension_vectors(euler, box_limit, d)
     if not any(dt):
         raise PreconditionError("the zero vector is not a root")
-    return _is_schur(euler, dt)
+    return _stable(euler, dt, _canonical_weight(euler, dt))
 
 
-def _is_schur(euler, dt):
+def _canonical_weight(euler, dt):
+    """<d, -> - <-, d>, which vanishes on d."""
     m = euler.matrix
-    # the canonical weight <d, -> - <-, d>
-    theta = tuple(a - b for a, b in zip(vecmat(dt, m), matvec(m, dt)))
+    return tuple(map(minus, vecmat(dt, m), matvec(m, dt)))
+
+
+def _stable(euler, dt, th):
+    """The generic representation of d is theta-stable: d is nonzero, theta
+    kills d and is negative on every proper nonzero generic subdimension
+    vector."""
+    if not any(dt) or dot(th, dt) != 0:
+        return False
     for sub in _subdims(euler, dt):
         if not any(sub) or sub == dt:
             continue
-        if sum(t * x for t, x in zip(theta, sub)) >= 0:
+        if dot(th, sub) >= 0:
             return False
     return True
 
@@ -331,7 +339,7 @@ def _candecomp_tuple(euler, dt):
     cached = cache.get(dt)
     if cached is not None:
         return cached
-    if _is_schur(euler, dt):
+    if _stable(euler, dt, _canonical_weight(euler, dt)):
         result = ((dt, 1),)
         cache[dt] = result
         return result

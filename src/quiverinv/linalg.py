@@ -3,132 +3,122 @@
 Everything in this package that looks like numerical linear algebra is done
 here, exactly.  Matrices are sequences of equal-length rows with ``int`` or
 ``Fraction`` entries; results come back as tuples.  Sizes are tiny (vertex
-counts of quivers, representation dimensions), so the simple cubic
-algorithms below are the right tool: echelon forms for rank and kernels,
-and fraction-free Bareiss elimination on Python ints for determinants,
-inverses and the signature of a Tits form.  The Bareiss routines first
-scale rational input to integers by the lcm of its denominators.
+counts of quivers, representation dimensions), so simple cubic algorithms
+on Python ints are the right tool.  Rational input is first scaled to
+integers by the lcm of all its denominators.  Then three fraction-free
+(Bareiss) eliminations do the work: one echelon elimination for ranks,
+kernels and determinants, a Gauss-Jordan pass on ``[M | I]`` for the
+inverses (``_adjugate``), and a symmetric pass without pivoting for the
+signature of a Tits form.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from .errors import InputError, InvariantError
 
 
-def _as_rows(matrix):
-    return [list(row) for row in matrix]
+def _integer_rows(matrix):
+    """The rows of a matrix as lists of ints, scaled by the positive lcm L
+    of the denominators of its entries, together with L."""
+    rows = [list(row) for row in matrix]
+    if all(type(x) is int for row in rows for x in row):
+        return rows, 1
+    fracs = [[Fraction(x) for x in row] for row in rows]
+    scale = lcm(*(x.denominator for row in fracs for x in row))
+    return [[int(x * scale) for x in row] for row in fracs], scale
 
 
-def _clear_row_denominators(row):
-    """Scale a row of rationals to a primitive integer row (rank-safe)."""
-    denom = 1
-    for x in row:
-        if isinstance(x, Fraction):
-            denom = denom * x.denominator // gcd(denom, x.denominator)
-    out = [int(x * denom) if isinstance(x, Fraction) else x * denom for x in row]
-    g = 0
-    for x in out:
-        g = gcd(g, x)
-    if g > 1:
-        out = [x // g for x in out]
-    return out
+def _square_integer_rows(matrix):
+    """``_integer_rows`` of a square matrix; a non-square or ragged one
+    raises ``InputError``."""
+    if any(len(row) != len(matrix) for row in matrix):
+        raise InputError("expected a square matrix")
+    return _integer_rows(matrix)
+
+
+def _eliminate(rows, ncols, clear_above):
+    """Fraction-free (Bareiss) elimination of an integer matrix, given as a
+    list of row lists that it changes in place: ``(pivot columns, sign of
+    the row permutation, last pivot D)``, with D = 1 when there is none.
+
+    A column takes the first nonzero entry on or below the current row as
+    its pivot, or has none.  Each step multiplies the rows below by the
+    pivot, subtracts a multiple of the pivot row and divides exactly by the
+    previous pivot, so every entry stays an integer (a minor of the
+    matrix).  The rows below change in place and only right of the pivot
+    column, where they are not already zero.  For a square matrix with a
+    pivot in every column ``sign * D`` is the determinant.  With
+    ``clear_above`` the rows above are reduced the same way, whole (their
+    entries in earlier free columns scale too), and the matrix ends as D
+    times its reduced row echelon form: every pivot equals D.
+    """
+    nrows = len(rows)
+    pivots = []
+    sign = 1
+    prev = 1
+    for col in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        pivot = next((i for i in range(r, nrows) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            rows[r], rows[pivot] = rows[pivot], rows[r]
+            sign = -sign
+        top = rows[r]
+        p = top[col]
+        for i in range(r + 1, nrows):
+            row = rows[i]
+            f = row[col]
+            for j in range(col + 1, ncols):
+                row[j] = (p * row[j] - f * top[j]) // prev
+            row[col] = 0
+        if clear_above:
+            for i in range(r):
+                f = rows[i][col]
+                rows[i] = [(p * x - f * y) // prev for x, y in zip(rows[i], top)]
+        pivots.append(col)
+        prev = p
+    return pivots, sign, prev
 
 
 def rank(matrix):
-    """Exact rank via integer echelon reduction with gcd normalization."""
-    rows = [_clear_row_denominators(r) for r in _as_rows(matrix)]
-    rows = [r for r in rows if any(r)]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rnk = 0
-    col = 0
-    while col < ncols and rnk < len(rows):
-        pivot = None
-        for i in range(rnk, len(rows)):
-            if rows[i][col]:
-                pivot = i
-                break
-        if pivot is None:
-            col += 1
-            continue
-        rows[rnk], rows[pivot] = rows[pivot], rows[rnk]
-        prow = rows[rnk]
-        p = prow[col]
-        for i in range(rnk + 1, len(rows)):
-            q = rows[i][col]
-            if q:
-                row = rows[i]
-                for j in range(col, ncols):
-                    row[j] = row[j] * p - prow[j] * q
-                g = 0
-                for x in row:
-                    g = gcd(g, x)
-                if g > 1:
-                    for j in range(ncols):
-                        row[j] //= g
-        rnk += 1
-        col += 1
-    return rnk
-
-
-def rref(matrix):
-    """Reduced row echelon form over Fraction; returns (rows, pivot_columns)."""
-    rows = [[Fraction(x) for x in row] for row in matrix]
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        pivot = None
-        for i in range(r, nrows):
-            if rows[i][col]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        p = rows[r][col]
-        rows[r] = [x / p for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][col]:
-                q = rows[i][col]
-                rows[i] = [a - q * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivots
+    """Exact rank: the number of pivots of the Bareiss elimination."""
+    rows, _ = _integer_rows(matrix)
+    return len(_eliminate(rows, len(rows[0]) if rows else 0, False)[0])
 
 
 def kernel_basis(matrix):
-    """Primitive integer basis of the right kernel {x : M x = 0}."""
-    if not matrix or not matrix[0]:
-        n = len(matrix[0]) if matrix else 0
-        return tuple(
-            tuple(1 if i == j else 0 for j in range(n)) for i in range(n)
-        )
-    rows, pivots = rref(matrix)
-    ncols = len(matrix[0])
-    free = [c for c in range(ncols) if c not in pivots]
+    """Primitive integer basis of the right kernel {x : M x = 0}: one vector
+    per column without a pivot, positive there, in column order.
+
+    On D times the reduced row echelon form the vector of a free column f
+    is D at f and minus row r's entry at f at the pivot column of row r,
+    divided by its content with the sign of D."""
+    rows, _ = _integer_rows(matrix)
+    ncols = len(rows[0]) if rows else 0
+    pivots, _, last = _eliminate(rows, ncols, True)
     basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -rows[r][fc]
-        denom = 1
-        for x in vec:
-            denom = denom * x.denominator // gcd(denom, x.denominator)
-        ivec = [int(x * denom) for x in vec]
-        g = 0
-        for x in ivec:
-            g = gcd(g, x)
-        if g > 1:
-            ivec = [x // g for x in ivec]
-        basis.append(tuple(ivec))
+    for f in (c for c in range(ncols) if c not in pivots):
+        vec = [0] * ncols
+        vec[f] = last
+        for row, col in zip(rows, pivots):
+            vec[col] = -row[f]
+        g = gcd(*vec) if last > 0 else -gcd(*vec)
+        basis.append(tuple(x // g for x in vec))
     return tuple(basis)
+
+
+def dot(a, b):
+    return sum(map(mul, a, b))
+
+
+def bilinear(matrix, x, y):
+    """x^T M y for int tuples x and y, skipping the zero entries of x."""
+    return sum(a * sum(map(mul, row, y)) for a, row in zip(x, matrix) if a)
 
 
 def matmul(a, b):
@@ -148,27 +138,8 @@ def vecmat(v, a):
     )
 
 
-def identity(n):
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
 def transpose(a):
     return tuple(zip(*a))
-
-
-def _square_integer_rows(matrix):
-    """The rows of a square matrix as lists of ints, scaled by the positive
-    lcm L of the denominators of its entries, together with L.  A
-    non-square or ragged matrix raises ``InputError``."""
-    rows = _as_rows(matrix)
-    n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise InputError("expected a square matrix")
-    if all(type(x) is int for row in rows for x in row):
-        return rows, 1
-    fracs = [[Fraction(x) for x in row] for row in rows]
-    scale = lcm(*(x.denominator for row in fracs for x in row))
-    return [[int(x * scale) for x in row] for row in fracs], scale
 
 
 def _adjugate(rows):
@@ -219,27 +190,8 @@ def det(matrix):
     raises ``InputError``."""
     rows, scale = _square_integer_rows(matrix)
     n = len(rows)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if not rows[k][k]:
-            pivot = None
-            for i in range(k + 1, n):
-                if rows[i][k]:
-                    pivot = i
-                    break
-            if pivot is None:
-                return 0
-            rows[k], rows[pivot] = rows[pivot], rows[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                rows[i][j] = (rows[i][j] * rows[k][k] - rows[i][k] * rows[k][j]) // prev
-            rows[i][k] = 0
-        prev = rows[k][k]
-    d = sign * rows[n - 1][n - 1]
+    pivots, sign, last = _eliminate(rows, n, False)
+    d = sign * last if len(pivots) == n else 0
     return d if scale == 1 else Fraction(d, scale ** n)
 
 

@@ -9,7 +9,6 @@ scans of ``generic_subdims``; no representations are ever materialized.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 
 from . import cones, siweights
 from .core import Quiver, classify_path_algebra
@@ -17,14 +16,12 @@ from .errors import InputError, InvariantError, PreconditionError, as_int
 from .generic import (
     BOX_LIMIT,
     _dimension_vectors,
+    _stable,
     _subdims,
     canonical_decomposition,
     root_class,
 )
-
-
-def _dot(a, b):
-    return sum(map(mul, a, b))
+from .linalg import dot
 
 
 def _vector_and_weight(euler, d, theta, box_limit):
@@ -38,25 +35,14 @@ def is_semistable_generic(euler, d, theta, box_limit=BOX_LIMIT):
 
 
 def _semistable(euler, dt, th):
-    if _dot(th, dt) != 0:
+    if dot(th, dt) != 0:
         return False
-    return all(_dot(th, sub) <= 0 for sub in _subdims(euler, dt))
+    return all(dot(th, sub) <= 0 for sub in _subdims(euler, dt))
 
 
 def is_stable_generic(euler, d, theta, box_limit=BOX_LIMIT):
     """True when the generic representation of d is theta-stable."""
     return _stable(euler, *_vector_and_weight(euler, d, theta, box_limit))
-
-
-def _stable(euler, dt, th):
-    if not any(dt) or _dot(th, dt) != 0:
-        return False
-    for sub in _subdims(euler, dt):
-        if not any(sub) or sub == dt:
-            continue
-        if _dot(th, sub) >= 0:
-            return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -86,8 +72,8 @@ class WeightCone:
                 f"weight length {len(theta)} does not match "
                 f"{len(self.dimension)} vertices"
             )
-        return all(_dot(e, theta) == 0 for e in self.equalities) and all(
-            _dot(b, theta) <= 0 for b in self.inequalities
+        return all(dot(e, theta) == 0 for e in self.equalities) and all(
+            dot(b, theta) <= 0 for b in self.inequalities
         )
 
     def description(self):
@@ -146,7 +132,7 @@ def theta_stable_decomposition(euler, d, theta, box_limit=BOX_LIMIT):
         for sub in _subdims(euler, remaining):
             if not any(sub):
                 continue
-            if _dot(th, sub) == 0 and _stable(euler, sub, th):
+            if dot(th, sub) == 0 and _stable(euler, sub, th):
                 found = sub
                 break
         if found is None:

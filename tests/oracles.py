@@ -8,8 +8,8 @@ field, thin semi-invariant dimensions by torus character counts,
 canonical decompositions by exhaustive multiset search, the Schofield
 recursion by a plain copy of its first implementation that reads nothing
 of the Euler matrix but ``euler.matrix``, the signature of a symmetric
-matrix by the sign pattern of its characteristic polynomial, inverses
-by Gauss-Jordan elimination over Fraction, and
+matrix by the sign pattern of its characteristic polynomial, ranks,
+kernels and inverses by Gauss-Jordan elimination over Fraction, and
 semi-invariant dimensions by a copy of the first two-walk ``si_dim`` over
 every ordered partition tuple, with vertex multiplicities read off
 sequential ``lr.tensor_fold`` products.
@@ -17,6 +17,7 @@ sequential ``lr.tensor_fold`` products.
 
 import functools
 import itertools
+import math
 from fractions import Fraction
 
 from quiverinv import linalg
@@ -155,7 +156,7 @@ def _solve_exact(cols, target):
         [Fraction(cols[j][i]) for j in range(k)] + [Fraction(target[i])]
         for i in range(n)
     ]
-    reduced, pivots = linalg.rref(aug)
+    reduced, pivots, _ = _ref_rref(aug)
     coeffs = [Fraction(0)] * k
     for r, p in enumerate(pivots):
         if p == k:
@@ -552,34 +553,74 @@ def _ref_candecomp(euler, dt):
 
 
 # ---------------------------------------------------------------------------
-# Inverse by Gauss-Jordan over Fraction
+# Rank, kernel and inverse by Gauss-Jordan over Fraction
 #
-# The library's first inverse: reduce [M | I] to reduced row echelon form,
-# dividing each pivot row by its pivot, with every entry a Fraction.
+# The library's first kernel and inverse: reduce to reduced row echelon
+# form, dividing each pivot row by its pivot, with every entry a Fraction.
+# The rank is the number of pivots.
+
+
+def _ref_rref(matrix):
+    """(reduced rows, pivot columns, signed product of the pivots) of the
+    reduced row echelon form over Fraction; the product is det M for a
+    square M with a pivot in every column."""
+    rows = [[Fraction(x) for x in row] for row in matrix]
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    det = Fraction(1)
+    for col in range(ncols):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            rows[r], rows[pivot] = rows[pivot], rows[r]
+            det = -det
+        p = rows[r][col]
+        det *= p
+        rows[r] = [x / p for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col]:
+                q = rows[i][col]
+                rows[i] = [a - q * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(col)
+    return rows, pivots, det
+
+
+def ref_rank(matrix):
+    return len(_ref_rref(matrix)[1])
+
+
+def ref_kernel(matrix):
+    """Primitive integer basis of {x : M x = 0}: for each free column f in
+    order, 1 at f and minus the reduced rows' entries at f on their pivot
+    columns, cleared of denominators and divided by its content."""
+    rows, pivots, _ = _ref_rref(matrix)
+    ncols = len(rows[0]) if rows else 0
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        vec = [Fraction(0)] * ncols
+        vec[f] = Fraction(1)
+        for row, col in zip(rows, pivots):
+            vec[col] = -row[f]
+        scale = math.lcm(*(x.denominator for x in vec))
+        ints = [int(x * scale) for x in vec]
+        basis.append(tuple(x // math.gcd(*ints) for x in ints))
+    return tuple(basis)
 
 
 def _ref_gauss_jordan(matrix):
-    """(det M, M^-1) over Fraction, or (0, None) when M is singular."""
+    """(det M, M^-1) over Fraction, or (0, None) when M is singular: the
+    reduced form of [M | I] is [I | M^-1] exactly when its pivots are the
+    columns of M."""
     n = len(matrix)
-    rows = [
-        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-        for i, row in enumerate(matrix)
-    ]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if rows[i][col]), None)
-        if pivot is None:
-            return Fraction(0), None
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        p = rows[col][col]
-        det *= p
-        rows[col] = [x / p for x in rows[col]]
-        for i in range(n):
-            if i != col and rows[i][col]:
-                q = rows[i][col]
-                rows[i] = [a - q * b for a, b in zip(rows[i], rows[col])]
+    rows, pivots, det = _ref_rref(
+        [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(matrix)]
+    )
+    if pivots[:n] != list(range(n)):
+        return Fraction(0), None
     return det, tuple(tuple(row[n:]) for row in rows)
 
 

@@ -294,7 +294,7 @@ def test_schofield_recursion_matches_reference(quiver, max_total):
     if max_total is not None:
         vectors = vectors.filter(lambda d: sum(d) <= max_total)
 
-    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=40)
     @given(vectors, vectors)
     def check(d, e):
         assert generic_subdims(euler, d) == ref_generic_subdims(euler, d)

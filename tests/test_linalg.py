@@ -1,13 +1,14 @@
-"""The Bareiss determinant, inverses and signature against the Fraction
-Gauss-Jordan and characteristic-polynomial references."""
+"""The Bareiss rank, kernel, determinant, inverses and signature against
+the Fraction Gauss-Jordan and characteristic-polynomial references."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import ref_det, ref_inverse, ref_symmetric_signature
+from oracles import ref_det, ref_inverse, ref_kernel, ref_rank, ref_symmetric_signature
 from quiverinv import linalg
 from quiverinv.errors import InputError, InvariantError
 from quiverinv.linalg import symmetric_signature
@@ -42,7 +43,7 @@ def unimodular_matrices(draw):
     return tuple(tuple(row) for row in draw(st.permutations(m)))
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(st.one_of(square_matrices(), unimodular_matrices()))
 def test_bareiss_matches_gauss_jordan_reference(matrix):
     assert linalg.det(matrix) == ref_det(matrix)
@@ -61,6 +62,47 @@ def test_bareiss_matches_gauss_jordan_reference(matrix):
     else:
         with pytest.raises(InvariantError):
             linalg.int_inverse(matrix)
+
+
+@st.composite
+def rectangular_matrices(draw):
+    """m x n with m <= 6 and n <= 8, entries in -3..3 or, for some matrices,
+    thirds and halves among them.  Only the first k rows are drawn freely;
+    the others are combinations of them with coefficients in -2..2 (zero
+    rows when k = 0), and the rows are then shuffled, so the rank is often
+    below min(m, n).  A drawn set of columns is zeroed."""
+    m = draw(st.integers(0, 6))
+    n = draw(st.integers(0, 8))
+    entries = draw(st.sampled_from((ENTRIES, RATIONALS)))
+    k = draw(st.integers(0, m))
+    rows = [[draw(entries) for _ in range(n)] for _ in range(k)]
+    for _ in range(m - k):
+        coeffs = [draw(st.integers(-2, 2)) for _ in range(k)]
+        rows.append([sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(n)])
+    for j in draw(st.sets(st.integers(0, n - 1))) if n else ():
+        for row in rows:
+            row[j] = 0
+    return tuple(tuple(row) for row in draw(st.permutations(rows)))
+
+
+@settings(max_examples=300)
+@given(rectangular_matrices())
+def test_rank_and_kernel_match_gauss_jordan_reference(matrix):
+    ncols = len(matrix[0]) if matrix else 0
+    rank = linalg.rank(matrix)
+    basis = linalg.kernel_basis(matrix)
+    assert rank == ref_rank(matrix)
+    assert basis == ref_kernel(matrix)
+    assert len(basis) == ncols - rank
+    # column f is free when it is not in the span of the columns before it
+    free = [
+        f for f in range(ncols)
+        if ref_rank([row[: f + 1] for row in matrix]) == ref_rank([row[:f] for row in matrix])
+    ]
+    for f, vec in zip(free, basis, strict=True):
+        assert all(type(x) is int for x in vec)
+        assert math.gcd(*vec) == 1 and vec[f] > 0
+        assert not any(linalg.dot(row, vec) for row in matrix)
 
 
 def test_det_of_rational_matrix_is_exact():
@@ -102,7 +144,7 @@ def gram_matrices(draw):
     )
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(st.one_of(symmetric_matrices(), gram_matrices()))
 def test_signature_matches_charpoly_reference(matrix):
     assert symmetric_signature(matrix) == ref_symmetric_signature(matrix)

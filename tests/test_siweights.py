@@ -315,7 +315,7 @@ def _draw_balanced(data, n, dt=None):
 
 @pytest.mark.parametrize("pivot", [True, False], ids=["pivot", "literal"])
 @pytest.mark.parametrize("name", sorted(WALK_QUIVERS))
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(data=st.data())
 def test_si_dim_matches_two_walk_reference(name, pivot, data):
     euler = EulerMatrix(WALK_QUIVERS[name])
@@ -330,7 +330,7 @@ def test_si_dim_matches_two_walk_reference(name, pivot, data):
 
 
 @pytest.mark.parametrize("name", sorted(WALK_QUIVERS))
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@settings(max_examples=30)
 @given(data=st.data())
 def test_si_table_ray_equals_its_points(name, data):
     # one layout serves the whole ray: each entry, and the first budget
@@ -400,7 +400,7 @@ def test_si_table_builds_one_layout_per_ray(monkeypatch):
 
 @pytest.mark.parametrize("pivot", [True, False], ids=["pivot", "literal"])
 @pytest.mark.parametrize("name", sorted(WALK_QUIVERS))
-@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@settings(max_examples=25)
 @given(data=st.data())
 def test_weight_zero_on_support_is_constant(name, pivot, data):
     # SI(Q,d)_theta only reads theta on the support of d; zero there leaves
@@ -423,7 +423,7 @@ def test_weight_zero_on_support_is_constant(name, pivot, data):
 
 
 @pytest.mark.parametrize("name", sorted(WALK_QUIVERS))
-@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@settings(max_examples=25)
 @given(data=st.data())
 def test_weight_read_only_on_support(name, data):
     # changing theta off the support of d leaves every dimension alone
@@ -623,7 +623,7 @@ def _rectangle_factors(draw):
     return dv, w, tuple(sorted(factors))
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(case=_rectangle_factors(), heads_first=st.booleans())
 # both halves fold (1)^3 to 2 * (2,1) + (1,1,1): 2 * 2 + 1 * 1 = 5 tableaux
 @example(case=(3, 2, ((1,),) * 6), heads_first=False)
