@@ -16,7 +16,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .core import BoundQuiver, EulerMatrix, Quiver, classify_path_algebra
+from .core import (
+    BoundQuiver,
+    EulerMatrix,
+    Quiver,
+    classify_path_algebra,
+    dimension_vectors,
+)
 from .errors import (
     BudgetError,
     InputError,
@@ -145,22 +151,10 @@ def virtual_genus(algebra):
     return 1 + Fraction(m, 2) * (algebra.n - 2 - total)
 
 
-def _star_quiver(weights):
-    vertices = ["0"]
-    arrows = []
-    for i, m in enumerate(weights, start=1):
-        prev = "0"
-        for j in range(1, m):
-            v = f"{i}.{j}"
-            vertices.append(v)
-            arrows.append((f"s{i}_{j}", prev, v))
-            prev = v
-    return Quiver(tuple(vertices), tuple(arrows), name="star")
-
-
 def classify_canonical(algebra):
     """domestic / tubular / wild by virtual genus, cross-checked against the
-    representation type of the star obtained by deleting inf."""
+    representation type of the star obtained by deleting inf: the full
+    subquiver of the presentation on every other vertex."""
     g = virtual_genus(algebra)
     if g > 1:
         by_genus = "wild"
@@ -173,9 +167,17 @@ def classify_canonical(algebra):
         by_genus = "tubular"
     else:
         by_genus = "domestic"
-    star = classify_path_algebra(_star_quiver(algebra.weights_m))
+    star = Quiver(
+        algebra.vertex_ids[:-1],
+        tuple(
+            (aid, tail, head)
+            for aid, tail, head in algebra.presentation.quiver.arrows
+            if "inf" not in (tail, head)
+        ),
+        name="star",
+    )
     by_star = {"finite": "domestic", "tame_infinite": "tubular"}.get(
-        star.type, "wild"
+        classify_path_algebra(star).type, "wild"
     )
     if by_genus != by_star:
         raise InvariantError(
@@ -278,7 +280,7 @@ def kronecker_pair(source, d, budget=SEARCH_BUDGET):
     """
     budget = as_budget(budget)
     euler = _euler_form_of(source)
-    dt = euler.tup(d)
+    (dt,) = dimension_vectors(euler, d, hereditary=False)
     q = euler.tits(dt)
     if q == 1:
         raise PreconditionError("a real root admits no Kronecker pair")
@@ -344,14 +346,14 @@ def rational_invariants_canonical(
             "rational invariants are only profiled for tame canonical "
             "algebras"
         )
-    dt = algebra.tup(d)
+    (dt,) = dimension_vectors(algebra.euler, d, hereditary=False)
     if decomposition is None:
         n = _single_root_count(algebra, dt, budget)
         return RationalInvariantsProfile(n, field_for_count(n))
     total = (0,) * algebra.euler.n
     n = 0
     for root, mult in decomposition:
-        rt = algebra.tup(root)
+        (rt,) = dimension_vectors(algebra.euler, root, hereditary=False)
         mult = as_int(mult, "decomposition multiplicity")
         if mult < 1 or not any(rt):
             raise InputError("decomposition entries must be positive")

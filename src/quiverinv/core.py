@@ -398,6 +398,26 @@ class EulerMatrix:
         return linalg.matvec(linalg.transpose(inv), theta)
 
 
+def dimension_vectors(euler, *vecs, hereditary=True):
+    """The one check of a public call that takes dimension vectors: each
+    vector through ``euler.tup`` and none with a negative entry, returned as
+    int tuples in sorted vertex order for the kernels below.
+
+    With ``hereditary`` (the default) the algebra must also be the path
+    algebra of an acyclic quiver, which is checked first.  Callers that work
+    on any Euler form, such as canonical algebras, pass ``hereditary=False``.
+    """
+    if hereditary:
+        if not euler.is_path_algebra:
+            raise PreconditionError("operation requires a path algebra")
+        if not euler.plan.acyclic:
+            raise PreconditionError("operation requires an acyclic quiver")
+    out = tuple(euler.tup(v) for v in vecs)
+    if any(x < 0 for t in out for x in t):
+        raise InputError("dimension vectors must be nonnegative")
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Representation type
 

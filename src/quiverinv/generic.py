@@ -1,10 +1,12 @@
-"""Generic representations: concrete hom/ext, generic subdimension vectors,
-Schur roots, and the canonical decomposition.
+"""Generic representations: generic subdimension vectors, generic hom and
+ext, Schur roots, and the canonical decomposition.
 
-For representations V, W of an acyclic quiver the difference
-``hom(V, W) - ext(V, W)`` equals the Euler pairing of the dimension vectors,
-so both numbers fall out of the rank of one exact linear map.  Generic
-values are computed structurally through the Schofield recursion
+Everything here reads dimension vectors alone; no representation is ever
+built.  The sampled-representation oracle, which measures hom and ext on
+concrete random matrices, lives in the test suite (``tests/oracles.py``).
+For an acyclic quiver ``hom(a, b) - ext(a, b)`` is the Euler pairing
+``<a, b>``, so hom follows from ext, and ext is computed structurally
+through the Schofield recursion
 
     ext(a, b) = max(-<a', b>  :  a' a generic subdimension vector of a)
 
@@ -21,150 +23,26 @@ fresh matrix: the points of the subdimension boxes of all v <= d.
 
 import itertools
 import math
-import random
 from operator import mul, sub as minus
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .core import EulerMatrix, Quiver
-from .errors import (
-    BudgetError,
-    InputError,
-    InvariantError,
-    PreconditionError,
-    as_budget,
-)
-from .linalg import dot, matvec, rank, vecmat
+from .core import dimension_vectors
+from .errors import BudgetError, InvariantError, PreconditionError, as_budget
+from .linalg import dot, matvec, vecmat
 
-DEFAULT_SEED = 1729
 BOX_LIMIT = 10**7
 
-#: Nonzero small rationals used for sampled representations.
-SAMPLE_POOL = tuple(
-    Fraction(n, den)
-    for den in (1, 2, 3)
-    for n in range(-4, 5)
-    if n != 0 and Fraction(n, den).denominator == den
-)
 
-
-@dataclass(frozen=True)
-class Representation:
-    """A representation: matrices over Q indexed by arrow id.
-
-    ``matrices[a]`` has shape d(head) x d(tail) and carries Fraction entries.
-    """
-
-    quiver: Quiver
-    dim: dict
-    matrices: dict
-
-    def __post_init__(self):
-        for aid, tail, head in self.quiver.arrows:
-            mat = self.matrices.get(aid)
-            if mat is None:
-                raise InputError(f"missing matrix for arrow {aid!r}")
-            rows = len(mat)
-            if rows != self.dim.get(head, 0):
-                raise InputError(f"matrix for {aid!r} has wrong row count")
-            for row in mat:
-                if len(row) != self.dim.get(tail, 0):
-                    raise InputError(f"matrix for {aid!r} has wrong column count")
-
-
-def random_representation(quiver, d, rng=None, pool=SAMPLE_POOL):
-    """Representation with entries drawn uniformly from the sample pool."""
-    if rng is None:
-        rng = random.Random(DEFAULT_SEED)
-    euler = EulerMatrix(quiver)
-    dt = euler.tup(d)
-    if any(x < 0 for x in dt):
-        raise InputError("dimension vectors must be nonnegative")
-    dims = dict(zip(euler.order, dt))
-    matrices = {}
-    for aid, tail, head in quiver.arrows:
-        matrices[aid] = tuple(
-            tuple(rng.choice(pool) for _ in range(dims[tail]))
-            for _ in range(dims[head])
-        )
-    return Representation(quiver, dims, matrices)
-
-
-def hom_ext_concrete(v, w):
-    """Exact (hom, ext) for two concrete representations.
-
-    Builds the linear map sending a vertexwise collection (phi(i)) to the
-    arrowwise collection (phi(head a) V(a) - W(a) phi(tail a)); hom is its
-    nullity and ext the corank, both over Q.
-    """
-    if v.quiver is not w.quiver and v.quiver != w.quiver:
-        raise InputError("representations live on different quivers")
-    quiver = v.quiver
-    order = quiver.order
-    dv = {i: v.dim.get(i, 0) for i in order}
-    dw = {i: w.dim.get(i, 0) for i in order}
-    col_offset = {}
-    ncols = 0
-    for i in order:
-        col_offset[i] = ncols
-        ncols += dv[i] * dw[i]
-    nrows = sum(dw[h] * dv[t] for _, t, h in quiver.arrows)
-    rows = []
-    for aid, t, h in quiver.arrows:
-        va = v.matrices[aid]
-        wa = w.matrices[aid]
-        for r in range(dw[h]):
-            for c in range(dv[t]):
-                row = [Fraction(0)] * ncols
-                for s in range(dv[h]):
-                    row[col_offset[h] + r * dv[h] + s] += va[s][c]
-                for s in range(dw[t]):
-                    row[col_offset[t] + s * dv[t] + c] -= wa[r][s]
-                rows.append(row)
-    rk = rank(rows) if rows else 0
-    return ncols - rk, nrows - rk
-
-
-def hom_ext_sampled(quiver, a, b, trials=20, seed=DEFAULT_SEED):
-    """Componentwise minimum of (hom, ext) over sampled pairs.
-
-    Hom and ext are upper semicontinuous, so the minimum over independent
-    samples estimates the generic value from above-stably; agreement across
-    trials is the caller's genericity evidence.
-    """
-    rng = random.Random(seed)
-    best = None
-    for _ in range(trials):
-        v = random_representation(quiver, a, rng)
-        w = random_representation(quiver, b, rng)
-        he = hom_ext_concrete(v, w)
-        best = he if best is None else (min(best[0], he[0]), min(best[1], he[1]))
-    return best
-
-
-# ---------------------------------------------------------------------------
-# Schofield recursion
-
-def _dimension_vectors(euler, box_limit, d, *others):
-    """The one check of a public call: a hereditary algebra, nonnegative
-    integral vectors, a nonnegative integral ``box_limit``, and recursion
-    work for ``d`` within it.
+def _boxed_vectors(euler, box_limit, d, *others):
+    """``dimension_vectors`` of a public call, plus a nonnegative integral
+    ``box_limit`` and recursion work for ``d`` within it.
 
     From a cold cache (a fresh matrix) the recursion scans the subdimension
     box of every v <= d, which is prod((d_i + 1)(d_i + 2) / 2) points in
     all; that total, not the box of ``d`` alone, is what ``box_limit``
     bounds.
-
-    Returns the vectors as int tuples in sorted vertex order; everything
-    below the public functions takes those tuples as they are.
     """
-    if not euler.is_path_algebra:
-        raise PreconditionError("operation requires a path algebra")
-    if not euler.plan.acyclic:
-        raise PreconditionError("operation requires an acyclic quiver")
-    vecs = tuple(euler.tup(v) for v in (d,) + others)
-    if any(x < 0 for t in vecs for x in t):
-        raise InputError("dimension vectors must be nonnegative")
+    vecs = dimension_vectors(euler, d, *others)
     box_limit = as_budget(box_limit, "box_limit")
     work = 1
     for x in vecs[0]:
@@ -180,7 +58,7 @@ def generic_subdims(euler, d, box_limit=BOX_LIMIT):
     d' is included exactly when the generic representation of dimension d
     has a subrepresentation of dimension d', i.e. ext(d', d - d') = 0.
     """
-    (dt,) = _dimension_vectors(euler, box_limit, d)
+    (dt,) = _boxed_vectors(euler, box_limit, d)
     return _subdims(euler, dt)
 
 
@@ -238,7 +116,7 @@ def _ext_vanishes(euler, at, bt):
 
 def ext_generic(euler, a, b, box_limit=BOX_LIMIT):
     """dim Ext^1 between independent generic representations of a and b."""
-    at, bt = _dimension_vectors(euler, box_limit, a, b)
+    at, bt = _boxed_vectors(euler, box_limit, a, b)
     return _ext(euler, at, bt)
 
 
@@ -252,7 +130,7 @@ def _ext(euler, at, bt):
 
 def generic_hom_ext(euler, a, b, box_limit=BOX_LIMIT):
     """(hom, ext) between independent generic representations of a and b."""
-    at, bt = _dimension_vectors(euler, box_limit, a, b)
+    at, bt = _boxed_vectors(euler, box_limit, a, b)
     ext = _ext(euler, at, bt)
     hom = euler.euler(at, bt) + ext
     if hom < 0:
@@ -264,7 +142,7 @@ def is_schur_root(euler, d, box_limit=BOX_LIMIT):
     """True when the generic representation of d is indecomposable with
     trivial endomorphisms; equivalently d is stable for its own canonical
     weight, tested on generic subdimension vectors."""
-    (dt,) = _dimension_vectors(euler, box_limit, d)
+    (dt,) = _boxed_vectors(euler, box_limit, d)
     if not any(dt):
         raise PreconditionError("the zero vector is not a root")
     return _stable(euler, dt, _canonical_weight(euler, dt))
@@ -324,7 +202,7 @@ def canonical_decomposition(euler, d, box_limit=BOX_LIMIT):
     so the output is deterministic; the result itself is unique by the
     theory, which the tests verify against exhaustive search.
     """
-    (dt,) = _dimension_vectors(euler, box_limit, d)
+    (dt,) = _boxed_vectors(euler, box_limit, d)
     summands = _candecomp_tuple(euler, dt)
     tagged = tuple(
         (root, mult, root_class(euler, root)) for root, mult in summands

@@ -72,6 +72,7 @@ import math
 from dataclasses import dataclass
 
 from . import linalg, lr
+from .core import dimension_vectors
 from .errors import (
     BudgetError,
     InputError,
@@ -238,24 +239,6 @@ def _multisets(total, p, rows, width=None):
                     run = run + 1 if lam == mu else 1
                     weight //= run
             out.append((weight, tuple(sorted(itertools.chain(*pick)))))
-    return out
-
-
-def _require_acyclic(euler):
-    if not euler.is_path_algebra:
-        raise PreconditionError("semi-invariant dimensions require a path algebra")
-    if not euler.plan.acyclic:
-        raise PreconditionError("semi-invariant dimensions require an acyclic quiver")
-
-
-def _dimension_vectors(euler, *vecs):
-    """The one check of a public call: a path algebra of an acyclic quiver
-    and nonnegative integral vectors, returned as int tuples in sorted
-    vertex order for the kernels below."""
-    _require_acyclic(euler)
-    out = tuple(euler.tup(v) for v in vecs)
-    if any(x < 0 for t in out for x in t):
-        raise InputError("dimension vectors must be nonnegative")
     return out
 
 
@@ -525,7 +508,7 @@ def si_dim(euler, d, theta, budget=DEFAULT_BUDGET, pivot=True):
     ``budget`` must be a nonnegative integer; anything else, here and in
     the other public functions of this module, is an ``InputError``.
     """
-    (dt,) = _dimension_vectors(euler, d)
+    (dt,) = dimension_vectors(euler, d)
     layout = _layout(euler.plan, dt)
     return _si_dim(euler, dt, layout, euler.tup(theta), as_budget(budget), pivot)
 
@@ -633,7 +616,7 @@ def si_table(euler, d, theta, n_max, budget=DEFAULT_BUDGET):
     throughout, with no layout built; it costs one tuple, as does n = 0 on
     any ray with theta(d) = 0, so ``budget=0`` raises BudgetError there.
     """
-    (dt,) = _dimension_vectors(euler, d)
+    (dt,) = dimension_vectors(euler, d)
     th = euler.tup(theta)
     n_max = as_int(n_max, "table length")
     if n_max < 0:
@@ -658,7 +641,7 @@ def circ(euler, d, e, budget=DEFAULT_BUDGET):
     Computes dim SI(Q,e)_{<d,->} and dim SI(Q,d)_{-<-,e>} and insists they
     agree; either number is the value.
     """
-    dt, et = _dimension_vectors(euler, d, e)
+    dt, et = dimension_vectors(euler, d, e)
     return _circ(euler, dt, et, as_budget(budget))
 
 
@@ -722,7 +705,7 @@ def polynomiality_check(euler, d, e, n_max, budget=DEFAULT_BUDGET):
     reported as violated at 0 (which cannot occur unless the enumeration
     itself is broken).
     """
-    dt, et = _dimension_vectors(euler, d, e)
+    dt, et = dimension_vectors(euler, d, e)
     n_max = as_int(n_max, "n_max")
     if n_max < 1:
         raise InputError("n_max must be at least 1")
@@ -803,7 +786,7 @@ def wild_violation_search(
     cls = core.classify_path_algebra(euler.quiver)
     if cls.type != "wild":
         raise PreconditionError("violation search requires a wild quiver")
-    _require_acyclic(euler)
+    dimension_vectors(euler)  # the path-algebra check alone: no vector given
     budget = as_budget(budget)
     n = euler.n
     frontier = []

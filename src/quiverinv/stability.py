@@ -11,11 +11,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import cones, siweights
-from .core import Quiver, classify_path_algebra
+from .core import Quiver, classify_path_algebra, dimension_vectors
 from .errors import InputError, InvariantError, PreconditionError, as_int
 from .generic import (
     BOX_LIMIT,
-    _dimension_vectors,
+    _boxed_vectors,
     _stable,
     _subdims,
     canonical_decomposition,
@@ -25,7 +25,7 @@ from .linalg import dot
 
 
 def _vector_and_weight(euler, d, theta, box_limit):
-    (dt,) = _dimension_vectors(euler, box_limit, d)
+    (dt,) = _boxed_vectors(euler, box_limit, d)
     return dt, euler.tup(theta)
 
 
@@ -45,62 +45,17 @@ def is_stable_generic(euler, d, theta, box_limit=BOX_LIMIT):
     return _stable(euler, *_vector_and_weight(euler, d, theta, box_limit))
 
 
-@dataclass(frozen=True)
-class WeightCone:
-    """The effective-weight cone of a dimension vector.
+def effective_cone(euler, d, box_limit=BOX_LIMIT):
+    """The effective-weight cone of d, as a ``cones.ConeDescription``.
 
     Weights theta with theta(d) = 0 (the ``equalities``) and theta <= 0 on
-    every proper generic subdimension vector (the ``inequalities``).  Facets
-    carry every inequality vanishing on them plus a lattice point in their
-    relative interior.
+    every proper nonzero generic subdimension vector (the ``inequalities``),
+    one entry per vertex in sorted order.  Facets carry every inequality
+    vanishing on them plus a lattice point in their relative interior.
     """
-
-    dimension: tuple
-    equalities: tuple
-    inequalities: tuple
-    lineality: tuple
-    rays: tuple
-    dim: int
-    facets: tuple
-
-    def contains(self, theta):
-        """Whether ``theta``, one entry per vertex in sorted order, lies in
-        the cone; a weight of any other length is an ``InputError``."""
-        theta = tuple(theta)
-        if len(theta) != len(self.dimension):
-            raise InputError(
-                f"weight length {len(theta)} does not match "
-                f"{len(self.dimension)} vertices"
-            )
-        return all(dot(e, theta) == 0 for e in self.equalities) and all(
-            dot(b, theta) <= 0 for b in self.inequalities
-        )
-
-    def description(self):
-        return cones.ConeDescription(
-            len(self.dimension),
-            self.equalities,
-            self.inequalities,
-            self.lineality,
-            self.rays,
-            self.dim,
-            self.facets,
-        )
-
-
-def effective_cone(euler, d, box_limit=BOX_LIMIT):
-    (dt,) = _dimension_vectors(euler, box_limit, d)
+    (dt,) = _boxed_vectors(euler, box_limit, d)
     subs = [sub for sub in _subdims(euler, dt) if any(sub) and sub != dt]
-    desc = cones.describe(euler.n, [dt], subs)
-    return WeightCone(
-        dt,
-        desc.equalities,
-        desc.inequalities,
-        desc.lineality,
-        desc.rays,
-        desc.dim,
-        desc.facets,
-    )
+    return cones.describe(euler.n, [dt], subs)
 
 
 @dataclass(frozen=True)
@@ -175,7 +130,7 @@ def local_quiver(euler, factors):
     dims = []
     mults = []
     for dim, mult in factors:
-        dt = euler.tup(dim)
+        (dt,) = dimension_vectors(euler, dim, hereditary=False)
         if not any(dt):
             raise InputError("factors must be nonzero")
         mult = as_int(mult, "multiplicity")

@@ -4,7 +4,11 @@ Each helper recomputes a quantity by a different route than the library:
 Schur polynomials by semistandard-tableau enumeration, Pieri products by
 horizontal strips, cone membership by exact Caratheodory search,
 subrepresentation existence by exhaustive subspace scans over a prime
-field, thin semi-invariant dimensions by torus character counts,
+field, generic hom and ext by the minimum over representations sampled
+with small rational entries (``Representation``, ``random_representation``,
+``hom_ext_concrete``, ``hom_ext_sampled``: the library reads dimension
+vectors alone and builds no representation, so this oracle lives here),
+thin semi-invariant dimensions by torus character counts,
 canonical decompositions by exhaustive multiset search, the Schofield
 recursion by a plain copy of its first implementation that reads nothing
 of the Euler matrix but ``euler.matrix``, the signature of a symmetric
@@ -18,11 +22,13 @@ sequential ``lr.tensor_fold`` products.
 import functools
 import itertools
 import math
+import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 from quiverinv import linalg
-from quiverinv.core import EulerMatrix
-from quiverinv.errors import InvariantError
+from quiverinv.core import EulerMatrix, Quiver
+from quiverinv.errors import InputError, InvariantError
 from quiverinv.generic import ext_generic, is_schur_root
 
 
@@ -305,14 +311,124 @@ def generic_subdims_scan(quiver, d, samples=12, seed=7, p=PRIME):
     return sorted(found)
 
 
+# ---------------------------------------------------------------------------
+# Concrete representations over Q, sampled: hom and ext as the nullity and
+# corank of one exact linear map, which the library never builds
+
+DEFAULT_SEED = 1729
+
+#: Nonzero small rationals used for sampled representations.
+SAMPLE_POOL = tuple(
+    Fraction(n, den)
+    for den in (1, 2, 3)
+    for n in range(-4, 5)
+    if n != 0 and Fraction(n, den).denominator == den
+)
+
+
+@dataclass(frozen=True)
+class Representation:
+    """A representation: matrices over Q indexed by arrow id.
+
+    ``matrices[a]`` has shape d(head) x d(tail) and carries Fraction entries.
+    """
+
+    quiver: Quiver
+    dim: dict
+    matrices: dict
+
+    def __post_init__(self):
+        for aid, tail, head in self.quiver.arrows:
+            mat = self.matrices.get(aid)
+            if mat is None:
+                raise InputError(f"missing matrix for arrow {aid!r}")
+            rows = len(mat)
+            if rows != self.dim.get(head, 0):
+                raise InputError(f"matrix for {aid!r} has wrong row count")
+            for row in mat:
+                if len(row) != self.dim.get(tail, 0):
+                    raise InputError(f"matrix for {aid!r} has wrong column count")
+
+
+def random_representation(quiver, d, rng=None, pool=SAMPLE_POOL):
+    """Representation with entries drawn uniformly from the sample pool."""
+    if rng is None:
+        rng = random.Random(DEFAULT_SEED)
+    euler = EulerMatrix(quiver)
+    dt = euler.tup(d)
+    if any(x < 0 for x in dt):
+        raise InputError("dimension vectors must be nonnegative")
+    dims = dict(zip(euler.order, dt))
+    matrices = {}
+    for aid, tail, head in quiver.arrows:
+        matrices[aid] = tuple(
+            tuple(rng.choice(pool) for _ in range(dims[tail]))
+            for _ in range(dims[head])
+        )
+    return Representation(quiver, dims, matrices)
+
+
+def hom_ext_concrete(v, w):
+    """Exact (hom, ext) for two concrete representations.
+
+    Builds the linear map sending a vertexwise collection (phi(i)) to the
+    arrowwise collection (phi(head a) V(a) - W(a) phi(tail a)); hom is its
+    nullity and ext the corank, both over Q.
+    """
+    if v.quiver is not w.quiver and v.quiver != w.quiver:
+        raise InputError("representations live on different quivers")
+    quiver = v.quiver
+    order = quiver.order
+    dv = {i: v.dim.get(i, 0) for i in order}
+    dw = {i: w.dim.get(i, 0) for i in order}
+    col_offset = {}
+    ncols = 0
+    for i in order:
+        col_offset[i] = ncols
+        ncols += dv[i] * dw[i]
+    nrows = sum(dw[h] * dv[t] for _, t, h in quiver.arrows)
+    rows = []
+    for aid, t, h in quiver.arrows:
+        va = v.matrices[aid]
+        wa = w.matrices[aid]
+        for r in range(dw[h]):
+            for c in range(dv[t]):
+                row = [Fraction(0)] * ncols
+                for s in range(dv[h]):
+                    row[col_offset[h] + r * dv[h] + s] += va[s][c]
+                for s in range(dw[t]):
+                    row[col_offset[t] + s * dv[t] + c] -= wa[r][s]
+                rows.append(row)
+    rk = linalg.rank(rows) if rows else 0
+    return ncols - rk, nrows - rk
+
+
+def hom_ext_sampled(quiver, a, b, trials=20, seed=DEFAULT_SEED):
+    """Componentwise minimum of (hom, ext) over sampled pairs.
+
+    Hom and ext are upper semicontinuous, so the minimum over independent
+    samples estimates the generic value from above-stably; agreement across
+    trials is the caller's genericity evidence.
+    """
+    rng = random.Random(seed)
+    best = None
+    for _ in range(trials):
+        v = random_representation(quiver, a, rng)
+        w = random_representation(quiver, b, rng)
+        he = hom_ext_concrete(v, w)
+        best = he if best is None else (min(best[0], he[0]), min(best[1], he[1]))
+    return best
+
+
+# ---------------------------------------------------------------------------
+
+
 def subdims_via_sampled_ext(quiver, d, trials=20):
     """Generic subdimension vectors by the embedding criterion, with ext
     measured on sampled rational representations instead of the recursion:
     d' embeds generically iff ext(d', d - d') vanishes at a generic point,
     and the minimum of the concrete corank over samples witnesses that.
     """
-    from quiverinv.generic import hom_ext_sampled
-
     euler = EulerMatrix(quiver)
     dt = euler.tup(d)
     out = []

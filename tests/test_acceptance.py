@@ -20,14 +20,9 @@ from quiverinv.core import (
     euclidean_quiver,
     kronecker_quiver,
 )
-from quiverinv.generic import (
-    canonical_decomposition,
-    hom_ext_concrete,
-    is_schur_root,
-    random_representation,
-)
+from quiverinv.generic import canonical_decomposition, is_schur_root
 
-from oracles import candecomp_exhaustive
+from oracles import candecomp_exhaustive, hom_ext_concrete, random_representation
 
 EK2 = EulerMatrix(kronecker_quiver(2))
 EK3 = EulerMatrix(kronecker_quiver(3))

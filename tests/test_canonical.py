@@ -303,6 +303,11 @@ def test_kronecker_pair_rejects():
     for bad in (-1, "7", 2.5):
         with pytest.raises(InputError):
             can.kronecker_pair(T4, T4.h(), budget=bad)
+    # -h is isotropic and indivisible too; its empty search box used to end
+    # in an InvariantError ("no Kronecker pair below ... despite q(d) = 0")
+    minus_h = tuple(-x for x in DOM.h())
+    with pytest.raises(InputError, match="nonnegative"):
+        can.kronecker_pair(DOM, minus_h)
 
 
 def test_rational_invariants_canonical():
@@ -336,6 +341,15 @@ def test_rational_invariants_canonical_rejects():
     zero = (0,) * T4.euler.n
     with pytest.raises(InputError):
         can.rational_invariants_canonical(T4, zero, decomposition=[(zero, 1)])
+    # negative vectors, as d and as a claimed root, used to reach the
+    # Kronecker search and end in an InvariantError
+    minus_h = tuple(-x for x in DOM.h())
+    with pytest.raises(InputError, match="nonnegative"):
+        can.rational_invariants_canonical(DOM, minus_h)
+    with pytest.raises(InputError, match="nonnegative"):
+        can.rational_invariants_canonical(
+            DOM, (0,) * DOM.euler.n, decomposition=[(DOM.h(), 1), (minus_h, 1)]
+        )
 
 
 def test_rational_invariants_rejects_fractional_multiplicity():

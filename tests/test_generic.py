@@ -11,22 +11,22 @@ from quiverinv import generic
 from quiverinv.core import EulerMatrix, Quiver, dynkin_quiver, euclidean_quiver, kronecker_quiver
 from quiverinv.errors import BudgetError, InputError, PreconditionError
 from quiverinv.generic import (
-    Representation,
     canonical_decomposition,
     ext_generic,
     generic_hom_ext,
     generic_subdims,
-    hom_ext_concrete,
-    hom_ext_sampled,
     is_schur_root,
-    random_representation,
     root_class,
 )
 from quiverinv.stability import is_semistable_generic, is_stable_generic
 
 from oracles import (
+    Representation,
     candecomp_exhaustive,
     generic_subdims_scan,
+    hom_ext_concrete,
+    hom_ext_sampled,
+    random_representation,
     ref_canonical_decomposition,
     ref_canonical_weight,
     ref_ext_generic,
