@@ -10,10 +10,12 @@ entry e boxes in rows <= r.  Such chains are exactly the lattice-word skew
 tableaux of shape nu/lam and content mu; ``_schur_mult`` enumerates them.
 
 The public functions (``partition``, ``schur_product``, ``lr_coefficient``,
-``tensor_fold``) validate and coerce their input once and then call two
-internals that take plain int tuples: ``_product`` for one product and
-``_fold`` for a sorted sequence of trimmed partitions.  Hot callers that
-already hold such tuples (``siweights``) call ``_fold`` directly.
+``tensor_fold``) validate and coerce their input once and then call three
+internals that take plain int tuples: ``_product`` for one product,
+``_fold`` for a sorted sequence of trimmed partitions, and ``_coef`` for a
+single coefficient, which counts the tableaux of one shape nu/lam instead
+of building a product.  Hot callers that already hold such tuples
+(``siweights``) call ``_fold`` and ``_coef`` directly.
 
 All entry points cache aggressively: the weight-space enumeration in
 ``siweights`` revisits the same small products thousands of times.
@@ -117,6 +119,87 @@ def _schur_mult(lam, mu, maxrows, cap):
     return results
 
 
+def _count_tableaux(lam, mu, nu):
+    """c^nu_{lam,mu} on trimmed partitions with |nu| = |lam| + |mu| and
+    both factors inside nu: the strip and ballot walk of ``_schur_mult``,
+    capped row by row at nu.
+
+    By the ballot condition entry e never enters a row above row e, so
+    once entry e is placed, row e is final and must equal nu[e]: the walk
+    forces that row's strip and starts the rest of the strip one row
+    lower."""
+    nrows = len(nu)
+    shape = list(lam) + [0] * (nrows - len(lam))
+    k = len(mu)
+
+    def place_entry(e, a_prev):
+        if e == k:
+            # every row is capped at nu and the sizes agree
+            return 1
+        old = shape[:]
+        forced = nu[e] - shape[e]
+        rem = mu[e] - forced
+        if rem < 0 or (e and forced > a_prev[e - 1]):
+            return 0
+        prefix = [0] * (nrows + 1)
+        if e:
+            for r in range(e - 1, nrows):
+                prefix[r + 1] = prefix[r] + a_prev[r]
+        a_cur = [0] * nrows
+        a_cur[e] = forced
+        shape[e] = nu[e]
+
+        def place_row(r, rem, cum):
+            if rem == 0:
+                return place_entry(e + 1, a_cur)
+            if r == nrows:
+                return 0
+            tmax = min(rem, nu[r] - shape[r], old[r - 1] - shape[r])
+            if e:
+                tmax = min(tmax, prefix[r] - cum)
+            count = 0
+            for t in range(tmax, -1, -1):
+                shape[r] += t
+                a_cur[r] = t
+                count += place_row(r + 1, rem - t, cum + t)
+                shape[r] -= t
+            a_cur[r] = 0
+            return count
+
+        count = place_row(e + 1, rem, forced)
+        shape[e] = old[e]
+        return count
+
+    return place_entry(0, None)
+
+
+_COEF_CACHE = {}
+
+
+def _coef(lam, mu, nu):
+    """lr_coefficient on trimmed partitions; the count is cached."""
+    if lam > mu:
+        lam, mu = mu, lam
+    key = (lam, mu, nu)
+    found = _COEF_CACHE.get(key)
+    if found is None:
+        if (
+            sum(nu) != sum(lam) + sum(mu)
+            or len(lam) > len(nu)
+            or len(mu) > len(nu)
+            or any(x > y for x, y in zip(lam, nu))
+            or any(x > y for x, y in zip(mu, nu))
+        ):
+            found = 0
+        else:
+            # fewer strips = shallower walk; the coefficient is symmetric
+            if len(mu) > len(lam):
+                lam, mu = mu, lam
+            found = _count_tableaux(lam, mu, nu)
+        _COEF_CACHE[key] = found
+    return found
+
+
 _PRODUCT_CACHE = {}
 
 
@@ -148,15 +231,7 @@ def schur_product(lam, mu, rows, cap=None):
 
 def lr_coefficient(lam, mu, nu):
     """The Littlewood-Richardson coefficient c^nu_{lam,mu}."""
-    lam = partition(lam)
-    mu = partition(mu)
-    nu = partition(nu)
-    if sum(nu) != sum(lam) + sum(mu):
-        return 0
-    rows = max(len(nu), 1)
-    if len(lam) > rows or len(mu) > rows:
-        return 0
-    return _product(lam, mu, rows, nu).get(nu, 0)
+    return _coef(partition(lam), partition(mu), partition(nu))
 
 
 def _fold(lams, rows, cap):
@@ -201,3 +276,4 @@ def tensor_fold(lams, rows, cap=None):
 
 def clear_caches():
     _PRODUCT_CACHE.clear()
+    _COEF_CACHE.clear()

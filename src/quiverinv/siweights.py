@@ -16,8 +16,12 @@ heads-only vertices degenerate to a single coefficient of the rectangle
 R = (|theta(v)|^d(v)); a heads-only side is read as the tails-only side of
 -theta(v), so both share one cache entry.  Since c^R_{alpha,beta} is 1 when
 beta is the complement of alpha in R and 0 otherwise, that coefficient is
-a join of two half folds, each capped at R:
-sum_alpha c_alpha(first half) * c_{R - alpha}(second half).
+the coefficient of the complement of the largest factor in the product of
+the others.  Every multiplicity is thus read one target at a time: the
+factors but one fold capped at the target, and each partition of that
+fold meets the last factor in a single LR coefficient (``lr._coef``).  At
+a vertex with both sides only the side with fewer factors is folded whole;
+each nu of it, shifted by theta(v), is one target on the other side.
 
 The block is nonzero only when the partition sizes s_a = |lambda_a| satisfy
 the flow-balance equations sum_out s - sum_in s = theta(v) d(v) at every
@@ -264,38 +268,41 @@ def _complement(lam, dv, w):
     return tuple(out)
 
 
-def _rect_mult(dv, w, factors):
-    """c^R(factors): the multiplicity of R = (w^dv), w >= 0, in the product
-    of the sorted ``factors``, as a join of two half folds.
+def _coefficient(target, factors, dv):
+    """The coefficient of S_target in the product of the sorted, nonempty
+    ``factors``, over at most ``dv`` rows.
 
-    c^R_{alpha,beta} is 1 when beta is the complement of alpha in R and 0
-    otherwise, so c^R(factors) = sum_alpha A[alpha] * B[R - alpha], where A
-    and B fold the first half of the factors and the rest, each capped at R.
-    One factor must be R itself; with three, A is a single cached product
-    and B one lookup.
-    """
-    factors = [lam for lam in factors if lam]
-    if sum(map(sum, factors)) != w * dv:
+    All factors but the last fold capped at ``target``, since c^target
+    vanishes unless both of its factors fit inside target; each alpha of
+    that fold then meets the last factor in one LR coefficient."""
+    if sum(map(sum, factors)) != sum(target):
         return 0
     if not factors:
         return 1
-    rect = (w,) * dv
+    last = factors[-1]
     if len(factors) == 1:
-        return 1 if factors[0] == rect else 0
-    half = (len(factors) + 1) // 2
-    left = lr._fold(factors[:half], dv, rect)
-    if len(factors) - half == 1:
-        rest = _complement(factors[-1], dv, w)
-        return 0 if rest is None else left.get(rest, 0)
-    right = lr._fold(factors[half:], dv, rect)
-    if len(right) < len(left):
-        left, right = right, left
+        return 1 if last == target else 0
+    if len(factors) == 2:
+        return lr._coef(factors[0], last, target)
     total = 0
-    for alpha, c in left.items():
-        c2 = right.get(_complement(alpha, dv, w))
-        if c2:
-            total += c * c2
+    for alpha, c in lr._fold(factors[:-1], dv, target).items():
+        total += c * lr._coef(alpha, last, target)
     return total
+
+
+def _rect_mult(dv, w, factors):
+    """c^R(factors): the multiplicity of R = (w^dv), w >= 0, in the product
+    of the sorted, nonempty ``factors``.
+
+    c^R_{alpha,beta} is 1 when beta is the complement of alpha in R and 0
+    otherwise, so c^R(factors) is the coefficient of the complement of the
+    last (largest) factor in the product of the others: a target far
+    smaller than R.
+    """
+    if not factors:
+        return 1 if w * dv == 0 else 0
+    rest = _complement(factors[-1], dv, w)
+    return 0 if rest is None else _coefficient(rest, factors[:-1], dv)
 
 
 def _vertex_mult(dv, tv, tails, heads):
@@ -304,6 +311,9 @@ def _vertex_mult(dv, tv, tails, heads):
     A heads-only side at tv is the tails-only side at -tv, and is cached
     under that key, so a source and a sink with the same rectangle
     (tv^dv) share one entry; a one-sided multiplicity is ``_rect_mult``.
+    At a vertex with both sides only the side with fewer factors is folded,
+    uncapped; each nu of that fold, shifted by the determinant power, is a
+    single target on the other side, read by ``_coefficient``.
     """
     if dv == 0:
         return 1
@@ -313,16 +323,19 @@ def _vertex_mult(dv, tv, tails, heads):
     found = _VERTEX_CACHE.get(key)
     if found is not None:
         return found
+    tails = tuple(lam for lam in tails if lam)
+    heads = tuple(lam for lam in heads if lam)
     if not heads:
         result = _rect_mult(dv, tv, tails) if tv >= 0 else 0
     else:
-        left = lr._fold(tails, dv, None)
-        right = lr._fold(heads, dv, None)
+        # sum_nu c_nu(tails) * c_{nu - tv*1}(heads), read from either side
+        if len(heads) < len(tails):
+            tails, heads, tv = heads, tails, -tv
         result = 0
-        for nu, c in left.items():
+        for nu, c in lr._fold(tails, dv, None).items():
             target = _shift(nu, dv, tv)
             if target is not None:
-                result += c * right.get(target, 0)
+                result += c * _coefficient(target, heads, dv)
     _VERTEX_CACHE[key] = result
     return result
 

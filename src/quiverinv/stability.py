@@ -126,6 +126,8 @@ def local_quiver(euler, factors):
     Factors must be pairwise non-isomorphic stables; that is invisible at
     the dimension level (an isotropic vector may appear twice, standing for
     two generic points of the same tube), so it is the caller's assertion.
+    A negative ext count shows that assertion false and raises
+    ``PreconditionError``.
     """
     dims = []
     mults = []
@@ -147,7 +149,7 @@ def local_quiver(euler, factors):
             else:
                 count = -euler.euler(di, dj)
             if count < 0:
-                raise InvariantError(
+                raise PreconditionError(
                     f"negative ext count {count} between factors {i} and {j}"
                 )
             for t in range(count):

@@ -812,7 +812,9 @@ def ref_symmetric_signature(matrix):
 # ``euler.quiver``, ``euler.order`` and ``euler.matrix`` are read, so no
 # plan is shared.  Partition lists are enumerated here, with no width
 # bound, and vertex multiplicities are folded one factor at a time with the
-# public ``lr.tensor_fold``: no rectangle join, no dualized cache key.
+# public ``lr.tensor_fold``, both sides of a vertex whole and a one-sided
+# vertex at its rectangle: no complement target, no single-coefficient
+# kernel, no dualized cache key.
 
 
 def _ref_topological_order(quiver):

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from quiverinv import canonical, cli
+from quiverinv import canonical, cli, stability
+from quiverinv.errors import InvariantError
 
 K2 = "quiver\nvertices: v1 v2\narrow a1: v1 -> v2\narrow a2: v1 -> v2\n"
 K3 = (
@@ -130,6 +131,13 @@ def test_precondition_error_exit_3(capsys, k2):
     code, out, _ = run(capsys, "schur", "-f", k2, "-d", "0,0")
     assert code == 3
     assert json.loads(out)["error"]["type"] == "PreconditionError"
+    # hom between the factors: the caller's claim that they are distinct
+    # stables is false (this exited 5, as a broken invariant)
+    code, out, _ = run(
+        capsys, "local-quiver", "-f", k2, "--factor", "1,1:1", "--factor", "1,0:1"
+    )
+    assert code == 3
+    assert json.loads(out)["error"]["type"] == "PreconditionError"
 
 
 def test_budget_error_exit_4(capsys, k2):
@@ -229,19 +237,14 @@ def test_kronecker_pair_defaults_to_the_library_search_budget(
     assert seen == [canonical.SEARCH_BUDGET, 3]
 
 
-def test_invariant_error_exit_5(capsys, tmp_path):
-    path = tmp_path / "a2.quiver"
-    path.write_text("quiver\nvertices: v1 v2\narrow a1: v1 -> v2\n")
-    code, out, _ = run(
-        capsys,
-        "local-quiver",
-        "-f",
-        str(path),
-        "--factor",
-        "1,1:1",
-        "--factor",
-        "0,1:1",
-    )
+def test_invariant_error_exit_5(capsys, k2, monkeypatch):
+    # invariant checks are bug sentinels that no input should reach, so
+    # plant one that fires
+    def broken(*args):
+        raise InvariantError("planted")
+
+    monkeypatch.setattr(stability, "local_quiver", broken)
+    code, out, _ = run(capsys, "local-quiver", "-f", k2, "--factor", "1,1:1")
     assert code == 5
     assert json.loads(out)["error"]["type"] == "InvariantError"
 

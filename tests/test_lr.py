@@ -4,6 +4,8 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from quiverinv import lr
 from quiverinv.errors import InputError
@@ -104,6 +106,55 @@ def test_symmetry_and_size_filter():
             )
     assert lr.lr_coefficient((2,), (1,), (2,)) == 0
     assert lr.lr_coefficient((2,), (1,), (4,)) == 0
+
+
+def test_clear_caches_empties_every_module_cache():
+    lr.lr_coefficient((2, 1), (1,), (3, 1))
+    lr.tensor_fold([(1,), (1,), (2,)], 3)
+    caches = {
+        name: value
+        for name, value in vars(lr).items()
+        if isinstance(value, dict) and not name.startswith("__")
+    }
+    assert len(caches) >= 2 and all(caches.values())
+    lr.clear_caches()
+    assert {name: len(c) for name, c in caches.items() if c} == {}
+
+
+# at most 5 rows; factors of up to 6 boxes, targets of up to 12
+FACTORS5 = [p for p in partitions_up_to(6) if len(p) <= 5]
+TARGETS5 = [p for p in partitions_up_to(12) if len(p) <= 5]
+
+
+@st.composite
+def _coef_triples(draw):
+    """(lam, mu, nu): nu either from the support of S_lam * S_mu or any
+    partition, which may miss the size or not contain a factor."""
+    lam = draw(st.sampled_from(FACTORS5))
+    mu = draw(st.sampled_from(FACTORS5))
+    support = sorted(lr._schur_mult(lam, mu, 5, None))
+    if support and draw(st.booleans()):
+        return lam, mu, draw(st.sampled_from(support))
+    return lam, mu, draw(st.sampled_from(TARGETS5))
+
+
+@settings(max_examples=500)
+@given(case=_coef_triples())
+@example(case=((2, 1), (2, 1), (3, 2, 1)))  # coefficient 2
+@example(case=((2,), (2,), (2, 1, 1)))  # right size, outside the product
+@example(case=((1, 1, 1), (1,), (4,)))  # nu has fewer rows than lam
+@example(case=((1,), (1, 1, 1), (2, 1, 1, 1)))  # a size mismatch
+@example(case=((3,), (1,), (2, 2)))  # lam does not fit inside nu
+@example(case=((1,), (3,), (2, 1, 1)))  # mu does not fit inside nu
+def test_coefficient_kernel_matches_schur_mult(case):
+    # the single-coefficient count, in both argument orders and from a cold
+    # cache each time, against the entry of the full strip enumeration
+    lam, mu, nu = case
+    want = lr._schur_mult(lam, mu, 5, None).get(nu, 0)
+    lr.clear_caches()
+    assert lr._coef(lam, mu, nu) == want
+    lr.clear_caches()
+    assert lr._coef(mu, lam, nu) == want
 
 
 def test_schur_product_row_trimming():

@@ -18,7 +18,7 @@ from quiverinv.core import (
 from quiverinv.errors import BudgetError, InputError, PreconditionError
 from quiverinv import lr, siweights, stability
 
-from oracles import ref_si_dim, si_dim_thin
+from oracles import _ref_vertex_mult, ref_si_dim, si_dim_thin
 
 K2 = kronecker_quiver(2)
 K3 = kronecker_quiver(3)
@@ -645,6 +645,66 @@ def test_one_sided_vertex_mult_matches_sequential_fold(case, heads_first):
     if w:
         assert siweights._vertex_mult(dv, -w, factors, ()) == 0
         assert siweights._vertex_mult(dv, w, (), factors) == 0
+
+
+@st.composite
+def _two_sided_factors(draw):
+    """(d, theta(v), tails, heads): 1-4 sorted factors per side, with at
+    most d rows, whose sizes mostly balance |tails| - |heads| = theta(v) d."""
+    dv = draw(st.integers(1, 3))
+    tv = draw(st.integers(-3, 3))
+
+    def side(total):
+        k = draw(st.integers(1, 4))
+        cuts = sorted(
+            draw(st.lists(st.integers(0, total), min_size=k - 1, max_size=k - 1))
+        )
+        sizes = [b - a for a, b in zip([0] + cuts, cuts + [total])]
+        return tuple(
+            sorted(
+                draw(st.sampled_from(siweights.partitions_bounded(size, dv)))
+                for size in sizes
+            )
+        )
+
+    tails = side(draw(st.integers(0, 6)))
+    balance = sum(map(sum, tails)) - tv * dv
+    # sometimes a size that misses
+    if balance < 0 or draw(st.integers(0, 4)) == 0:
+        balance = draw(st.integers(0, 6))
+    return dv, tv, tails, side(balance)
+
+
+@settings(max_examples=300)
+@given(case=_two_sided_factors())
+# fewer tails than heads, and the reverse: each side is the folded one once
+@example(case=(2, 1, ((3, 2),), ((1,), (1,), (1,))))  # multiplicity 2
+@example(case=(2, -1, ((1,), (1,), (1, 1)), ((3, 3),)))  # multiplicity 1
+def test_two_sided_vertex_mult_matches_sequential_fold(case):
+    # the smaller side folded and the other read one target at a time,
+    # against both sides folded whole by the public fold
+    dv, tv, tails, heads = case
+    want = _ref_vertex_mult(dv, tv, tails, heads)
+    siweights.clear_caches()
+    lr.clear_caches()
+    assert siweights._vertex_mult(dv, tv, tails, heads) == want
+    # det^tv in T (x) H^* is det^-tv in H (x) T^*
+    siweights.clear_caches()
+    assert siweights._vertex_mult(dv, -tv, heads, tails) == want
+
+
+# a => b -> c: vertex b has both sides, one tail factor and two head factors
+K2_TAIL = Quiver(
+    ("a", "b", "c"), (("x", "a", "b"), ("y", "a", "b"), ("z", "b", "c"))
+)
+
+
+def test_k2_with_a_tail_two_sided_vertex():
+    # the two head partitions at b have 48 boxes and 4 rows, too many to
+    # fold whole in a test: each target is read as one LR coefficient
+    euler = EulerMatrix(K2_TAIL)
+    got = siweights.si_dim(euler, (4, 4, 2), (12, -9, -6), budget=5 * 10**7)
+    assert got == 1750
 
 
 @pytest.mark.parametrize(

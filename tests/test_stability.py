@@ -200,11 +200,13 @@ def test_local_quiver_errors():
     for dim in ((-1, -1), (2, -1)):
         with pytest.raises(InputError, match="nonnegative"):
             stability.local_quiver(EK2, [(dim, 1)])
-    # hom between the factors: negative ext count is impossible data
-    from quiverinv.errors import InvariantError
-
-    with pytest.raises(InvariantError):
+    # hom between the factors: a negative ext count means they are not
+    # distinct stables, which is the caller's claim (it was an
+    # InvariantError)
+    with pytest.raises(PreconditionError, match="negative ext count"):
         stability.local_quiver(EA2, [((1, 1), 1), ((0, 1), 1)])
+    with pytest.raises(PreconditionError, match="negative ext count -1"):
+        stability.local_quiver(EK3, [((1, 1), 1), ((1, 0), 1)])
 
 
 def _local_tits(euler, d, theta):
