@@ -191,20 +191,67 @@ def coxeter_matrix(algebra):
     return algebra.euler.coxeter()
 
 
+def _coxeter_step(euler):
+    """The Coxeter action x -> Phi x of ``euler`` on int tuples in sorted
+    vertex order, without forming Phi = -E^-1 E^T: one sparse product
+    y = E^T x over the nonzero entries of E, then one back-substitution
+    E z = y, and Phi x = -z.
+
+    The back-substitution runs in reverse topological order of the quiver,
+    where E must be unitriangular.  It is whenever the quiver is acyclic,
+    because ``BoundQuiver`` joins every relation key by a path; otherwise
+    this raises ``PreconditionError``.
+    """
+    order, acyclic = euler.quiver._kahn()
+    if not acyclic:
+        raise PreconditionError("the Coxeter step needs an acyclic quiver")
+    idx = euler.index
+    pos = {idx[v]: k for k, v in enumerate(order)}
+    rows = []  # (i, nonzero off-diagonal (j, E[i][j])), reverse topological
+    for v in reversed(order):
+        i = idx[v]
+        row = euler.matrix[i]
+        entries = tuple((j, c) for j, c in enumerate(row) if c and j != i)
+        if row[i] != 1 or any(pos[j] < pos[i] for j, _ in entries):
+            raise PreconditionError(
+                "the Coxeter step needs an Euler matrix that is "
+                "unitriangular in a topological order"
+            )
+        rows.append((i, entries))
+
+    def step(x):
+        z = list(x)
+        for i, entries in rows:
+            if x[i]:
+                for j, c in entries:
+                    z[j] += c * x[i]
+        for i, entries in rows:
+            z[i] -= sum(c * z[j] for j, c in entries)
+        return tuple(-v for v in z)
+
+    return step
+
+
 def isotropic_hull(algebra, dprime):
-    """Normalized Coxeter-orbit sum: the indivisible Phi-fixed isotropic
-    vector generated by any nonzero dprime on a tubular algebra."""
+    """Normalized Coxeter-orbit sum on a tubular algebra: the indivisible
+    Phi-fixed isotropic vector on the positive side of the line through
+    the orbit sum of dprime.
+
+    The orbit sum lies in the rank-2 radical.  A seed whose orbit sum is
+    zero or has entries of both signs generates no positive hull, and
+    raises ``PreconditionError``; many nonzero nonnegative seeds do.
+    """
     if classify_canonical(algebra) != "tubular":
         raise PreconditionError("isotropic hulls exist on tubular algebras")
     dt = algebra.tup(dprime)
     if not any(dt):
         raise InputError("dprime must be nonzero")
-    phi = coxeter_matrix(algebra)
+    step = _coxeter_step(algebra.euler)
     m = algebra.m_lcm
     orbit = [dt]
     x = dt
     for _ in range(m):
-        x = linalg.matvec(phi, x)
+        x = step(x)
         if x == dt:
             break
         orbit.append(x)
@@ -212,17 +259,22 @@ def isotropic_hull(algebra, dprime):
         raise InvariantError("Coxeter orbit does not close within lcm steps")
     total = tuple(sum(col) for col in zip(*orbit))
     if not any(total):
-        raise InvariantError("orbit sum vanished")
+        raise PreconditionError(
+            f"the Coxeter orbit of {dt} sums to zero: no positive hull"
+        )
     if all(v <= 0 for v in total):
         # the Coxeter orbit of a projective-leaning vector sums to the
         # negative side of the radical line; the hull is its positive
         # primitive generator
         total = tuple(-v for v in total)
     if any(v < 0 for v in total):
-        raise InvariantError(f"orbit sum {total} is not a positive vector")
+        raise PreconditionError(
+            f"the Coxeter orbit of {dt} sums to {total}, which has entries "
+            "of both signs: no positive hull"
+        )
     g = math.gcd(*total)
     iso = tuple(v // g for v in total)
-    if linalg.matvec(phi, iso) != iso or algebra.euler.tits(iso) != 0:
+    if step(iso) != iso or algebra.euler.tits(iso) != 0:
         raise InvariantError(f"hull {iso} is not a Coxeter-fixed isotropic")
     return iso
 
@@ -239,14 +291,14 @@ def riemann_roch_check(algebra, d, e):
     rank/degree side; exact, so any mismatch is a genuine violation."""
     dt = algebra.tup(d)
     et = algebra.tup(e)
-    phi = coxeter_matrix(algebra)
+    step = _coxeter_step(algebra.euler)
     m = algebra.m_lcm
     w = linalg.matvec(algebra.euler.matrix, et)  # <x, e> = x . w
-    lhs = 0
     x = dt
-    for _ in range(m):
-        lhs += sum(a * b for a, b in zip(x, w))
-        x = linalg.matvec(phi, x)
+    lhs = linalg.dot(x, w)
+    for _ in range(m - 1):
+        x = step(x)
+        lhs += linalg.dot(x, w)
     g = virtual_genus(algebra)
     rk_d, deg_d = rank_degree(algebra, dt)
     rk_e, deg_e = rank_degree(algebra, et)
@@ -290,8 +342,7 @@ def kronecker_pair(source, d, budget=SEARCH_BUDGET):
         raise PreconditionError("d must be indivisible")
     if isinstance(source, CanonicalAlgebra):
         if classify_canonical(source) == "tubular":
-            phi = coxeter_matrix(source)
-            if linalg.matvec(phi, dt) != dt:
+            if _coxeter_step(source.euler)(dt) != dt:
                 raise PreconditionError(
                     "tubular isotropic candidates must be Coxeter-fixed"
                 )

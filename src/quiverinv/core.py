@@ -428,90 +428,52 @@ class Classification:
     diagram: str | None
 
 
-def _tree_code(adj, root, parent):
-    children = sorted(
-        _tree_code(adj, w, root) for w in adj[root] for _ in range(adj[root][w]) if w != parent
-    )
-    return "(" + "".join(children) + ")"
-
-
-def _tree_centers(adj):
-    degree = {v: sum(adj[v].values()) for v in adj}
-    leaves = [v for v in adj if degree[v] <= 1]
-    remaining = len(adj)
-    while remaining > 2:
-        new_leaves = []
-        for leaf in leaves:
-            for w in adj[leaf]:
-                degree[w] -= adj[leaf][w]
-                if degree[w] == 1:
-                    new_leaves.append(w)
-            degree[leaf] = 0
-        remaining -= len(leaves)
-        leaves = new_leaves
-    return leaves
-
-
-def _canonical_tree_code(edges, vertices):
-    adj = {v: {} for v in vertices}
-    for a, b in edges:
-        adj[a][b] = adj[a].get(b, 0) + 1
-        adj[b][a] = adj[b].get(a, 0) + 1
-    centers = _tree_centers(adj)
-    return min(_tree_code(adj, c, None) for c in centers)
-
-
-def _star_edges(arm_lengths):
-    """Tree made of paths of the given lengths glued at a common center."""
-    edges = []
-    for i, length in enumerate(arm_lengths):
-        prev = "c"
-        for j in range(length):
-            node = f"{i}.{j}"
-            edges.append((prev, node))
-            prev = node
-    vertices = {a for e in edges for a in e} | {"c"}
-    return edges, vertices
-
-
-def _dn_tilde_edges(n):
-    """Extended D_n: central path with two extra leaves at each end."""
-    path = [f"p{i}" for i in range(n - 3)]
-    edges = []
-    for a, b in zip(path, path[1:]):
-        edges.append((a, b))
-    edges += [("l1", path[0]), ("l2", path[0]), ("r1", path[-1]), ("r2", path[-1])]
-    vertices = {a for e in edges for a in e}
-    return edges, vertices
-
-
-_FINITE_STARS = {
-    "E6": (1, 2, 2),
-    "E7": (1, 2, 3),
-    "E8": (1, 2, 4),
-}
-
 _EXTENDED_STARS = {"E~6": (2, 2, 2), "E~7": (1, 3, 3), "E~8": (1, 2, 5)}
 
 
+def _arm_length(adj, centre, v):
+    """Vertices on the arm that leaves ``centre`` through its neighbour v:
+    the path from v on through vertices of degree two, up to and including
+    the first vertex of another degree (a leaf when ``centre`` is the only
+    branch vertex)."""
+    length, prev = 1, centre
+    while len(adj[v]) == 2:
+        prev, v = v, adj[v][adj[v][0] == prev]
+        length += 1
+    return length
+
+
 def _classify_tree(edges, vertices):
-    """Name a tree as Dynkin or extended Dynkin, or return None."""
-    code = _canonical_tree_code(edges, vertices)
+    """Name a tree as Dynkin or extended Dynkin, or return None, from its
+    branch vertices (degree at least three) and the lengths of their arms,
+    not counting the branch vertex itself."""
     n = len(vertices)
-    candidates = []
-    candidates.append((f"A{n}", "finite", _star_edges([n - 1])))
-    if n >= 4:
-        candidates.append((f"D{n}", "finite", _star_edges([1, 1, n - 3])))
-    if n in (6, 7, 8):
-        candidates.append((f"E{n}", "finite", _star_edges(_FINITE_STARS[f"E{n}"])))
-    if n >= 5:
-        candidates.append((f"D~{n - 1}", "tame_infinite", _dn_tilde_edges(n - 1)))
-    for name, arms in _EXTENDED_STARS.items():
-        if n == sum(arms) + 1:
-            candidates.append((name, "tame_infinite", _star_edges(arms)))
-    for name, kind, (cedges, cverts) in candidates:
-        if len(cverts) == n and _canonical_tree_code(cedges, cverts) == code:
-            return kind, name
+    adj = {v: [] for v in vertices}
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    branches = [v for v in vertices if len(adj[v]) > 2]
+    if not branches:
+        return "finite", f"A{n}"
+    if len(branches) == 1:
+        (centre,) = branches
+        arms = tuple(sorted(_arm_length(adj, centre, w) for w in adj[centre]))
+        if len(arms) == 4:
+            return ("tame_infinite", "D~4") if arms == (1, 1, 1, 1) else None
+        if len(arms) == 3:
+            if arms[1] == 1:
+                return "finite", f"D{n}"
+            if arms[:2] == (1, 2) and arms[2] <= 4:
+                return "finite", f"E{n}"
+            for name, star in _EXTENDED_STARS.items():
+                if arms == star:
+                    return "tame_infinite", name
+        return None
+    if len(branches) == 2 and all(
+        len(adj[v]) == 3 and sum(len(adj[w]) == 1 for w in adj[v]) == 2
+        for v in branches
+    ):
+        return "tame_infinite", f"D~{n - 1}"
     return None
 
 
@@ -540,10 +502,10 @@ def _classify_component(quiver, comp):
 def classify_path_algebra(quiver):
     """Representation type of the path algebra, with the diagram name.
 
-    The verdict comes from recognizing the underlying graph against the
-    Dynkin and extended Dynkin catalogues, and is cross-checked against the
-    definiteness of the symmetrized Tits form; a disagreement raises an
-    internal error.
+    The verdict comes from the shape of the underlying graph: a cycle, or
+    a tree read by its branch vertices and their arm lengths.  It is
+    cross-checked against the definiteness of the symmetrized Tits form;
+    a disagreement raises an internal error.
     """
     if not quiver.is_connected():
         raise PreconditionError("classification requires a connected quiver")

@@ -9,9 +9,10 @@ with small rational entries (``Representation``, ``random_representation``,
 ``hom_ext_concrete``, ``hom_ext_sampled``: the library reads dimension
 vectors alone and builds no representation, so this oracle lives here),
 thin semi-invariant dimensions by torus character counts,
-canonical decompositions by exhaustive multiset search, the Schofield
-recursion by a plain copy of its first implementation that reads nothing
-of the Euler matrix but ``euler.matrix``, the signature of a symmetric
+canonical decompositions by exhaustive multiset search, Dynkin and
+Euclidean trees by canonical tree codes against every candidate diagram,
+the Schofield recursion by a plain copy of its first implementation that
+reads nothing of the Euler matrix but ``euler.matrix``, the signature of a symmetric
 matrix by the sign pattern of its characteristic polynomial, ranks,
 kernels and inverses by Gauss-Jordan elimination over Fraction, and
 semi-invariant dimensions by a copy of the first two-walk ``si_dim`` over
@@ -666,6 +667,98 @@ def _ref_candecomp(euler, dt):
         raise AssertionError(f"reference: {dt} admits no generic splitting")
     _REF_CANDECOMP[key] = result
     return result
+
+
+# ---------------------------------------------------------------------------
+# Dynkin and Euclidean trees by canonical tree codes
+#
+# The library's first recognizer: a canonical string code of the tree
+# (rooted at its centre or centres) compared with the code of every
+# A/D/E/D~/E~ candidate of the same size.
+
+
+def _ref_tree_code(adj, root, parent):
+    children = sorted(
+        _ref_tree_code(adj, w, root)
+        for w in adj[root]
+        for _ in range(adj[root][w])
+        if w != parent
+    )
+    return "(" + "".join(children) + ")"
+
+
+def _ref_tree_centers(adj):
+    degree = {v: sum(adj[v].values()) for v in adj}
+    leaves = [v for v in adj if degree[v] <= 1]
+    remaining = len(adj)
+    while remaining > 2:
+        new_leaves = []
+        for leaf in leaves:
+            for w in adj[leaf]:
+                degree[w] -= adj[leaf][w]
+                if degree[w] == 1:
+                    new_leaves.append(w)
+            degree[leaf] = 0
+        remaining -= len(leaves)
+        leaves = new_leaves
+    return leaves
+
+
+def _ref_canonical_tree_code(edges, vertices):
+    adj = {v: {} for v in vertices}
+    for a, b in edges:
+        adj[a][b] = adj[a].get(b, 0) + 1
+        adj[b][a] = adj[b].get(a, 0) + 1
+    return min(_ref_tree_code(adj, c, None) for c in _ref_tree_centers(adj))
+
+
+def _ref_star_edges(arm_lengths):
+    """Tree made of paths of the given lengths glued at a common center."""
+    edges = []
+    for i, length in enumerate(arm_lengths):
+        prev = "c"
+        for j in range(length):
+            node = f"{i}.{j}"
+            edges.append((prev, node))
+            prev = node
+    vertices = {a for e in edges for a in e} | {"c"}
+    return edges, vertices
+
+
+def _ref_dn_tilde_edges(n):
+    """Extended D_n: central path with two extra leaves at each end."""
+    path = [f"p{i}" for i in range(n - 3)]
+    edges = list(zip(path, path[1:]))
+    edges += [("l1", path[0]), ("l2", path[0]), ("r1", path[-1]), ("r2", path[-1])]
+    vertices = {a for e in edges for a in e}
+    return edges, vertices
+
+
+_REF_FINITE_STARS = {"E6": (1, 2, 2), "E7": (1, 2, 3), "E8": (1, 2, 4)}
+_REF_EXTENDED_STARS = {"E~6": (2, 2, 2), "E~7": (1, 3, 3), "E~8": (1, 2, 5)}
+
+
+def ref_classify_tree(edges, vertices):
+    """``(type, diagram)`` of a tree given by its edges, as
+    ``core._classify_tree`` answers it, or None when the tree is wild."""
+    code = _ref_canonical_tree_code(edges, vertices)
+    n = len(vertices)
+    candidates = [(f"A{n}", "finite", _ref_star_edges([n - 1]))]
+    if n >= 4:
+        candidates.append((f"D{n}", "finite", _ref_star_edges([1, 1, n - 3])))
+    if n in (6, 7, 8):
+        candidates.append(
+            (f"E{n}", "finite", _ref_star_edges(_REF_FINITE_STARS[f"E{n}"]))
+        )
+    if n >= 5:
+        candidates.append((f"D~{n - 1}", "tame_infinite", _ref_dn_tilde_edges(n - 1)))
+    for name, arms in _REF_EXTENDED_STARS.items():
+        if n == sum(arms) + 1:
+            candidates.append((name, "tame_infinite", _ref_star_edges(arms)))
+    for name, kind, (cedges, cverts) in candidates:
+        if len(cverts) == n and _ref_canonical_tree_code(cedges, cverts) == code:
+            return kind, name
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 Kronecker pairs, and rational-invariant profiles."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -10,7 +11,14 @@ import pytest
 from oracles import ref_inverse
 from quiverinv import canonical as can
 from quiverinv import linalg
-from quiverinv.core import EulerMatrix, euclidean_quiver, kronecker_quiver, null_root
+from quiverinv.core import (
+    BoundQuiver,
+    EulerMatrix,
+    Quiver,
+    euclidean_quiver,
+    kronecker_quiver,
+    null_root,
+)
 from quiverinv.errors import (
     BudgetError,
     InputError,
@@ -20,6 +28,7 @@ from quiverinv.errors import (
 T4 = can.build_canonical((2, 2, 2, 2), (1, 2))
 DOM = can.build_canonical((2, 2, 2), (1,))
 WILD = can.build_canonical((7, 3, 2), (1,))
+TUBULARS = ((2, 2, 2, 2), (3, 3, 3), (4, 4, 2), (6, 3, 2))
 
 
 def unit(algebra, vertex):
@@ -202,8 +211,6 @@ def test_isotropic_hull_properties():
         hull = can.isotropic_hull(T4, seed)
         assert T4.euler.tits(hull) == 0
         assert tuple(linalg.matvec(phi, hull)) == hull
-        import math
-
         assert math.gcd(*hull) == 1
 
 
@@ -214,6 +221,38 @@ def test_isotropic_hull_rejects():
         can.isotropic_hull(DOM, DOM.h())
     with pytest.raises(InputError):
         can.isotropic_hull(T4, (0,) * T4.euler.n)
+
+
+def test_isotropic_hull_seeds_without_a_positive_hull():
+    # nonnegative seeds whose orbit sum has both signs, or is zero, used to
+    # end in an InvariantError
+    with pytest.raises(PreconditionError, match="both signs"):
+        can.isotropic_hull(T4, (1, 1, 0, 0, 0, 0))
+    with pytest.raises(PreconditionError, match="sums to zero"):
+        can.isotropic_hull(T4, (2, 0, 2, 2, 0, 2))
+
+
+def test_isotropic_hull_of_random_seeds():
+    # every nonzero 0/1 seed on a tubular algebra gets a Coxeter-fixed
+    # isotropic indivisible positive hull or a PreconditionError
+    rng = random.Random(31)
+    refused = 0
+    for weights in TUBULARS:
+        algebra = can.build_canonical(weights, (1, 2)[: len(weights) - 2])
+        phi = can.coxeter_matrix(algebra)
+        for _ in range(25):
+            seed = tuple(rng.randrange(0, 2) for _ in range(algebra.euler.n))
+            if not any(seed):
+                continue
+            try:
+                hull = can.isotropic_hull(algebra, seed)
+            except PreconditionError:
+                refused += 1
+                continue
+            assert linalg.matvec(phi, hull) == hull
+            assert algebra.euler.tits(hull) == 0
+            assert min(hull) >= 0 and math.gcd(*hull) == 1
+    assert refused
 
 
 def test_riemann_roch_examples():
@@ -260,6 +299,28 @@ def test_coxeter_and_riemann_roch_against_gauss_jordan_inverse():
             d = tuple(rng.randrange(0, 4) for _ in range(n))
             e = tuple(rng.randrange(-3, 4) for _ in range(n))
             assert can.riemann_roch_check(algebra, d, e).status == "ok", weights
+
+
+def test_coxeter_step_matches_coxeter_matrix():
+    rng = random.Random(37)
+    for weights in SCAN_WEIGHTS + list(TUBULARS):
+        algebra = can.build_canonical(weights, (1, 2)[: len(weights) - 2])
+        phi = can.coxeter_matrix(algebra)
+        step = can._coxeter_step(algebra.euler)
+        for _ in range(4):
+            x = tuple(rng.randrange(-5, 6) for _ in range(algebra.euler.n))
+            assert step(x) == linalg.matvec(phi, x), weights
+
+
+def test_coxeter_step_refuses_a_cyclic_quiver():
+    # a -> b -> a with one relation on the loop path: E = ((2, -1), (-1, 1))
+    # is unimodular, so the dense Coxeter matrix exists, but E is
+    # triangular in no vertex order and the step must not answer
+    cycle = Quiver(("a", "b"), (("x", "a", "b"), ("y", "b", "a")))
+    euler = EulerMatrix(BoundQuiver(cycle, {("a", "a"): 1}))
+    assert euler.coxeter()
+    with pytest.raises(PreconditionError, match="acyclic"):
+        can._coxeter_step(euler)
 
 
 def test_kronecker_pair_euclidean():

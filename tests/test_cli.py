@@ -330,6 +330,22 @@ def test_rr_check_cli(capsys, tubular):
     assert doc["result"]["rhs"] == "-2"
 
 
+def test_iso_hull_cli(capsys, tubular):
+    code, out, _ = run(capsys, "iso-hull", "-f", tubular, "-d", "1,0,0,0,0,0")
+    assert code == 0
+    assert json.loads(out)["result"]["pretty"] == "(0,1,1,1,1,2)"
+
+
+@pytest.mark.parametrize("seed", ["1,1,0,0,0,0", "2,0,2,2,0,2"])
+def test_iso_hull_without_a_positive_hull_exits_3(capsys, tubular, seed):
+    # these seeds used to exit 5 with an InvariantError
+    code, out, _ = run(capsys, "iso-hull", "-f", tubular, "-d", seed)
+    assert code == 3
+    error = json.loads(out)["error"]
+    assert error["type"] == "PreconditionError"
+    assert "no positive hull" in error["message"]
+
+
 def test_entry_point_matches_package():
     import pathlib
 

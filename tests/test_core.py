@@ -1,10 +1,14 @@
 """Forms, classification, null roots, and the text format."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from oracles import ref_classify_tree
 from quiverinv.core import (
     BoundQuiver,
     EulerMatrix,
@@ -157,6 +161,71 @@ def test_classification_orientation_independent():
             flipped = Quiver(base.vertices, arrows)
             got = classify_path_algebra(flipped)
             assert (got.type, got.diagram) == (want.type, want.diagram)
+
+
+def _assert_classified_as_reference(edges, n):
+    vertices = tuple(f"v{i}" for i in range(n))
+    named = [(f"v{t}", f"v{h}") for t, h in edges]
+    arrows = tuple((f"a{k}", t, h) for k, (t, h) in enumerate(named))
+    got = classify_path_algebra(Quiver(vertices, arrows))
+    want = ref_classify_tree(named, vertices) or ("wild", None)
+    assert (got.type, got.diagram) == want, edges
+
+
+def _prufer_tree(seq, n):
+    """The labelled tree on 0..n-1 with Prufer sequence ``seq``."""
+    degree = [1] * n
+    for v in seq:
+        degree[v] += 1
+    edges = []
+    for v in seq:
+        leaf = min(u for u in range(n) if degree[u] == 1)
+        edges.append((leaf, v))
+        degree[leaf] -= 1
+        degree[v] -= 1
+    u, w = (u for u in range(n) if degree[u] == 1)
+    return edges + [(u, w)]
+
+
+def test_classification_matches_tree_codes_on_all_small_trees():
+    # every labelled tree with at most six vertices
+    _assert_classified_as_reference([], 1)
+    for n in range(2, 7):
+        for seq in itertools.product(range(n), repeat=n - 2):
+            _assert_classified_as_reference(_prufer_tree(seq, n), n)
+
+
+@st.composite
+def _trees(draw, max_vertices=14):
+    """Edge lists of trees with up to ``max_vertices`` vertices, shuffled:
+    random recursive trees, and paths with up to three arms hung on them,
+    which reach every Dynkin and Euclidean tree and their near misses."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, max_vertices))
+        edges = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
+    else:
+        n = draw(st.integers(1, 8))
+        edges = [(i - 1, i) for i in range(1, n)]
+        ends = [max(n - 2, 0), min(1, n - 1)]  # where D~ and E~ branch
+        for _ in range(draw(st.integers(0, 3))):
+            prev = draw(st.sampled_from(ends) | st.integers(0, n - 1))
+            for _ in range(draw(st.integers(0, min(5, max_vertices - n)))):
+                edges.append((prev, n))
+                prev, n = n, n + 1
+    label = draw(st.permutations(range(n)))
+    return [(label[t], label[h]) for t, h in edges], n
+
+
+# D~7, and a near miss with a third leaf at one of its branch vertices
+_D7_TILDE = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (1, 6), (4, 7)]
+
+
+@settings(max_examples=300)
+@given(_trees())
+@example((_D7_TILDE, 8))
+@example((_D7_TILDE + [(1, 8)], 9))
+def test_classification_matches_tree_codes(tree):
+    _assert_classified_as_reference(*tree)
 
 
 def test_null_root_examples():
