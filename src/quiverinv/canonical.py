@@ -112,8 +112,12 @@ def build_canonical(weights_m, lambdas):
     quiver = Quiver(tuple(vertices), tuple(arrows), name="canonical")
     bound = BoundQuiver(quiver, {("inf", "0"): len(weights) - 2})
     euler = EulerMatrix(bound)
-    if abs(linalg.det(euler.matrix)) != 1:
-        raise InvariantError("canonical Euler matrix is not unimodular")
+    # E unitriangular in a topological order, which the Coxeter step
+    # verifies, forces det E = 1
+    try:
+        _coxeter_step(euler)
+    except PreconditionError as exc:
+        raise InvariantError("canonical Euler matrix is not unimodular") from exc
     algebra = CanonicalAlgebra(
         weights,
         lams,

@@ -14,11 +14,19 @@ where a' is a generic subdimension vector of a exactly when
 ``ext(a', a - a') = 0``.  So each vector a is kept as the rows
 ``<a', -> = a' M`` of its nonzero generic subdimension vectors: ext(a, b) = 0
 exactly when every row is nonnegative on b, a test that stops at the first
-negative row.  On the matrix's plan, freed with it, the caches hold the
-subdimension vectors and the rows of each vector met, and the canonical
+negative row.  The recursion is lazy.  A zero test first reads the Euler
+form: ext(a, b) = 0 forces <a, b> = hom(a, b) >= 0, and <a, b> is the first
+row of a on b, so a negative pairing answers before a is expanded.  The
+stability tests and the decompositions scan the box of d in lexicographic
+order and test ext only on the vectors whose weight can change the answer.
+So a vector gets its subdimension vectors and rows only when some test
+needs them.  On the matrix's plan, freed with it, the caches hold the
+subdimension vectors and the rows of each vector expanded, and the canonical
 decomposition of each vector asked for; nothing is cached per pair.
 ``box_limit`` bounds the recursion's total work from a cold cache, as on a
-fresh matrix: the points of the subdimension boxes of all v <= d.
+fresh matrix, as if every v <= d were expanded: the points of the
+subdimension boxes of all v <= d.  The lazy scans usually do far less, but
+the price is that of the full expansion, so it refuses the same inputs.
 """
 
 import itertools
@@ -28,7 +36,7 @@ from dataclasses import dataclass
 
 from .core import dimension_vectors
 from .errors import BudgetError, InvariantError, PreconditionError, as_budget
-from .linalg import dot, matvec, vecmat
+from .linalg import bilinear, dot, matvec, vecmat
 
 BOX_LIMIT = 10**7
 
@@ -65,16 +73,20 @@ def generic_subdims(euler, d, box_limit=BOX_LIMIT):
 def _subdims(euler, dt):
     cache = euler.plan.subdims
     cached = cache.get(dt)
-    if cached is not None:
-        return cached
-    # product runs in lexicographic order, so the result comes out sorted
-    result = tuple(
-        sub
-        for sub in itertools.product(*(range(x + 1) for x in dt))
-        if _ext_vanishes(euler, sub, tuple(map(minus, dt, sub)))
-    )
-    cache[dt] = result
-    return result
+    if cached is None:
+        cached = tuple(_generic_subs(euler, dt, lambda sub: True))
+        cache[dt] = cached
+    return cached
+
+
+def _generic_subs(euler, dt, wanted):
+    """The generic subdimension vectors of d on which ``wanted`` holds, in
+    lexicographic order.  ext is tested only on the vectors that ``wanted``
+    keeps, so a scan whose answer hangs on a few of them expands only
+    those."""
+    for sub in itertools.product(*(range(x + 1) for x in dt)):
+        if wanted(sub) and _ext_vanishes(euler, sub, tuple(map(minus, dt, sub))):
+            yield sub
 
 
 def _rows(euler, at):
@@ -108,7 +120,15 @@ def _ext_vanishes(euler, at, bt):
     # (a, 0) while it builds the set that the rows of a come from
     if not any(at) or not any(bt):
         return True
-    for row in _rows(euler, at):
+    rows = euler.plan.rows.get(at)
+    if rows is None:
+        # ext(a, b) = 0 forces <a, b> = hom(a, b) >= 0, and <a, b> is the
+        # first row of a (beta = a) on b: a negative pairing answers as the
+        # rows would, before a is expanded
+        if bilinear(euler.matrix, at, bt) < 0:
+            return False
+        rows = _rows(euler, at)
+    for row in rows:
         if sum(map(mul, row, bt)) < 0:
             return False
     return True
@@ -160,12 +180,11 @@ def _stable(euler, dt, th):
     vector."""
     if not any(dt) or dot(th, dt) != 0:
         return False
-    for sub in _subdims(euler, dt):
-        if not any(sub) or sub == dt:
-            continue
-        if dot(th, sub) >= 0:
-            return False
-    return True
+    return not any(
+        _generic_subs(
+            euler, dt, lambda sub: dot(th, sub) >= 0 and any(sub) and sub != dt
+        )
+    )
 
 
 def root_class(euler, d):
@@ -221,18 +240,21 @@ def _candecomp_tuple(euler, dt):
         result = ((dt, 1),)
         cache[dt] = result
         return result
-    result = None
-    for sub in _subdims(euler, dt):
-        if not any(sub) or sub == dt:
-            continue
-        rest = tuple(a - b for a, b in zip(dt, sub))
-        if _ext_vanishes(euler, rest, sub):
-            left = _candecomp_tuple(euler, sub)
-            right = _candecomp_tuple(euler, rest)
-            result = _merge_summands(left, right)
-            break
-    if result is None:
+    # the first proper generic subdimension vector (ext(sub, rest) = 0) with
+    # ext(rest, sub) = 0 too; the small sub is expanded before the large rest
+    split = next(
+        (
+            sub
+            for sub in _generic_subs(euler, dt, lambda sub: any(sub) and sub != dt)
+            if _ext_vanishes(euler, tuple(map(minus, dt, sub)), sub)
+        ),
+        None,
+    )
+    if split is None:
         raise InvariantError("non-Schur vector admits no generic splitting")
+    left = _candecomp_tuple(euler, split)
+    right = _candecomp_tuple(euler, tuple(map(minus, dt, split)))
+    result = _merge_summands(left, right)
     cache[dt] = result
     return result
 

@@ -3,8 +3,12 @@ local quivers, moduli dimensions, rational-invariant profiles.
 
 Everything here reasons at the level of dimension vectors.  The generic
 representation of d is theta-semi-stable exactly when theta kills d and is
-nonpositive on every generic subdimension vector, so all tests reduce to
-scans of ``generic_subdims``; no representations are ever materialized.
+nonpositive on every generic subdimension vector (King's criterion).  The
+tests scan the box of d in lexicographic order and ask the Schofield
+recursion about ext only on the vectors whose weight can change the answer:
+theta > 0 for semistability, theta >= 0 for stability, theta = 0 for the
+stable factors.  Only the effective cone needs every generic subdimension
+vector.  No representations are ever materialized.
 """
 
 from dataclasses import dataclass
@@ -16,6 +20,7 @@ from .errors import InputError, InvariantError, PreconditionError, as_int
 from .generic import (
     BOX_LIMIT,
     _boxed_vectors,
+    _generic_subs,
     _stable,
     _subdims,
     canonical_decomposition,
@@ -37,7 +42,7 @@ def is_semistable_generic(euler, d, theta, box_limit=BOX_LIMIT):
 def _semistable(euler, dt, th):
     if dot(th, dt) != 0:
         return False
-    return all(dot(th, sub) <= 0 for sub in _subdims(euler, dt))
+    return not any(_generic_subs(euler, dt, lambda sub: dot(th, sub) > 0))
 
 
 def is_stable_generic(euler, d, theta, box_limit=BOX_LIMIT):
@@ -83,13 +88,16 @@ def theta_stable_decomposition(euler, d, theta, box_limit=BOX_LIMIT):
     remaining = dt
     peeled = []
     while any(remaining):
-        found = None
-        for sub in _subdims(euler, remaining):
-            if not any(sub):
-                continue
-            if dot(th, sub) == 0 and _stable(euler, sub, th):
-                found = sub
-                break
+        found = next(
+            (
+                sub
+                for sub in _generic_subs(
+                    euler, remaining, lambda sub: any(sub) and dot(th, sub) == 0
+                )
+                if _stable(euler, sub, th)
+            ),
+            None,
+        )
         if found is None:
             raise InvariantError(
                 "semistable vector admits no stable subdimension vector"

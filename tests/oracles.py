@@ -629,16 +629,44 @@ def ref_is_stable(euler, d, theta):
     )
 
 
-def ref_canonical_decomposition(euler, d):
-    """(root, multiplicity, class) triples, as ``canonical_decomposition``
-    reports its summands."""
-    summands = _ref_candecomp(euler, tuple(int(x) for x in d))
+def _ref_tagged(euler, summands):
+    """(root, multiplicity) pairs tagged with the class of the root by its
+    Tits form."""
     out = []
     for root, mult in summands:
         q = _ref_euler(euler.matrix, root, root)
         cls = {1: "real", 0: "isotropic"}.get(q, "imaginary" if q < 0 else "non_root")
         out.append((root, mult, cls))
     return tuple(out)
+
+
+def ref_canonical_decomposition(euler, d):
+    """(root, multiplicity, class) triples, as ``canonical_decomposition``
+    reports its summands."""
+    return _ref_tagged(euler, _ref_candecomp(euler, tuple(int(x) for x in d)))
+
+
+def ref_theta_stable_decomposition(euler, d, theta):
+    """(root, multiplicity, class) triples, as ``theta_stable_decomposition``
+    reports the factors of a theta-semistable d: the library's first peel,
+    which takes the lexicographically first theta-stable vector among all
+    generic subdimension vectors of what remains."""
+    remaining = tuple(int(x) for x in d)
+    counts = {}
+    while any(remaining):
+        found = next(
+            (
+                sub
+                for sub in ref_generic_subdims(euler, remaining)
+                if any(sub) and ref_is_stable(euler, sub, theta)
+            ),
+            None,
+        )
+        if found is None:
+            raise AssertionError(f"reference: {remaining} has no {theta}-stable sub")
+        counts[found] = counts.get(found, 0) + 1
+        remaining = tuple(a - b for a, b in zip(remaining, found))
+    return _ref_tagged(euler, sorted(counts.items()))
 
 
 def _ref_candecomp(euler, dt):

@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -22,6 +23,7 @@ from quiverinv.core import (
 from quiverinv.errors import (
     BudgetError,
     InputError,
+    InvariantError,
     PreconditionError,
 )
 
@@ -321,6 +323,30 @@ def test_coxeter_step_refuses_a_cyclic_quiver():
     assert euler.coxeter()
     with pytest.raises(PreconditionError, match="acyclic"):
         can._coxeter_step(euler)
+
+
+def test_build_checks_unimodularity_by_triangularity(monkeypatch):
+    # E unitriangular in a topological order stands for det E = 1, which
+    # the determinant confirms; a matrix triangular in no such order is
+    # refused as an internal fault
+    for weights in SCAN_WEIGHTS + list(TUBULARS):
+        algebra = can.build_canonical(weights, (1, 2)[: len(weights) - 2])
+        assert linalg.det(algebra.euler.matrix) == 1, weights
+    built = can.EulerMatrix
+
+    def skewed(bound):
+        # move the relation entry E[inf][0] to E[0][inf], against the arrows
+        euler = built(bound)
+        matrix = [list(row) for row in euler.matrix]
+        i, j = euler.index["inf"], euler.index["0"]
+        matrix[i][j], matrix[j][i] = matrix[j][i], matrix[i][j]
+        return SimpleNamespace(
+            quiver=euler.quiver, index=euler.index, matrix=tuple(map(tuple, matrix))
+        )
+
+    monkeypatch.setattr(can, "EulerMatrix", skewed)
+    with pytest.raises(InvariantError, match="unimodular"):
+        can.build_canonical((2, 2, 2), (1,))
 
 
 def test_kronecker_pair_euclidean():

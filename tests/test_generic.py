@@ -18,7 +18,11 @@ from quiverinv.generic import (
     is_schur_root,
     root_class,
 )
-from quiverinv.stability import is_semistable_generic, is_stable_generic
+from quiverinv.stability import (
+    is_semistable_generic,
+    is_stable_generic,
+    theta_stable_decomposition,
+)
 
 from oracles import (
     Representation,
@@ -33,6 +37,7 @@ from oracles import (
     ref_generic_subdims,
     ref_is_semistable,
     ref_is_stable,
+    ref_theta_stable_decomposition,
     subdims_via_sampled_ext,
 )
 
@@ -162,15 +167,22 @@ def test_box_limit_bounds_the_whole_recursion(monkeypatch):
     # the recursion scans the box of every v <= d: (201 * 202 / 2)^2 points
     ek2 = EulerMatrix(K2)
     called = []
-    monkeypatch.setattr(generic, "_subdims", lambda *args: called.append(args))
+    # every scan of a box, lazy or full, runs through _generic_subs
+    monkeypatch.setattr(generic, "_generic_subs", lambda *args: called.append(args))
     monkeypatch.setattr(
-        "quiverinv.stability._subdims", lambda *args: called.append(args)
+        "quiverinv.stability._generic_subs", lambda *args: called.append(args)
     )
     for limit in (10**6, generic.BOX_LIMIT):
         with pytest.raises(BudgetError):
             generic_subdims(ek2, (200, 200), box_limit=limit)
         with pytest.raises(BudgetError):
             is_semistable_generic(ek2, (200, 200), (1, -1), box_limit=limit)
+        with pytest.raises(BudgetError):
+            is_stable_generic(ek2, (200, 200), (1, -1), box_limit=limit)
+        with pytest.raises(BudgetError):
+            theta_stable_decomposition(ek2, (200, 200), (1, -1), box_limit=limit)
+        with pytest.raises(BudgetError):
+            canonical_decomposition(ek2, (200, 200), box_limit=limit)
     assert called == []
     monkeypatch.undo()
     # (1, 1) costs exactly (2 * 3 / 2)^2 = 9 points
@@ -273,26 +285,34 @@ WILD_CHAIN = Quiver(
 )
 
 
-@pytest.mark.parametrize(
+# the reference recursion costs about the square of the subdimension box, so
+# D~4 vectors are capped in total: on (4,4,4,4,4) the canonical decomposition
+# takes about 0.2 s in the library and about 115 s in the reference (CPython
+# 3.11.7, shared 2-core host)
+RECURSION_QUIVERS = pytest.mark.parametrize(
     "quiver, max_total",
     [
         (K2, None),
         (K3, None),
         (A3, None),
-        # the reference recursion costs about the square of the subdimension
-        # box, so D~4 vectors are capped in total: on (4,4,4,4,4) the
-        # canonical decomposition takes about 6.5 s in the library and
-        # about 115 s in the reference (CPython 3.11.7, shared 2-core host)
         (euclidean_quiver("D~4"), 8),
         (WILD_CHAIN, None),
     ],
     ids=["K2", "K3", "A3", "D~4", "wild_chain"],
 )
-def test_schofield_recursion_matches_reference(quiver, max_total):
-    euler = EulerMatrix(quiver)
+
+
+def _vectors(euler, max_total):
     vectors = st.tuples(*[st.integers(0, 4)] * euler.n)
     if max_total is not None:
         vectors = vectors.filter(lambda d: sum(d) <= max_total)
+    return vectors
+
+
+@RECURSION_QUIVERS
+def test_schofield_recursion_matches_reference(quiver, max_total):
+    euler = EulerMatrix(quiver)
+    vectors = _vectors(euler, max_total)
 
     @settings(max_examples=40)
     @given(vectors, vectors)
@@ -313,6 +333,35 @@ def test_schofield_recursion_matches_reference(quiver, max_total):
     check()
 
 
+@RECURSION_QUIVERS
+def test_weighted_scans_match_reference(quiver, max_total):
+    # any weight killing d, not only the canonical one: t with its pairing
+    # against d moved onto one vertex k of the support, d_k t - (t . d) e_k.
+    # Entries of t in -1..1 keep about a quarter of the D~4 draws semistable
+    euler = EulerMatrix(quiver)
+    weights = st.lists(st.integers(-1, 1), min_size=euler.n, max_size=euler.n)
+
+    @settings(max_examples=80)
+    @given(_vectors(euler, max_total), weights, st.integers(0, euler.n - 1))
+    def check(d, t, k):
+        support = [i for i, x in enumerate(d) if x]
+        if support:
+            k = support[k % len(support)]
+            pairing = sum(a * b for a, b in zip(t, d))
+            t = [d[k] * x for x in t]
+            t[k] -= pairing
+        theta = tuple(t)
+        semistable = ref_is_semistable(euler, d, theta)
+        assert is_semistable_generic(euler, d, theta) == semistable
+        assert is_stable_generic(euler, d, theta) == ref_is_stable(euler, d, theta)
+        if semistable:
+            assert theta_stable_decomposition(euler, d, theta).factors == (
+                ref_theta_stable_decomposition(euler, d, theta)
+            )
+
+    check()
+
+
 def test_recursion_caches_live_on_the_matrix_plan():
     # no module-level cache outlives a matrix; an equal matrix starts empty
     assert not any(
@@ -321,6 +370,9 @@ def test_recursion_caches_live_on_the_matrix_plan():
     )
     first = EulerMatrix(K3)
     answer = canonical_decomposition(first, (3, 4))
+    # (3, 4) is a Schur root, whose stability scan expands few vectors;
+    # the full subdimension set expands every one it tests
+    generic_subdims(first, (3, 4))
     assert first.plan.subdims and first.plan.rows and first.plan.candecomp
     second = EulerMatrix(K3)
     assert second == first
@@ -336,6 +388,7 @@ def test_recursion_caches_one_entry_per_vector():
     # keyed by a pair of vectors is left to grow with the square of the box
     euler = EulerMatrix(K3)
     canonical_decomposition(euler, (6, 9))
+    generic_subdims(euler, (6, 9))
     rows, subdims = euler.plan.rows, euler.plan.subdims
     assert 0 < len(rows) <= len(subdims)
     assert set(rows) <= set(subdims)

@@ -330,10 +330,17 @@ def test_projective_space_edge_cases():
 def test_projective_space_wild_counterexample():
     # the headline wild failure: the weight-scaling dimensions along the
     # ray over (21,42) violate log-concavity immediately, so the verdict
-    # cannot be any P^m.  The semistability precondition walks the full
-    # subdimension box of (21,42), which dominates the runtime.
+    # cannot be any P^m.  The semistability precondition tests ext only on
+    # the subdimension vectors with theta > 0, so the si_table ray dominates
+    # the runtime.
     verdict = stability.projective_space_verdict(EK3, (21, 42), (2, -1), 2)
     assert verdict.status == "not_projective_space"
+    # the opposite weight has no semi-invariants (Derksen-Weyman saturation:
+    # semistable exactly when SI(Q,d)_theta != 0), and the recursion agrees
+    assert siweights.si_dim(EK3, (21, 42), (-2, 1)) == 0
+    assert not stability.is_semistable_generic(EK3, (21, 42), (-2, 1))
+    with pytest.raises(PreconditionError):
+        stability.projective_space_verdict(EK3, (21, 42), (-2, 1), 2)
 
 
 def test_rational_invariants_profile():
