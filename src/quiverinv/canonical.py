@@ -150,9 +150,11 @@ def rank_degree(algebra, d):
 
 
 def virtual_genus(algebra):
+    """1 + (m/2)(n - 2 - sum 1/m_i), m the lcm of the weights: each m/m_i is
+    an integer, so the sum is taken over integers and halved once."""
     m = algebra.m_lcm
-    total = sum(Fraction(1, mi) for mi in algebra.weights_m)
-    return 1 + Fraction(m, 2) * (algebra.n - 2 - total)
+    total = sum(m // mi for mi in algebra.weights_m)
+    return 1 + Fraction(m * (algebra.n - 2) - total, 2)
 
 
 def classify_canonical(algebra):

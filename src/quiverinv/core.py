@@ -160,11 +160,15 @@ class QuiverPlan(NamedTuple):
     ``closing`` is the part of ``row`` on tree bundles that no later cycle
     touches.  All of these are empty when the quiver has an oriented cycle.
 
-    The last three fields memoise the Schofield recursion of
-    :mod:`quiverinv.generic` on the plan's matrix, keyed by the int-tuple
-    dimension vector alone: its generic subdimension vectors, the rows
-    that ext reads off them, and its canonical decomposition.  They start
-    empty and are freed with the matrix.
+    The last four fields are memos on the plan's matrix.  Three memoise
+    the Schofield recursion of :mod:`quiverinv.generic`, keyed by the
+    int-tuple dimension vector alone: its generic subdimension vectors, the
+    rows that ext reads off them, and its canonical decomposition.
+    ``sidims`` memoises :mod:`quiverinv.siweights`: it maps ``(d, theta)``,
+    for a d with a zero entry and theta set to 0 off the support of d, to
+    ``(price, dim SI(Q,d)_theta)`` for a sum taken on the literal side,
+    ``price`` being the least budget under which that sum runs.  All four
+    start empty and are freed with the matrix.
     """
 
     acyclic: bool
@@ -177,6 +181,7 @@ class QuiverPlan(NamedTuple):
     subdims: dict
     rows: dict
     candecomp: dict
+    sidims: dict
 
 
 def _spanning_forest(n, bundles, tails, heads):
@@ -267,9 +272,10 @@ class EulerMatrix:
     into flows (see :class:`QuiverPlan`).  It is built on first use and then
     kept, so matrices that never reach a kernel never pay for it.  The plan
     also memoises the Schofield recursion's results for this matrix, one
-    entry per dimension vector, and they are freed with it.  Instances are
+    entry per dimension vector, and semi-invariant dimensions, one entry per
+    vector and weight on its support; they are freed with it.  Instances are
     safe to share across threads: the plan and each memo entry depend on the
-    matrix and the vector alone, so threads racing to build the plan or to
+    matrix and the key alone, so threads racing to build the plan or to
     fill an entry compute equal values and either one serves.
     """
 
@@ -311,7 +317,7 @@ class EulerMatrix:
     def plan(self):
         _, acyclic = self.quiver._kahn()
         if not acyclic:
-            return QuiverPlan(False, (), (), (), (), (), (), {}, {}, {})
+            return QuiverPlan(False, (), (), (), (), (), (), {}, {}, {}, {})
         idx = self.index
         mult = {}
         for _, t, h in self.quiver.arrows:
@@ -335,7 +341,7 @@ class EulerMatrix:
             for k in tails[v] or heads[v]
         )
         forest = _spanning_forest(self.n, bundles, tails, heads)
-        return QuiverPlan(True, bundles, incidence, ends, *forest, {}, {}, {})
+        return QuiverPlan(True, bundles, incidence, ends, *forest, {}, {}, {}, {})
 
     def tup(self, vec):
         """Coerce a dict keyed by vertex id, or a sequence in sorted vertex

@@ -64,6 +64,16 @@ whole ray with no flow pass and no sum.  The sum would visit one tuple
 there, every partition empty, and that one tuple is still charged: at
 budget 0 such a weight raises BudgetError, as the flow pass would.
 
+When d vanishes somewhere, every weight that agrees with theta on the
+support of d has the same dimension, so the other answers for such a d are
+memoised on the matrix's plan (``sidims``), keyed by d and theta on its
+support, with their price, the least budget under which the sum runs.  A
+memoised answer is returned only when the call's budget covers its price,
+so the same inputs raise BudgetError as on a fresh matrix; an answer from
+the pivot side (see ``si_dim``) is never stored, so ``circ`` keeps its two
+sides independent.  A d with no zero entry is not memoised: its entry
+would serve only the same weight asked again.
+
 What both read of the dimension vector alone (bundle row bounds, parallel
 bundles, the vertex sides and their one-sided ends) is its layout, built
 once per vector: once per call of ``si_dim`` and per side of ``circ``, once
@@ -461,17 +471,18 @@ def _constant(dt, th, budget):
 
 
 def _sized_flows(plan, dt, layout, th, cap):
-    """(cost, flows) for the Cauchy sum of dim SI(Q,dt)_th, from one pass
-    over the bundle flows; ``layout`` is ``_layout(plan, dt)``.
+    """(arrow flows, cost, flows) for the Cauchy sum of dim SI(Q,dt)_th,
+    from one pass over the bundle flows; ``layout`` is ``_layout(plan, dt)``.
 
     ``cost`` is the number of ordered partition tuples, one partition per
     arrow, behind the sum, priced by cached counts, so no partition list is
     built; ``flows`` are the bundle flows that carry at least one tuple,
     hence at most ``cost`` of them.  A bundle of p arrows carrying T stands
-    for C(T + p - 1, p - 1) arrow flows.  Once more than ``cap`` arrow flows
-    or tuples turn up the pass stops and ``cost`` is ``cap + 1``; both are
-    running sums, so whether that happens does not depend on the order of
-    the flows.
+    for C(T + p - 1, p - 1) arrow flows, and the first total counts them.
+    Once more than ``cap`` arrow flows or tuples turn up the pass stops and
+    both totals read ``cap + 1``; both are running sums, so whether that
+    happens does not depend on the order of the flows.  The sum thus runs
+    under a budget exactly when the larger total fits it.
     """
     shape, parallel, _, _ = layout
     nflows = 0
@@ -483,7 +494,7 @@ def _sized_flows(plan, dt, layout, th, cap):
             n *= math.comb(flow[k] + p - 1, p - 1)
         nflows += n
         if nflows > cap:
-            return cap + 1, ()
+            return cap + 1, cap + 1, ()
         c = 1
         for s, (r, p) in zip(flow, shape):
             c *= _count_tuples(s, p, r)
@@ -492,9 +503,9 @@ def _sized_flows(plan, dt, layout, th, cap):
         if c:
             cost += c
             if cost > cap:
-                return cap + 1, ()
+                return cap + 1, cap + 1, ()
             kept.append(flow)
-    return cost, kept
+    return nflows, cost, kept
 
 
 def si_dim(euler, d, theta, budget=DEFAULT_BUDGET, pivot=True):
@@ -533,24 +544,43 @@ def _si_dim(euler, dt, layout, th, budget, pivot=True):
     supplies then miss zero, so ``_flows`` yields nothing, the cost is 0
     and the sum is 0, with no pivot and no BudgetError.  A weight that
     vanishes on the support of dt reads no layout: it is ``_constant``.
+
+    When dt has a zero entry, every other answer summed on the literal side
+    is kept in the plan's ``sidims``, keyed by dt and th with its entries
+    off the support of dt set to 0, together with its price: the larger of
+    its arrow flows and its tuples, the least budget under which that sum
+    runs.  A kept answer is returned only to a call whose budget covers its
+    price, where the literal side would run too; any other call takes the
+    path above.  An answer from the pivot side is not kept, so that
+    ``circ``, which runs both of its sides literally, never reads one
+    side's value as the other's.
     """
     one = _constant(dt, th, budget)
     if one:
         return one
     plan = euler.plan
-    cost, flows = _sized_flows(plan, dt, layout, th, budget)
+    key = None
+    if 0 in dt:
+        key = (dt, tuple(t if x else 0 for t, x in zip(th, dt)))
+        found = plan.sidims.get(key)
+        if found is not None and found[0] <= budget:
+            return found[1]
+    arrows, cost, flows = _sized_flows(plan, dt, layout, th, budget)
     if pivot and (cost > budget or cost > PIVOT_THRESHOLD):
         e = _pivot_vector(euler, th)
         if e is not None:
             wl = linalg.vecmat(dt, euler.matrix)
             cap = min(cost - 1, budget)
             e_layout = _layout(plan, e)
-            pivot_cost, pivot_flows = _sized_flows(plan, e, e_layout, wl, cap)
+            _, pivot_cost, pivot_flows = _sized_flows(plan, e, e_layout, wl, cap)
             if pivot_cost <= cap:
                 return _cauchy_sum(e_layout, wl, pivot_flows)
     if cost > budget:
         raise BudgetError("semi-invariant partition tuples", budget)
-    return _cauchy_sum(layout, th, flows)
+    dim = _cauchy_sum(layout, th, flows)
+    if key is not None:
+        plan.sidims[key] = (max(arrows, cost), dim)
+    return dim
 
 
 def _merge(combo, ks):

@@ -123,6 +123,19 @@ def test_virtual_genus_examples():
     assert can.virtual_genus(T4) == 1
 
 
+def test_virtual_genus_matches_fraction_formula():
+    # every weight tuple of the AC10 scan: n in {3, 4}, weights 2..7
+    for n in (3, 4):
+        for weights in itertools.combinations_with_replacement(range(2, 8), n):
+            m = math.lcm(*weights)
+            algebra = SimpleNamespace(weights_m=weights, m_lcm=m, n=n)
+            want = 1 + Fraction(m, 2) * (
+                n - 2 - sum(Fraction(1, mi) for mi in weights)
+            )
+            got = can.virtual_genus(algebra)
+            assert type(got) is Fraction and got == want, weights
+
+
 def test_classify_examples():
     assert can.classify_canonical(DOM) == "domestic"
     assert can.classify_canonical(T4) == "tubular"

@@ -329,6 +329,136 @@ def test_si_dim_matches_two_walk_reference(name, pivot, data):
     assert got == want
 
 
+# one matrix per quiver for every example, so that the plan's memo of
+# semi-invariant dimensions carries answers from one example to the next
+SHARED_EULER = {name: EulerMatrix(q) for name, q in WALK_QUIVERS.items()}
+MEMO_BUDGETS = [0, 3, 15, 16, 20, 100, siweights.DEFAULT_BUDGET]
+
+
+@pytest.mark.parametrize("name", sorted(WALK_QUIVERS))
+@settings(max_examples=40)
+@given(data=st.data())
+def test_si_dim_on_a_warm_plan_matches_reference(name, data):
+    euler = SHARED_EULER[name]
+    # half of the vectors have a zero entry, so that moving the weight off
+    # their support changes it
+    zeros = data.draw(st.booleans())
+    dt, th = _draw_balanced(
+        data, euler.n, _draw_with_zeros(data, euler.n) if zeros else None
+    )
+    # the same weight moved off the support of d shares its memo entry
+    moved = tuple(
+        t if x else data.draw(st.integers(-3, 3)) for t, x in zip(th, dt)
+    )
+    # several budgets in a row on one key: a memoised answer must not be
+    # returned where the cold call raises, nor change any answer
+    for weight in (th, moved, th):
+        budget = data.draw(st.sampled_from(MEMO_BUDGETS))
+        pivot = data.draw(st.booleans())
+        want = _outcome(ref_si_dim, euler, dt, weight, budget, pivot)
+        got = _outcome(
+            siweights.si_dim, euler, dt, weight, budget=budget, pivot=pivot
+        )
+        assert got == want, (dt, weight, budget, pivot)
+
+
+def test_memo_keeps_the_price_of_arrow_flows():
+    # WILD_CHAIN (1, 0, 1) at (3, 0, -3): no tuple, but 16 arrow flows, so
+    # the answer at budget 16 is memoised at price 16, not at 0 tuples
+    euler = EulerMatrix(WILD_CHAIN)
+    dt, th = (1, 0, 1), (3, 0, -3)
+    assert siweights.si_dim(euler, dt, th, budget=16, pivot=False) == 0
+    assert euler.plan.sidims == {(dt, th): (16, 0)}
+    assert _outcome(ref_si_dim, euler, dt, th, 15, False) == "budget"
+    with pytest.raises(BudgetError):
+        siweights.si_dim(euler, dt, th, budget=15, pivot=False)
+    # at budget 15 the pivot rule still decides, as on a cold plan
+    want = ref_si_dim(euler, dt, th, 15)
+    assert siweights.si_dim(euler, dt, th, budget=15) == want
+    assert euler.plan.sidims == {(dt, th): (16, 0)}
+    # the weight off the support of d is not read, and the memo answers
+    assert siweights.si_dim(euler, dt, (3, 7, -3), budget=16) == 0
+
+
+# K3 with a sink v3 after its target: a K3 vector extended by zero keeps
+# its dimensions, and its weight on v3 is never read
+K3_TAIL = Quiver(
+    ("v1", "v2", "v3"),
+    (
+        ("a", "v1", "v2"),
+        ("b", "v1", "v2"),
+        ("c", "v1", "v2"),
+        ("d", "v2", "v3"),
+    ),
+)
+
+
+def test_circ_sums_both_sides_after_a_pivot_answer(monkeypatch):
+    # d = (2, 4, 0), theta = (12, -6, 0): 19,292 tuples on the literal side,
+    # over the pivot threshold, and 7,286 on the side of e = (6, 6, 0)
+    euler = EulerMatrix(K3_TAIL)
+    dt, th, et = (2, 4, 0), (12, -6, 0), (6, 6, 0)
+    layout = siweights._layout(euler.plan, dt)
+    _, cost, _ = siweights._sized_flows(euler.plan, dt, layout, th, 10**6)
+    assert cost > siweights.PIVOT_THRESHOLD
+    assert siweights._pivot_vector(euler, th) == et
+    want = siweights.si_dim(EK3, (2, 4), (12, -6))
+    summed = []
+    original = siweights._cauchy_sum
+
+    def counted(layout, weight, flows):
+        summed.append(weight)
+        return original(layout, weight, flows)
+
+    monkeypatch.setattr(siweights, "_cauchy_sum", counted)
+    wl = (2, -2, -4)  # <d, ->, the weight of the pivot side and of circ's left
+    answer = siweights.si_dim(euler, dt, th)
+    assert answer == want
+    # the pivot side answered, and its value is not memoised
+    assert summed == [wl] and euler.plan.sidims == {}
+    summed.clear()
+    assert siweights.circ(euler, dt, et) == answer
+    # both literal sides were summed, neither read from the memo
+    assert summed == [wl, th]
+    assert euler.plan.sidims == {
+        (et, (2, -2, 0)): (7_286, answer),
+        (dt, th): (cost, answer),
+    }
+
+
+def test_si_dims_live_on_the_matrix_plan():
+    # the module keeps no dict beyond the five that clear_caches empties
+    tables = {
+        name
+        for name, value in vars(siweights).items()
+        if isinstance(value, dict) and not name.startswith("__")
+    }
+    assert tables == {
+        "_PARTS_CACHE",
+        "_VERTEX_CACHE",
+        "_COUNT_CACHE",
+        "_TUPLE_COUNT_CACHE",
+        "_SINGLES_CACHE",
+    }
+    first = EulerMatrix(euclidean_quiver("A~3"))
+    dt, th = (2, 2, 2, 0), (1, -1, 0, 5)
+    table = siweights.si_table(first, dt, th, 4)
+    # n = 0 is the constant and is not memoised; every other point is
+    assert len(first.plan.sidims) == 4
+    # a weight that agrees on the support of d reads the same entries, and
+    # a vector with no zero entry is not memoised
+    assert siweights.si_table(first, dt, (1, -1, 0, -7), 4).dims == table.dims
+    siweights.si_table(first, (2, 2, 2, 2), (1, 1, -1, -1), 4)
+    assert len(first.plan.sidims) == 4
+    siweights.clear_caches()
+    assert not any(vars(siweights)[name] for name in tables)
+    assert len(first.plan.sidims) == 4
+    second = EulerMatrix(euclidean_quiver("A~3"))
+    assert second == first and second.plan.sidims == {}
+    assert siweights.si_table(second, dt, th, 4) == table
+    assert second.plan.sidims == first.plan.sidims
+
+
 @pytest.mark.parametrize("name", sorted(WALK_QUIVERS))
 @settings(max_examples=30)
 @given(data=st.data())
@@ -524,7 +654,7 @@ def test_si_dim_walks_flows_once_under_pivot_threshold(monkeypatch):
     dt, th = (2, 2, 2, 2), (1, 1, -1, -1)
     budget = siweights.DEFAULT_BUDGET
     layout = siweights._layout(euler.plan, dt)
-    cost, _ = siweights._sized_flows(euler.plan, dt, layout, th, budget)
+    _, cost, _ = siweights._sized_flows(euler.plan, dt, layout, th, budget)
     assert 0 < cost <= siweights.PIVOT_THRESHOLD
     walks.clear()
     got = siweights._si_dim(euler, dt, layout, th, budget)
