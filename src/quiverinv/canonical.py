@@ -112,10 +112,10 @@ def build_canonical(weights_m, lambdas):
     quiver = Quiver(tuple(vertices), tuple(arrows), name="canonical")
     bound = BoundQuiver(quiver, {("inf", "0"): len(weights) - 2})
     euler = EulerMatrix(bound)
-    # E unitriangular in a topological order, which the Coxeter step
-    # verifies, forces det E = 1
+    # E unitriangular in a topological order, which its triangular rows
+    # verify, forces det E = 1
     try:
-        _coxeter_step(euler)
+        euler.triangular_rows
     except PreconditionError as exc:
         raise InvariantError("canonical Euler matrix is not unimodular") from exc
     algebra = CanonicalAlgebra(
@@ -193,47 +193,23 @@ def classify_canonical(algebra):
     return by_genus
 
 
-def coxeter_matrix(algebra):
-    return algebra.euler.coxeter()
-
-
 def _coxeter_step(euler):
     """The Coxeter action x -> Phi x of ``euler`` on int tuples in sorted
     vertex order, without forming Phi = -E^-1 E^T: one sparse product
-    y = E^T x over the nonzero entries of E, then one back-substitution
-    E z = y, and Phi x = -z.
-
-    The back-substitution runs in reverse topological order of the quiver,
-    where E must be unitriangular.  It is whenever the quiver is acyclic,
-    because ``BoundQuiver`` joins every relation key by a path; otherwise
-    this raises ``PreconditionError``.
+    y = -E^T x over ``euler.triangular_rows``, then Phi x = E^-1 y by
+    ``euler.solve_right``.  An Euler matrix that is not unitriangular in a
+    topological order raises ``PreconditionError`` here, before any step.
     """
-    order, acyclic = euler.quiver._kahn()
-    if not acyclic:
-        raise PreconditionError("the Coxeter step needs an acyclic quiver")
-    idx = euler.index
-    pos = {idx[v]: k for k, v in enumerate(order)}
-    rows = []  # (i, nonzero off-diagonal (j, E[i][j])), reverse topological
-    for v in reversed(order):
-        i = idx[v]
-        row = euler.matrix[i]
-        entries = tuple((j, c) for j, c in enumerate(row) if c and j != i)
-        if row[i] != 1 or any(pos[j] < pos[i] for j, _ in entries):
-            raise PreconditionError(
-                "the Coxeter step needs an Euler matrix that is "
-                "unitriangular in a topological order"
-            )
-        rows.append((i, entries))
+    rows = euler.triangular_rows
+    solve = euler.solve_right
 
     def step(x):
-        z = list(x)
+        y = [-v for v in x]
         for i, entries in rows:
             if x[i]:
                 for j, c in entries:
-                    z[j] += c * x[i]
-        for i, entries in rows:
-            z[i] -= sum(c * z[j] for j, c in entries)
-        return tuple(-v for v in z)
+                    y[j] -= c * x[i]
+        return solve(y)
 
     return step
 

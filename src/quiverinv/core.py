@@ -273,7 +273,9 @@ class EulerMatrix:
     kept, so matrices that never reach a kernel never pay for it.  The plan
     also memoises the Schofield recursion's results for this matrix, one
     entry per dimension vector, and semi-invariant dimensions, one entry per
-    vector and weight on its support; they are freed with it.  Instances are
+    vector and weight on its support; they are freed with it.
+    ``triangular_rows``, also built on first use, carries the substitutions
+    of ``solve_left`` and ``solve_right``, the one solve with E.  Instances are
     safe to share across threads: the plan and each memo entry depend on the
     matrix and the key alone, so threads racing to build the plan or to
     fill an entry compute equal values and either one serves.
@@ -388,20 +390,60 @@ class EulerMatrix:
             for i in range(self.n)
         )
 
-    def coxeter(self):
-        """The Coxeter matrix Phi with <d, e> = -<e, Phi d> for all d, e."""
-        inv = linalg.int_inverse(self.matrix)
-        prod = linalg.matmul(inv, linalg.transpose(self.matrix))
-        return tuple(tuple(-x for x in row) for row in prod)
+    @cached_property
+    def triangular_rows(self):
+        """The nonzero off-diagonal entries of E row by row, in reverse
+        topological order: ``(i, ((j, E[i][j]), ...))`` per vertex index i.
 
-    def solve_weight_left(self, theta):
-        """The unique rational vector x with <x, -> = theta, as Fractions."""
-        from fractions import Fraction
+        The solves substitute along these rows, so E must be unitriangular
+        in a topological order: 1 on the diagonal, and the other entries of
+        a row only at vertices after it.  It is whenever the quiver is
+        acyclic, because ``BoundQuiver`` joins every relation key by a path.
+        A cyclic quiver, or any other matrix, raises ``PreconditionError``.
+        """
+        order, acyclic = self.quiver._kahn()
+        if not acyclic:
+            raise PreconditionError("solving with E needs an acyclic quiver")
+        idx = self.index
+        pos = {idx[v]: k for k, v in enumerate(order)}
+        rows = []
+        for v in reversed(order):
+            i = idx[v]
+            row = self.matrix[i]
+            entries = tuple((j, c) for j, c in enumerate(row) if c and j != i)
+            if row[i] != 1 or any(pos[j] < pos[i] for j, _ in entries):
+                raise PreconditionError(
+                    "solving with E needs E unitriangular in a topological order"
+                )
+            rows.append((i, entries))
+        return tuple(rows)
 
-        theta = tuple(Fraction(x) for x in theta)
-        inv = linalg.inverse(self.matrix)
-        # x^T E = theta  <=>  x = E^(-T) theta
-        return linalg.matvec(linalg.transpose(inv), theta)
+    def _solve_input(self, vec):
+        vec = list(vec)
+        if len(vec) != self.n:
+            raise InputError(
+                f"vector length {len(vec)} does not match {self.n} vertices"
+            )
+        return vec
+
+    def solve_right(self, y):
+        """The integral d with <-, d> = y, that is E d = y, for ints y in
+        sorted vertex order: back-substitution along ``triangular_rows``."""
+        d = self._solve_input(y)
+        for i, entries in self.triangular_rows:
+            d[i] -= sum(c * d[j] for j, c in entries)
+        return tuple(d)
+
+    def solve_left(self, theta):
+        """The integral d with <d, -> = theta, that is d^T E = theta, for
+        ints theta in sorted vertex order: forward substitution along
+        ``triangular_rows`` in topological order."""
+        d = self._solve_input(theta)
+        for i, entries in reversed(self.triangular_rows):
+            if d[i]:
+                for j, c in entries:
+                    d[j] -= c * d[i]
+        return tuple(d)
 
 
 def dimension_vectors(euler, *vecs, hereditary=True):

@@ -5,18 +5,18 @@ here, exactly.  Matrices are sequences of equal-length rows with ``int`` or
 ``Fraction`` entries; results come back as tuples.  Sizes are tiny (vertex
 counts of quivers, representation dimensions), so simple cubic algorithms
 on Python ints are the right tool.  Rational input is first scaled to
-integers by the lcm of all its denominators.  Then three fraction-free
-(Bareiss) eliminations do the work: one echelon elimination for ranks,
-kernels and determinants, a Gauss-Jordan pass on ``[M | I]`` for the
-inverses (``_adjugate``), and a symmetric pass without pivoting for the
-signature of a Tits form.
+integers by the lcm of all its denominators.  Then two fraction-free
+(Bareiss) eliminations do the work: one echelon elimination for ranks and
+kernels, and a symmetric pass without pivoting for the signature of a Tits
+form.  Solving with an Euler matrix needs neither: it is unitriangular, and
+``EulerMatrix.solve_left`` and ``solve_right`` substitute along its rows.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .errors import InputError, InvariantError
+from .errors import InputError
 
 
 def _integer_rows(matrix):
@@ -30,33 +30,23 @@ def _integer_rows(matrix):
     return [[int(x * scale) for x in row] for row in fracs], scale
 
 
-def _square_integer_rows(matrix):
-    """``_integer_rows`` of a square matrix; a non-square or ragged one
-    raises ``InputError``."""
-    if any(len(row) != len(matrix) for row in matrix):
-        raise InputError("expected a square matrix")
-    return _integer_rows(matrix)
-
-
 def _eliminate(rows, ncols, clear_above):
     """Fraction-free (Bareiss) elimination of an integer matrix, given as a
-    list of row lists that it changes in place: ``(pivot columns, sign of
-    the row permutation, last pivot D)``, with D = 1 when there is none.
+    list of row lists that it changes in place: ``(pivot columns, last pivot
+    D)``, with D = 1 when there is none.
 
     A column takes the first nonzero entry on or below the current row as
     its pivot, or has none.  Each step multiplies the rows below by the
     pivot, subtracts a multiple of the pivot row and divides exactly by the
     previous pivot, so every entry stays an integer (a minor of the
     matrix).  The rows below change in place and only right of the pivot
-    column, where they are not already zero.  For a square matrix with a
-    pivot in every column ``sign * D`` is the determinant.  With
-    ``clear_above`` the rows above are reduced the same way, whole (their
-    entries in earlier free columns scale too), and the matrix ends as D
-    times its reduced row echelon form: every pivot equals D.
+    column, where they are not already zero.  With ``clear_above`` the rows
+    above are reduced the same way, whole (their entries in earlier free
+    columns scale too), and the matrix ends as D times its reduced row
+    echelon form: every pivot equals D.
     """
     nrows = len(rows)
     pivots = []
-    sign = 1
     prev = 1
     for col in range(ncols):
         r = len(pivots)
@@ -67,7 +57,6 @@ def _eliminate(rows, ncols, clear_above):
             continue
         if pivot != r:
             rows[r], rows[pivot] = rows[pivot], rows[r]
-            sign = -sign
         top = rows[r]
         p = top[col]
         for i in range(r + 1, nrows):
@@ -82,7 +71,7 @@ def _eliminate(rows, ncols, clear_above):
                 rows[i] = [(p * x - f * y) // prev for x, y in zip(rows[i], top)]
         pivots.append(col)
         prev = p
-    return pivots, sign, prev
+    return pivots, prev
 
 
 def rank(matrix):
@@ -100,7 +89,7 @@ def kernel_basis(matrix):
     divided by its content with the sign of D."""
     rows, _ = _integer_rows(matrix)
     ncols = len(rows[0]) if rows else 0
-    pivots, _, last = _eliminate(rows, ncols, True)
+    pivots, last = _eliminate(rows, ncols, True)
     basis = []
     for f in (c for c in range(ncols) if c not in pivots):
         vec = [0] * ncols
@@ -121,13 +110,6 @@ def bilinear(matrix, x, y):
     return sum(a * sum(map(mul, row, y)) for a, row in zip(x, matrix) if a)
 
 
-def matmul(a, b):
-    bt = list(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
-
-
 def matvec(a, v):
     return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
 
@@ -136,85 +118,6 @@ def vecmat(v, a):
     return tuple(
         sum(v[i] * a[i][j] for i in range(len(v))) for j in range(len(a[0]))
     )
-
-
-def transpose(a):
-    return tuple(zip(*a))
-
-
-def _adjugate(rows):
-    """``(det M, adj M)`` of a square integer matrix M, given as a list of
-    row lists that it consumes, by fraction-free (Bareiss) Gauss-Jordan
-    elimination on ``[M | I]``.
-
-    Each step multiplies every other row by the pivot, subtracts a multiple
-    of the pivot row and divides exactly by the previous pivot, so every
-    entry stays an integer (a minor of M).  A zero pivot is swapped with a
-    nonzero one below it; a singular M raises ``InvariantError``.  The
-    elimination ends at ``[D I | D (PM)^-1]`` for the row-swapped matrix PM
-    of determinant D.  It runs in place: step k clears column k of the left
-    block as column k of the right block first leaves the identity, so that
-    column holds the right block's from then on.  The swaps are undone on
-    the columns at the end, since M^-1 = (PM)^-1 P.
-    """
-    n = len(rows)
-    swaps = []
-    prev = 1
-    for k in range(n):
-        pivot = next((i for i in range(k, n) if rows[i][k]), None)
-        if pivot is None:
-            raise InvariantError("matrix is singular")
-        if pivot != k:
-            rows[k], rows[pivot] = rows[pivot], rows[k]
-            swaps.append((k, pivot))
-        top = rows[k]
-        p = top[k]
-        for i in range(n):
-            if i != k:
-                f = rows[i][k]
-                row = [(p * x - f * y) // prev for x, y in zip(rows[i], top)]
-                row[k] = -f
-                rows[i] = row
-        top[k] = prev
-        prev = p
-    for k, pivot in reversed(swaps):
-        for row in rows:
-            row[k], row[pivot] = row[pivot], row[k]
-    sign = (-1) ** len(swaps)
-    return sign * prev, [[sign * x for x in row] for row in rows]
-
-
-def det(matrix):
-    """Exact determinant by fraction-free Bareiss elimination: an ``int``
-    when every entry is integral, else a ``Fraction``.  A non-square matrix
-    raises ``InputError``."""
-    rows, scale = _square_integer_rows(matrix)
-    n = len(rows)
-    pivots, sign, last = _eliminate(rows, n, False)
-    d = sign * last if len(pivots) == n else 0
-    return d if scale == 1 else Fraction(d, scale ** n)
-
-
-def inverse(matrix):
-    """Exact inverse over Fraction, adj M / det M from the Bareiss
-    elimination.  A singular matrix raises ``InvariantError``, a non-square
-    one ``InputError``."""
-    rows, scale = _square_integer_rows(matrix)
-    d, adj = _adjugate(rows)
-    return tuple(tuple(Fraction(scale * x, d) for x in row) for row in adj)
-
-
-def int_inverse(matrix):
-    """Inverse of a unimodular integer matrix, as integers: adj M / det M,
-    which is integral exactly when det M = +-1.  Any other matrix raises
-    ``InvariantError`` (a rational one only when its inverse is not
-    integral), a non-square one ``InputError``."""
-    rows, scale = _square_integer_rows(matrix)
-    d, adj = _adjugate(rows)
-    inv = [[scale * x for x in row] for row in adj]
-    if any(x % d for row in inv for x in row):
-        raise InvariantError("matrix is not unimodular")
-    return tuple(tuple(x // d for x in row) for row in inv)
 
 
 def symmetric_signature(matrix):
@@ -232,8 +135,10 @@ def symmetric_signature(matrix):
     zero pivot whose remaining row is zero adds one to the corank.  A
     non-square or non-symmetric matrix raises ``InputError``.
     """
-    a, _ = _square_integer_rows(matrix)
-    n = len(a)
+    n = len(matrix)
+    if any(len(row) != n for row in matrix):
+        raise InputError("signature needs a square matrix")
+    a, _ = _integer_rows(matrix)
     if any(a[i][j] != a[j][i] for i in range(n) for j in range(i)):
         raise InputError("signature needs a symmetric matrix")
     corank = 0

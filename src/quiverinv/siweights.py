@@ -424,8 +424,8 @@ PIVOT_THRESHOLD = 10_000
 def _pivot_vector(euler, theta):
     """The e with theta = -<-, e>, when it is a genuine dimension vector.
     The Euler matrix of an acyclic path algebra is unitriangular in a
-    topological order, so its inverse is integral and e is too."""
-    e = linalg.matvec(linalg.int_inverse(euler.matrix), tuple(-t for t in theta))
+    topological order, so one back-substitution gives e, and e is integral."""
+    e = euler.solve_right(tuple(-t for t in theta))
     if any(x < 0 for x in e):
         return None
     return e
@@ -841,10 +841,7 @@ def wild_violation_search(
         if not generic.is_schur_root(euler, entries):
             continue
         theta_dp = euler.theta(entries)
-        dpp_frac = euler.solve_weight_left(theta_dp)
-        if any(x.denominator != 1 for x in dpp_frac):
-            raise InvariantError("Euler matrix lost unimodularity")
-        dpp = tuple(int(x) for x in dpp_frac)
+        dpp = euler.solve_left(theta_dp)
         if any(x < 0 for x in dpp):
             frontier.append((entries, "d'' not effective"))
             continue

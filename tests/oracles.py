@@ -14,10 +14,10 @@ Euclidean trees by canonical tree codes against every candidate diagram,
 the Schofield recursion by a plain copy of its first implementation that
 reads nothing of the Euler matrix but ``euler.matrix``, the signature of a symmetric
 matrix by the sign pattern of its characteristic polynomial, ranks,
-kernels and inverses by Gauss-Jordan elimination over Fraction, and
-semi-invariant dimensions by a copy of the first two-walk ``si_dim`` over
-every ordered partition tuple, with vertex multiplicities read off
-sequential ``lr.tensor_fold`` products.
+kernels, inverses and Coxeter matrices by Gauss-Jordan elimination over
+Fraction, and semi-invariant dimensions by a copy of the first two-walk
+``si_dim`` over every ordered partition tuple, with vertex multiplicities
+read off sequential ``lr.tensor_fold`` products.
 """
 
 import functools
@@ -872,6 +872,18 @@ def ref_inverse(matrix):
 def ref_det(matrix):
     """The determinant, as the signed product of the Gauss-Jordan pivots."""
     return _ref_gauss_jordan(matrix)[0]
+
+
+def ref_coxeter_matrix(euler):
+    """The Coxeter matrix Phi = -E^-1 E^T of an Euler form, with
+    <d, e> = -<e, Phi d>, as ints; a non-integral Phi raises
+    InvariantError."""
+    m = euler.matrix
+    inv = ref_inverse(m)
+    phi = [[-sum(a * b for a, b in zip(row, col)) for col in m] for row in inv]
+    if any(x.denominator != 1 for row in phi for x in row):
+        raise InvariantError("Coxeter matrix is not integral")
+    return tuple(tuple(int(x) for x in row) for row in phi)
 
 
 # ---------------------------------------------------------------------------

@@ -9,13 +9,14 @@ from types import SimpleNamespace
 
 import pytest
 
-from oracles import ref_inverse
+from oracles import ref_coxeter_matrix, ref_det, ref_inverse
 from quiverinv import canonical as can
 from quiverinv import linalg
 from quiverinv.core import (
     BoundQuiver,
     EulerMatrix,
     Quiver,
+    dynkin_quiver,
     euclidean_quiver,
     kronecker_quiver,
     null_root,
@@ -163,7 +164,7 @@ def test_classify_scan_small():
 
 
 def _matpow_is_identity(algebra, k):
-    phi = can.coxeter_matrix(algebra)
+    phi = ref_coxeter_matrix(algebra.euler)
     n = algebra.euler.n
     cur = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
     for _ in range(k):
@@ -193,7 +194,7 @@ def test_coxeter_periodicity():
 def test_coxeter_defining_identity():
     rng = random.Random(11)
     for algebra in (T4, DOM, WILD):
-        phi = can.coxeter_matrix(algebra)
+        phi = ref_coxeter_matrix(algebra.euler)
         n = algebra.euler.n
         for _ in range(50):
             d = tuple(rng.randrange(-3, 4) for _ in range(n))
@@ -203,7 +204,7 @@ def test_coxeter_defining_identity():
 
 
 def test_coxeter_fixes_h():
-    phi = can.coxeter_matrix(T4)
+    phi = ref_coxeter_matrix(T4.euler)
     assert tuple(linalg.matvec(phi, T4.h())) == T4.h()
 
 
@@ -217,7 +218,7 @@ def test_isotropic_hull_examples():
 
 
 def test_isotropic_hull_properties():
-    phi = can.coxeter_matrix(T4)
+    phi = ref_coxeter_matrix(T4.euler)
     rng = random.Random(17)
     for _ in range(10):
         seed = tuple(rng.randrange(0, 3) for _ in range(T4.euler.n))
@@ -254,7 +255,7 @@ def test_isotropic_hull_of_random_seeds():
     refused = 0
     for weights in TUBULARS:
         algebra = can.build_canonical(weights, (1, 2)[: len(weights) - 2])
-        phi = can.coxeter_matrix(algebra)
+        phi = ref_coxeter_matrix(algebra.euler)
         for _ in range(25):
             seed = tuple(rng.randrange(0, 2) for _ in range(algebra.euler.n))
             if not any(seed):
@@ -300,16 +301,14 @@ SCAN_WEIGHTS = [
 
 
 def test_coxeter_and_riemann_roch_against_gauss_jordan_inverse():
+    # the step's images of the unit vectors are the columns of Phi
     rng = random.Random(29)
     for weights in SCAN_WEIGHTS:
         algebra = can.build_canonical(weights, (1, 2)[: len(weights) - 2])
-        m = algebra.euler.matrix
-        expected = tuple(
-            tuple(-x for x in row)
-            for row in linalg.matmul(ref_inverse(m), linalg.transpose(m))
-        )
-        assert can.coxeter_matrix(algebra) == expected, weights
         n = algebra.euler.n
+        step = can._coxeter_step(algebra.euler)
+        columns = [step(tuple(int(i == j) for i in range(n))) for j in range(n)]
+        assert tuple(zip(*columns)) == ref_coxeter_matrix(algebra.euler), weights
         for _ in range(3):
             d = tuple(rng.randrange(0, 4) for _ in range(n))
             e = tuple(rng.randrange(-3, 4) for _ in range(n))
@@ -320,7 +319,7 @@ def test_coxeter_step_matches_coxeter_matrix():
     rng = random.Random(37)
     for weights in SCAN_WEIGHTS + list(TUBULARS):
         algebra = can.build_canonical(weights, (1, 2)[: len(weights) - 2])
-        phi = can.coxeter_matrix(algebra)
+        phi = ref_coxeter_matrix(algebra.euler)
         step = can._coxeter_step(algebra.euler)
         for _ in range(4):
             x = tuple(rng.randrange(-5, 6) for _ in range(algebra.euler.n))
@@ -329,13 +328,53 @@ def test_coxeter_step_matches_coxeter_matrix():
 
 def test_coxeter_step_refuses_a_cyclic_quiver():
     # a -> b -> a with one relation on the loop path: E = ((2, -1), (-1, 1))
-    # is unimodular, so the dense Coxeter matrix exists, but E is
-    # triangular in no vertex order and the step must not answer
+    # is unimodular, so E^-1 exists, but E is triangular in no vertex order
+    # and neither the solves nor the step may answer
     cycle = Quiver(("a", "b"), (("x", "a", "b"), ("y", "b", "a")))
     euler = EulerMatrix(BoundQuiver(cycle, {("a", "a"): 1}))
-    assert euler.coxeter()
+    assert ref_inverse(euler.matrix) == ((1, 1), (1, 2))
+    for solve in (euler.solve_left, euler.solve_right):
+        with pytest.raises(PreconditionError, match="acyclic"):
+            solve((1, 0))
     with pytest.raises(PreconditionError, match="acyclic"):
         can._coxeter_step(euler)
+
+
+DYNKIN = ("A1", "A2", "A3", "A5", "D4", "D5", "D7", "E6", "E7", "E8")
+EUCLIDEAN = ("A~1", "A~2", "A~3", "A~4", "D~4", "D~5", "D~7", "E~6", "E~7", "E~8")
+SOLVE_QUIVERS = (
+    [dynkin_quiver(n) for n in DYNKIN]
+    + [euclidean_quiver(n) for n in EUCLIDEAN]
+    + [kronecker_quiver(k) for k in (2, 3, 4)]
+)
+
+
+def test_solves_match_the_gauss_jordan_inverse():
+    # E d = y and d^T E = theta, solved by substitution, against E^-1 over
+    # Fraction on every quiver family and every canonical scan tuple
+    rng = random.Random(41)
+    eulers = [EulerMatrix(q) for q in SOLVE_QUIVERS] + [
+        can.build_canonical(w, (1, 2)[: len(w) - 2]).euler
+        for w in SCAN_WEIGHTS + list(TUBULARS)
+    ]
+    for euler in eulers:
+        inv = ref_inverse(euler.matrix)
+        for _ in range(5):
+            y = tuple(rng.randrange(-5, 6) for _ in range(euler.n))
+            right = euler.solve_right(y)
+            left = euler.solve_left(y)
+            assert all(type(x) is int for x in right + left)
+            assert right == linalg.matvec(inv, y), euler.order
+            assert left == linalg.vecmat(y, inv), euler.order
+            assert euler.weight_right(right) == y
+            assert euler.weight_left(left) == y
+
+
+def test_solves_reject_a_wrong_length():
+    euler = EulerMatrix(kronecker_quiver(2))
+    for solve in (euler.solve_left, euler.solve_right):
+        with pytest.raises(InputError):
+            solve((1, 2, 3))
 
 
 def test_build_checks_unimodularity_by_triangularity(monkeypatch):
@@ -344,7 +383,7 @@ def test_build_checks_unimodularity_by_triangularity(monkeypatch):
     # refused as an internal fault
     for weights in SCAN_WEIGHTS + list(TUBULARS):
         algebra = can.build_canonical(weights, (1, 2)[: len(weights) - 2])
-        assert linalg.det(algebra.euler.matrix) == 1, weights
+        assert ref_det(algebra.euler.matrix) == 1, weights
     built = can.EulerMatrix
 
     def skewed(bound):
@@ -353,9 +392,8 @@ def test_build_checks_unimodularity_by_triangularity(monkeypatch):
         matrix = [list(row) for row in euler.matrix]
         i, j = euler.index["inf"], euler.index["0"]
         matrix[i][j], matrix[j][i] = matrix[j][i], matrix[i][j]
-        return SimpleNamespace(
-            quiver=euler.quiver, index=euler.index, matrix=tuple(map(tuple, matrix))
-        )
+        euler.matrix = tuple(map(tuple, matrix))
+        return euler
 
     monkeypatch.setattr(can, "EulerMatrix", skewed)
     with pytest.raises(InvariantError, match="unimodular"):
