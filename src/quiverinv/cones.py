@@ -9,6 +9,7 @@ zero-set test, so no floating point enters anywhere.
 
 from dataclasses import dataclass
 from math import gcd
+from operator import mul
 
 from . import linalg
 from .errors import InputError, as_int
@@ -175,9 +176,13 @@ class ConeDescription:
             raise InputError(
                 f"point length {len(point)} does not match dimension {self.n}"
             )
-        return all(dot(e, point) == 0 for e in self.equalities) and all(
-            dot(b, point) <= 0 for b in self.inequalities
-        )
+        for row in self.equalities:
+            if sum(map(mul, row, point)):
+                return False
+        for row in self.inequalities:
+            if sum(map(mul, row, point)) > 0:
+                return False
+        return True
 
     def same_cone(self, other):
         """Exact set equality, checked generator-against-constraints; cones

@@ -19,6 +19,9 @@ from typing import NamedTuple
 from . import linalg
 from .errors import InputError, InvariantError, PreconditionError, as_int
 
+# the entry types of a vector that ``EulerMatrix.tup`` returns unchanged
+_EXACT_INT = frozenset({int})
+
 
 @dataclass(frozen=True)
 class Quiver:
@@ -349,7 +352,14 @@ class EulerMatrix:
         """Coerce a dict keyed by vertex id, or a sequence in sorted vertex
         order, to an internal tuple of ints.  Entries must be integral
         (``2``, ``2.0`` and ``Fraction(4, 2)`` all give ``2``); a fractional
-        entry raises ``InputError`` instead of being truncated."""
+        entry raises ``InputError`` instead of being truncated.  A tuple of
+        exact ints of the right length is returned as it is."""
+        if (
+            type(vec) is tuple
+            and len(vec) == self.n
+            and {*map(type, vec)} == _EXACT_INT
+        ):
+            return vec
         if isinstance(vec, dict):
             unknown = set(vec) - set(self.order)
             if unknown:

@@ -52,6 +52,8 @@ def as_int(x, what):
     ``Fraction(4, 2)`` all give ``2``).  A fractional entry, or anything
     ``int`` cannot take or would parse (``'3'``, ``None``), raises
     ``InputError`` naming ``what`` instead of being truncated."""
+    if type(x) is int:
+        return x
     try:
         i = int(x)
     except (TypeError, ValueError, OverflowError):

@@ -9,16 +9,29 @@ satisfy the ballot condition: entry e+1 boxes in rows <= r+1 never outnumber
 entry e boxes in rows <= r.  Such chains are exactly the lattice-word skew
 tableaux of shape nu/lam and content mu; ``_schur_mult`` enumerates them.
 
+In at most two rows no walk is needed.  Padding the factors to (l1, l2) and
+(m1, m2), the GL_2 Clebsch-Gordan rule (Fulton-Harris, *Representation
+Theory*, section 11) gives S_lam * S_mu restricted to two rows as
+
+    sum over 0 <= j <= min(l1 - l2, m1 - m2) of S_(l1 + m1 - j, l2 + m2 + j),
+
+each term with coefficient 1.
+
 The public functions (``partition``, ``schur_product``, ``lr_coefficient``,
 ``tensor_fold``) validate and coerce their input once and then call three
 internals that take plain int tuples: ``_product`` for one product,
 ``_fold`` for a sorted sequence of trimmed partitions, and ``_coef`` for a
-single coefficient, which counts the tableaux of one shape nu/lam instead
-of building a product.  Hot callers that already hold such tuples
-(``siweights``) call ``_fold`` and ``_coef`` directly.
+single coefficient.  Hot callers that already hold such tuples
+(``siweights``) call ``_fold`` and ``_coef`` directly.  ``_coef`` with a
+target of at most two rows and ``_product`` with ``rows <= 2`` answer by
+the two-row rule; otherwise ``_coef`` counts the tableaux of one shape
+nu/lam (``_count_tableaux``) and ``_product`` walks the strips
+(``_schur_mult``).  The two walks serve every case of three or more rows.
 
-All entry points cache aggressively: the weight-space enumeration in
-``siweights`` revisits the same small products thousands of times.
+Walked answers are cached: the weight-space enumeration in ``siweights``
+revisits the same products thousands of times.  Closed-form answers are
+computed afresh on every call and never stored, so ``_COEF_CACHE`` and
+``_PRODUCT_CACHE`` hold only results of three or more rows.
 """
 
 from .errors import InputError, as_int
@@ -177,7 +190,22 @@ _COEF_CACHE = {}
 
 
 def _coef(lam, mu, nu):
-    """lr_coefficient on trimmed partitions; the count is cached."""
+    """lr_coefficient on trimmed partitions: the two-row rule when nu has
+    at most two rows, else the cached count of tableaux."""
+    if len(nu) < 3:
+        # c^nu is 1 when nu is the term j = nu2 - l2 - m2 of the two-row
+        # sum; that range of j already puts both factors inside nu
+        if len(lam) > 2 or len(mu) > 2:
+            return 0
+        l1, l2 = (lam + (0, 0))[:2]
+        m1, m2 = (mu + (0, 0))[:2]
+        n1, n2 = (nu + (0, 0))[:2]
+        j = n2 - l2 - m2
+        return (
+            1
+            if n1 + n2 == l1 + l2 + m1 + m2 and 0 <= j <= min(l1 - l2, m1 - m2)
+            else 0
+        )
     if lam > mu:
         lam, mu = mu, lam
     key = (lam, mu, nu)
@@ -205,7 +233,23 @@ _PRODUCT_CACHE = {}
 
 def _product(lam, mu, rows, cap):
     """schur_product on trimmed partitions, an int ``rows`` and an int-tuple
-    ``cap`` (or None); the result dict is the cached one."""
+    ``cap`` (or None).  With ``rows <= 2`` the result is built afresh by the
+    two-row rule; otherwise it is the cached dict of the strip walk."""
+    if rows < 3:
+        if len(lam) > rows or len(mu) > rows:
+            return {}
+        l1, l2 = (lam + (0, 0))[:2]
+        m1, m2 = (mu + (0, 0))[:2]
+        a, b = l1 + m1, l2 + m2
+        # in one row only the term j = 0 has no second row
+        lo, hi = 0, min(l1 - l2, m1 - m2) if rows == 2 else 0
+        if cap is not None:
+            c1, c2 = (cap + (0, 0))[:2]
+            lo, hi = max(0, a - c1), min(hi, c2 - b)
+        return {
+            ((a - j, b + j) if b + j else (a,) if a else ()): 1
+            for j in range(lo, hi + 1)
+        }
     if lam > mu:
         lam, mu = mu, lam
     key = (lam, mu, rows, cap)

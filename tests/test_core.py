@@ -72,6 +72,20 @@ def test_tup_rejects_non_integral_entries():
         assert all(type(x) is int for x in got)
 
 
+def test_tup_returns_an_exact_int_tuple_unchanged():
+    e = EulerMatrix(K2)
+    vec = (2, 3)
+    assert e.tup(vec) is vec
+    # bools and lists take the coercing path; a wrong length still raises
+    for vec in ((True, 3), [1, 3]):
+        got = e.tup(vec)
+        assert got == (1, 3) and type(got) is tuple
+        assert all(type(x) is int for x in got)
+    for vec in ((2,), (2, 3, 4), ()):
+        with pytest.raises(InputError):
+            e.tup(vec)
+
+
 def test_tup_rejects_non_numeric_entries():
     # these used to escape as a bare ValueError or be parsed from a string
     e = EulerMatrix(K2)

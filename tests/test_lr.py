@@ -109,7 +109,10 @@ def test_symmetry_and_size_filter():
 
 
 def test_clear_caches_empties_every_module_cache():
-    lr.lr_coefficient((2, 1), (1,), (3, 1))
+    # from empty caches, and with three-row targets: two-row answers are
+    # never stored
+    lr.clear_caches()
+    lr.lr_coefficient((2, 1), (1, 1), (2, 2, 1))
     lr.tensor_fold([(1,), (1,), (2,)], 3)
     caches = {
         name: value
@@ -218,3 +221,87 @@ def test_fold_on_sorted_trimmed_factors_matches_tensor_fold():
             factors, rows, cap=cap
         )
     assert lr._fold(clean, 3, None) and lr._fold(clean, 3, (3, 3, 3))
+
+
+# the two-row rule: every factor of at most 3 rows and 8 boxes, so a factor
+# with a third row is covered too
+FACTORS3 = [p for p in partitions_up_to(8) if len(p) <= 3]
+TWO_ROW_CAPS = (None, (), (3,), (9,), (2, 2), (5, 3), (9, 1), (6, 4, 2))
+
+
+def _two_row_targets(size):
+    """Every partition of ``size`` with at most two rows."""
+    return [
+        (size - k, k) if k else (size,) if size else ()
+        for k in range(size // 2 + 1)
+    ]
+
+
+def _walked_coef(lam, mu, nu):
+    """c^nu_{lam,mu} by the tableau walk, or 0 where its precondition
+    (sizes agree, both factors inside nu) fails."""
+    inside = all(
+        len(p) <= len(nu) and all(x <= y for x, y in zip(p, nu))
+        for p in (lam, mu)
+    )
+    if sum(nu) != sum(lam) + sum(mu) or not inside:
+        return 0
+    return lr._count_tableaux(lam, mu, nu)
+
+
+def _check_two_row_case(lam, mu, nu, rows, cap):
+    assert lr._coef(lam, mu, nu) == _walked_coef(lam, mu, nu), (lam, mu, nu)
+    want = lr._schur_mult(lam, mu, rows, cap)
+    assert lr._product(lam, mu, rows, cap) == want, (lam, mu, rows, cap)
+
+
+def test_two_row_rule_matches_the_walks():
+    """``_coef`` on targets of at most two rows, of the right size and of a
+    wrong size, and ``_product`` in at most two rows under every cap agree
+    with the walks they bypass; the public functions agree on the same
+    grid, and no closed-form answer is cached."""
+    lr.clear_caches()
+    checked = 0
+    for lam, mu in itertools.product(FACTORS3, repeat=2):
+        size = sum(lam) + sum(mu)
+        for nu in _two_row_targets(size - 1) + _two_row_targets(size + 1):
+            assert lr._coef(lam, mu, nu) == 0
+            assert lr.lr_coefficient(lam, mu, nu) == 0
+        for nu in _two_row_targets(size):
+            want = _walked_coef(lam, mu, nu)
+            assert lr._coef(lam, mu, nu) == want, (lam, mu, nu)
+            assert lr.lr_coefficient(lam, mu + (0,), nu) == want
+            checked += 1
+        for rows in (0, 1, 2):
+            for cap in TWO_ROW_CAPS:
+                want = lr._schur_mult(lam, mu, rows, cap)
+                assert lr._product(lam, mu, rows, cap) == want
+                assert lr.schur_product(lam, mu, rows, cap) == want
+    assert checked > 5000
+    assert not lr._COEF_CACHE and not lr._PRODUCT_CACHE
+
+
+@st.composite
+def _two_row_cases(draw):
+    """(lam, mu, nu, rows, cap): factors of at most 3 rows and 12 boxes, a
+    target of at most two rows whose size is off by at most one, and any
+    cap of at most three nonnegative rows."""
+    rows = st.lists(st.integers(0, 6), max_size=3)
+    factors = rows.map(lambda xs: lr.partition(sorted(xs, reverse=True)))
+    lam, mu = draw(factors), draw(factors)
+    size = sum(lam) + sum(mu) + draw(st.integers(-1, 1))
+    nu = draw(st.sampled_from(_two_row_targets(size) or [()]))
+    rows = draw(st.integers(0, 2))
+    cap = draw(st.none() | st.lists(st.integers(0, 12), max_size=3).map(tuple))
+    return lam, mu, nu, rows, cap
+
+
+@settings(max_examples=500)
+@given(case=_two_row_cases())
+@example(case=((2, 1, 1), (1,), (3, 2), 2, None))  # a factor has a third row
+@example(case=((3, 1), (2, 2), (4, 3), 2, None))  # mu has no free column
+@example(case=((1,), (1,), (2,), 1, (2,)))  # one row keeps only j = 0
+@example(case=((), (), (), 0, ()))  # the empty product
+@example(case=((2,), (2,), (2, 2), 2, (3, 1)))  # a cap row below a term's
+def test_two_row_rule_property(case):
+    _check_two_row_case(*case)
