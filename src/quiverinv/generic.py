@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 from .core import dimension_vectors
 from .errors import BudgetError, InvariantError, PreconditionError, as_budget
-from .linalg import bilinear, dot, matvec, vecmat
+from .linalg import bilinear, dot
 
 BOX_LIMIT = 10**7
 
@@ -165,13 +165,7 @@ def is_schur_root(euler, d, box_limit=BOX_LIMIT):
     (dt,) = _boxed_vectors(euler, box_limit, d)
     if not any(dt):
         raise PreconditionError("the zero vector is not a root")
-    return _stable(euler, dt, _canonical_weight(euler, dt))
-
-
-def _canonical_weight(euler, dt):
-    """<d, -> - <-, d>, which vanishes on d."""
-    m = euler.matrix
-    return tuple(map(minus, vecmat(dt, m), matvec(m, dt)))
+    return _stable(euler, dt, euler.theta(dt))
 
 
 def _stable(euler, dt, th):
@@ -236,7 +230,7 @@ def _candecomp_tuple(euler, dt):
     cached = cache.get(dt)
     if cached is not None:
         return cached
-    if _stable(euler, dt, _canonical_weight(euler, dt)):
+    if _stable(euler, dt, euler.theta(dt)):
         result = ((dt, 1),)
         cache[dt] = result
         return result

@@ -8,6 +8,11 @@ where step e adds a horizontal strip of mu[e] boxes and the strip row counts
 satisfy the ballot condition: entry e+1 boxes in rows <= r+1 never outnumber
 entry e boxes in rows <= r.  Such chains are exactly the lattice-word skew
 tableaux of shape nu/lam and content mu; ``_schur_mult`` enumerates them.
+Two consequences of the ballot condition prune the walk.  Entry e never
+enters a row above row e, so its strip starts at row e.  And once entry e
+is placed, row e is final: when the factor sizes fill the cap exactly, the
+cap is the only possible target, so the strip of entry e must bring row e
+up to the cap.
 
 In at most two rows no walk is needed.  Padding the factors to (l1, l2) and
 (m1, m2), the GL_2 Clebsch-Gordan rule (Fulton-Harris, *Representation
@@ -24,14 +29,14 @@ internals that take plain int tuples: ``_product`` for one product,
 single coefficient.  Hot callers that already hold such tuples
 (``siweights``) call ``_fold`` and ``_coef`` directly.  ``_coef`` with a
 target of at most two rows and ``_product`` with ``rows <= 2`` answer by
-the two-row rule; otherwise ``_coef`` counts the tableaux of one shape
-nu/lam (``_count_tableaux``) and ``_product`` walks the strips
-(``_schur_mult``).  The two walks serve every case of three or more rows.
+the two-row rule.  Every case of three or more rows goes to the one walk:
+``_product`` calls ``_schur_mult``, and ``_coef`` reads nu off the product
+capped at nu, which the sizes fill exactly.
 
-Walked answers are cached: the weight-space enumeration in ``siweights``
-revisits the same products thousands of times.  Closed-form answers are
-computed afresh on every call and never stored, so ``_COEF_CACHE`` and
-``_PRODUCT_CACHE`` hold only results of three or more rows.
+Walked answers are cached in ``_PRODUCT_CACHE``: the weight-space
+enumeration in ``siweights`` revisits the same products and coefficients
+thousands of times.  Closed-form answers are computed afresh on every call
+and never stored, so the cache holds only results of three or more rows.
 """
 
 from .errors import InputError, as_int
@@ -86,6 +91,8 @@ def _schur_mult(lam, mu, maxrows, cap):
     for r in range(maxrows):
         if shape[r] > capl[r]:
             return {}
+    # a cap the factor sizes fill exactly admits no target but the cap
+    tight = cap is not None and sum(capl) == sum(lam) + sum(mu)
     results = {}
     k = len(mu)
     nrows = maxrows
@@ -119,79 +126,26 @@ def _schur_mult(lam, mu, maxrows, cap):
                 tmax = min(tmax, old[r - 1] - shape[r], shape[r - 1] - shape[r])
             if prefix is not None:
                 tmax = min(tmax, prefix[r] - cum)
-            for t in range(tmax, -1, -1):
+            # no later entry reaches row e, so under a tight cap the strip
+            # must fill it
+            tmin = capl[r] - shape[r] if tight and r == e else 0
+            for t in range(tmax, tmin - 1, -1):
                 shape[r] += t
                 a_cur[r] = t
                 place_row(r + 1, rem - t, cum + t)
                 shape[r] -= t
                 a_cur[r] = 0
 
-        place_row(0, size, 0)
+        # by the ballot condition entry e never enters a row above row e
+        place_row(e, size, 0)
 
     place_entry(0, None)
     return results
 
 
-def _count_tableaux(lam, mu, nu):
-    """c^nu_{lam,mu} on trimmed partitions with |nu| = |lam| + |mu| and
-    both factors inside nu: the strip and ballot walk of ``_schur_mult``,
-    capped row by row at nu.
-
-    By the ballot condition entry e never enters a row above row e, so
-    once entry e is placed, row e is final and must equal nu[e]: the walk
-    forces that row's strip and starts the rest of the strip one row
-    lower."""
-    nrows = len(nu)
-    shape = list(lam) + [0] * (nrows - len(lam))
-    k = len(mu)
-
-    def place_entry(e, a_prev):
-        if e == k:
-            # every row is capped at nu and the sizes agree
-            return 1
-        old = shape[:]
-        forced = nu[e] - shape[e]
-        rem = mu[e] - forced
-        if rem < 0 or (e and forced > a_prev[e - 1]):
-            return 0
-        prefix = [0] * (nrows + 1)
-        if e:
-            for r in range(e - 1, nrows):
-                prefix[r + 1] = prefix[r] + a_prev[r]
-        a_cur = [0] * nrows
-        a_cur[e] = forced
-        shape[e] = nu[e]
-
-        def place_row(r, rem, cum):
-            if rem == 0:
-                return place_entry(e + 1, a_cur)
-            if r == nrows:
-                return 0
-            tmax = min(rem, nu[r] - shape[r], old[r - 1] - shape[r])
-            if e:
-                tmax = min(tmax, prefix[r] - cum)
-            count = 0
-            for t in range(tmax, -1, -1):
-                shape[r] += t
-                a_cur[r] = t
-                count += place_row(r + 1, rem - t, cum + t)
-                shape[r] -= t
-            a_cur[r] = 0
-            return count
-
-        count = place_row(e + 1, rem, forced)
-        shape[e] = old[e]
-        return count
-
-    return place_entry(0, None)
-
-
-_COEF_CACHE = {}
-
-
 def _coef(lam, mu, nu):
     """lr_coefficient on trimmed partitions: the two-row rule when nu has
-    at most two rows, else the cached count of tableaux."""
+    at most two rows, else the entry nu of the product capped at nu."""
     if len(nu) < 3:
         # c^nu is 1 when nu is the term j = nu2 - l2 - m2 of the two-row
         # sum; that range of j already puts both factors inside nu
@@ -206,26 +160,9 @@ def _coef(lam, mu, nu):
             if n1 + n2 == l1 + l2 + m1 + m2 and 0 <= j <= min(l1 - l2, m1 - m2)
             else 0
         )
-    if lam > mu:
-        lam, mu = mu, lam
-    key = (lam, mu, nu)
-    found = _COEF_CACHE.get(key)
-    if found is None:
-        if (
-            sum(nu) != sum(lam) + sum(mu)
-            or len(lam) > len(nu)
-            or len(mu) > len(nu)
-            or any(x > y for x, y in zip(lam, nu))
-            or any(x > y for x, y in zip(mu, nu))
-        ):
-            found = 0
-        else:
-            # fewer strips = shallower walk; the coefficient is symmetric
-            if len(mu) > len(lam):
-                lam, mu = mu, lam
-            found = _count_tableaux(lam, mu, nu)
-        _COEF_CACHE[key] = found
-    return found
+    if sum(nu) != sum(lam) + sum(mu):
+        return 0
+    return _product(lam, mu, len(nu), nu).get(nu, 0)
 
 
 _PRODUCT_CACHE = {}
@@ -263,14 +200,14 @@ def _product(lam, mu, rows, cap):
 def schur_product(lam, mu, rows, cap=None):
     """Expansion of S_lam * S_mu in at most ``rows`` rows.
 
-    Returns a dict mapping trimmed partitions nu to c^nu_{lam,mu}, keeping
+    Returns a new dict mapping trimmed partitions nu to c^nu_{lam,mu}, keeping
     only nu with at most ``rows`` rows and, when ``cap`` is given, nu
     contained rowwise in ``cap`` (row r at most cap[r], missing rows zero).
     Discarding wider shapes is exact as long as every target coefficient the
     caller extracts lies inside the cap, since c^nu vanishes unless both
     factors fit inside nu.
     """
-    return _product(partition(lam), partition(mu), _rows(rows), _cap(cap))
+    return dict(_product(partition(lam), partition(mu), _rows(rows), _cap(cap)))
 
 
 def lr_coefficient(lam, mu, nu):
@@ -320,4 +257,3 @@ def tensor_fold(lams, rows, cap=None):
 
 def clear_caches():
     _PRODUCT_CACHE.clear()
-    _COEF_CACHE.clear()

@@ -119,7 +119,7 @@ def test_clear_caches_empties_every_module_cache():
         for name, value in vars(lr).items()
         if isinstance(value, dict) and not name.startswith("__")
     }
-    assert len(caches) >= 2 and all(caches.values())
+    assert set(caches) == {"_PRODUCT_CACHE"} and all(caches.values())
     lr.clear_caches()
     assert {name: len(c) for name, c in caches.items() if c} == {}
 
@@ -189,6 +189,22 @@ def test_tensor_fold_matches_iterated_product():
     assert lr.tensor_fold([(1,), (2,), (1,)], rows) == acc
 
 
+def test_schur_product_result_is_the_callers_own():
+    """Changing a returned product changes no later answer: neither the
+    same product nor a coefficient read off the same cached walk."""
+    lr.clear_caches()
+    got = lr.schur_product((1,), (1,), 3)
+    got[(9,)] = 5
+    assert lr.schur_product((1,), (1,), 3) == {(2,): 1, (1, 1): 1}
+    # lr_coefficient((2, 1), (1, 1), (2, 2, 1)) reads this capped product
+    got = lr.schur_product((1, 1), (2, 1), 3, cap=(2, 2, 1))
+    got[(2, 2, 1)] = 7
+    assert lr.schur_product((1, 1), (2, 1), 3, cap=(2, 2, 1)) == {(2, 2, 1): 1}
+    assert lr.lr_coefficient((2, 1), (1, 1), (2, 2, 1)) == 1
+    got.clear()
+    assert lr.lr_coefficient((2, 1), (1, 1), (2, 2, 1)) == 1
+
+
 def test_cache_transparency():
     before = lr.schur_product((2, 1), (2, 1), 3)
     lr.clear_caches()
@@ -238,15 +254,9 @@ def _two_row_targets(size):
 
 
 def _walked_coef(lam, mu, nu):
-    """c^nu_{lam,mu} by the tableau walk, or 0 where its precondition
-    (sizes agree, both factors inside nu) fails."""
-    inside = all(
-        len(p) <= len(nu) and all(x <= y for x, y in zip(p, nu))
-        for p in (lam, mu)
-    )
-    if sum(nu) != sum(lam) + sum(mu) or not inside:
-        return 0
-    return lr._count_tableaux(lam, mu, nu)
+    """c^nu_{lam,mu} read off the uncapped strip walk, where the tight-cap
+    rule is off."""
+    return lr._schur_mult(lam, mu, len(nu), None).get(nu, 0)
 
 
 def _check_two_row_case(lam, mu, nu, rows, cap):
@@ -258,7 +268,7 @@ def _check_two_row_case(lam, mu, nu, rows, cap):
 def test_two_row_rule_matches_the_walks():
     """``_coef`` on targets of at most two rows, of the right size and of a
     wrong size, and ``_product`` in at most two rows under every cap agree
-    with the walks they bypass; the public functions agree on the same
+    with the walk they bypass; the public functions agree on the same
     grid, and no closed-form answer is cached."""
     lr.clear_caches()
     checked = 0
@@ -278,7 +288,7 @@ def test_two_row_rule_matches_the_walks():
                 assert lr._product(lam, mu, rows, cap) == want
                 assert lr.schur_product(lam, mu, rows, cap) == want
     assert checked > 5000
-    assert not lr._COEF_CACHE and not lr._PRODUCT_CACHE
+    assert not lr._PRODUCT_CACHE
 
 
 @st.composite
@@ -305,3 +315,89 @@ def _two_row_cases(draw):
 @example(case=((2,), (2,), (2, 2), 2, (3, 1)))  # a cap row below a term's
 def test_two_row_rule_property(case):
     _check_two_row_case(*case)
+
+
+# the walk under a cap: three to five rows, any cap of at most six rows
+
+
+def _inside(nu, cap):
+    return all(x <= (cap[r] if r < len(cap) else 0) for r, x in enumerate(nu))
+
+
+@st.composite
+def _capped_cases(draw):
+    """(lam, mu, rows, cap): factors of at most 4 rows of at most 4 boxes,
+    3 to 5 rows, and a cap that is a target of the product (tight), any
+    list of at most six rows (which need not be a partition and may have
+    zero rows), or such a list with one of its first ``rows`` entries set
+    so that the sizes fill it exactly (tight, often not a partition)."""
+    factors = st.lists(st.integers(0, 4), max_size=4).map(
+        lambda xs: lr.partition(sorted(xs, reverse=True))
+    )
+    lam, mu = draw(factors), draw(factors)
+    rows = draw(st.integers(3, 5))
+    size = sum(lam) + sum(mu)
+    cap = draw(st.lists(st.integers(0, 6), max_size=6))
+    kind = draw(st.sampled_from(("target", "any", "filled")))
+    support = sorted(lr._schur_mult(lam, mu, rows, None))
+    if kind == "target" and support:
+        cap = list(draw(st.sampled_from(support))) + cap[rows:]
+    elif kind == "filled":
+        cap += [0] * (rows - len(cap))
+        at = draw(st.integers(0, rows - 1))
+        cap[at] += size - sum(cap[:rows])
+        if cap[at] < 0:
+            cap[at] = 0
+    return lam, mu, rows, tuple(cap)
+
+
+@settings(max_examples=500)
+@given(case=_capped_cases())
+@example(case=((2, 1), (1, 1), 3, (2, 2, 1)))  # tight, the only target
+@example(case=((2, 1), (2, 1), 3, (3, 2, 1)))  # tight, coefficient 2
+@example(case=((2, 1), (1, 1), 3, (2, 1, 2)))  # tight, not a partition
+@example(case=((2, 1), (1, 1), 3, (2, 2, 1, 4)))  # longer than rows
+@example(case=((2, 1), (1, 1), 4, (2, 2)))  # shorter than rows
+@example(case=((1,), (1,), 3, ()))  # no rows at all
+@example(case=((1,), (1,), 3, (0, 2)))  # a zero row above the sizes
+@example(case=((3, 1), (2,), 3, (3, 3, 0)))  # tight, row 0 forced past lam
+def test_capped_product_is_the_filtered_walk(case):
+    """``_product`` in three or more rows, from a cold cache, keeps exactly
+    the terms of the uncapped walk that fit inside the cap."""
+    lam, mu, rows, cap = case
+    want = {
+        nu: c
+        for nu, c in lr._schur_mult(lam, mu, rows, None).items()
+        if _inside(nu, cap)
+    }
+    lr.clear_caches()
+    assert lr._product(lam, mu, rows, cap) == want
+    lr.clear_caches()
+    assert lr._product(mu, lam, rows, cap) == want
+
+
+def test_three_row_coefficients_match_schur_polynomial_oracle():
+    """``_coef`` on every target of three or more rows, in both argument
+    orders, against the Schur-polynomial oracle, which shares no code with
+    the walk."""
+    lr.clear_caches()
+    # every pair of total size at most 6, and two of size 7 whose products
+    # hold a coefficient 2
+    pairs = [
+        (lam, mu)
+        for lam, mu in itertools.product(partitions_up_to(6), repeat=2)
+        if sum(lam) + sum(mu) <= 6
+    ] + [((3, 1), (2, 1)), ((2, 1, 1), (2, 1))]
+    checked, nonzero, several = 0, 0, 0
+    for lam, mu in pairs:
+        size = sum(lam) + sum(mu)
+        for nu in partitions_up_to(size):
+            if sum(nu) != size or len(nu) < 3:
+                continue
+            want = lr_oracle(lam, mu, nu)
+            assert lr._coef(lam, mu, nu) == want, (lam, mu, nu)
+            assert lr._coef(mu, lam, nu) == want, (mu, lam, nu)
+            checked += 1
+            nonzero += want > 0
+            several += want > 1
+    assert checked > 500 and nonzero > 100 and several >= 3
