@@ -146,7 +146,9 @@ class QuiverPlan(NamedTuple):
     order, each vertex that an arrow touches with the positions of its tail
     bundles and of its head bundles.  ``ends`` lists a ``(position, v,
     sign)`` for each bundle end at a one-sided vertex v, one with tail
-    bundles only (sign +1) or head bundles only (sign -1).
+    bundles only (sign +1) or head bundles only (sign -1).  ``lone`` lists
+    a ``(position, ((v, sign), ...))`` for each bundle with an end at a
+    vertex v that no other bundle meets, over those ends, tail first.
 
     The rest is a spanning forest of the bundle graph, which maps a supply
     (out minus in, per vertex) to every bundle flow that has it.
@@ -178,6 +180,7 @@ class QuiverPlan(NamedTuple):
     bundles: tuple
     incidence: tuple
     ends: tuple
+    lone: tuple
     components: tuple
     tree: tuple
     cycles: tuple
@@ -322,7 +325,7 @@ class EulerMatrix:
     def plan(self):
         _, acyclic = self.quiver._kahn()
         if not acyclic:
-            return QuiverPlan(False, (), (), (), (), (), (), {}, {}, {}, {})
+            return QuiverPlan(False, (), (), (), (), (), (), (), {}, {}, {}, {})
         idx = self.index
         mult = {}
         for _, t, h in self.quiver.arrows:
@@ -345,8 +348,19 @@ class EulerMatrix:
             if not (tails[v] and heads[v])
             for k in tails[v] or heads[v]
         )
+        lone = []
+        for k, (t, h, _) in enumerate(bundles):
+            alone = tuple(
+                (v, sign)
+                for v, sign in ((t, 1), (h, -1))
+                if len(tails[v]) + len(heads[v]) == 1
+            )
+            if alone:
+                lone.append((k, alone))
         forest = _spanning_forest(self.n, bundles, tails, heads)
-        return QuiverPlan(True, bundles, incidence, ends, *forest, {}, {}, {}, {})
+        return QuiverPlan(
+            True, bundles, incidence, ends, tuple(lone), *forest, {}, {}, {}, {}
+        )
 
     def tup(self, vec):
         """Coerce a dict keyed by vertex id, or a sequence in sorted vertex
@@ -390,8 +404,9 @@ class EulerMatrix:
 
     def theta(self, d):
         """Canonical weight <d, -> - <-, d> attached to d."""
-        left = self.weight_left(d)
-        right = self.weight_right(d)
+        d = self.tup(d)
+        left = linalg.vecmat(d, self.matrix)
+        right = linalg.matvec(self.matrix, d)
         return tuple(a - b for a, b in zip(left, right))
 
     def symmetrized(self):

@@ -23,15 +23,16 @@ Theory*, section 11) gives S_lam * S_mu restricted to two rows as
 each term with coefficient 1.
 
 The public functions (``partition``, ``schur_product``, ``lr_coefficient``,
-``tensor_fold``) validate and coerce their input once and then call three
+``tensor_fold``) validate and coerce their input once and then call
 internals that take plain int tuples: ``_product`` for one product,
-``_fold`` for a sorted sequence of trimmed partitions, and ``_coef`` for a
-single coefficient.  Hot callers that already hold such tuples
-(``siweights``) call ``_fold`` and ``_coef`` directly.  ``_coef`` with a
-target of at most two rows and ``_product`` with ``rows <= 2`` answer by
-the two-row rule.  Every case of three or more rows goes to the one walk:
-``_product`` calls ``_schur_mult``, and ``_coef`` reads nu off the product
-capped at nu, which the sizes fill exactly.
+``_times`` for an expansion times one Schur function, ``_fold`` for a
+sorted sequence of trimmed partitions (one ``_times`` per factor), and
+``_coef`` for a single coefficient.  Hot callers that already hold such
+tuples (``siweights``) call ``_times``, ``_fold`` and ``_coef`` directly.
+``_coef`` with a target of at most two rows and ``_product`` with
+``rows <= 2`` answer by the two-row rule.  Every case of three or more rows
+goes to the one walk: ``_product`` calls ``_schur_mult``, and ``_coef``
+reads nu off the product capped at nu, which the sizes fill exactly.
 
 Walked answers are cached in ``_PRODUCT_CACHE``: the weight-space
 enumeration in ``siweights`` revisits the same products and coefficients
@@ -215,6 +216,16 @@ def lr_coefficient(lam, mu, nu):
     return _coef(partition(lam), partition(mu), partition(nu))
 
 
+def _times(acc, lam, rows, cap):
+    """The expansion ``acc`` ({nu: multiplicity}) times S_lam, over at most
+    ``rows`` rows and capped at ``cap`` (or None), as a new dict."""
+    out = {}
+    for nu, mult in acc.items():
+        for key, c in _product(nu, lam, rows, cap).items():
+            out[key] = out.get(key, 0) + mult * c
+    return out
+
+
 def _fold(lams, rows, cap):
     """tensor_fold on a sorted sequence of trimmed partitions, an int
     ``rows`` and an int-tuple ``cap`` (or None)."""
@@ -235,11 +246,7 @@ def _fold(lams, rows, cap):
             # the product with S_() is the factor itself
             acc = {lam: 1}
             continue
-        nxt = {}
-        for nu, mult in acc.items():
-            for out, c in _product(nu, lam, rows, cap).items():
-                nxt[out] = nxt.get(out, 0) + mult * c
-        acc = nxt
+        acc = _times(acc, lam, rows, cap)
         if not acc:
             break
     return {(): 1} if acc is None else acc

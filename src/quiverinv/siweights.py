@@ -48,6 +48,18 @@ bundle that meets a one-sided vertex v only takes partitions of width at
 most |theta(v)|; the sum skips the wider ones, which give that vertex
 multiplicity 0.
 
+A one-sided vertex v fed by a single bundle (a one-sided end) reads
+nothing but that bundle's multiset M, and its multiplicity is c^R(M).
+Where d(v) >= 2 and the bundle carries d(v) rows, the bundle is bound to
+R: its multisets are enumerated with the product of all parts but the
+last capped at R, and each term of that product gives the last part, its
+complement in R, with c^R as coefficient.  Only the multisets with
+c^R != 0 are visited, each weighed by c^R, and v leaves the loop over
+vertices; a one-row end is never bound, since every multiset that fits
+has c^R = 1 there.  When the bundle's other end has the same rectangle,
+c^R squared serves both.  A vertex of dimension one is never visited: its
+multiplicity is 1 on every flow.
+
 Budgets count ordered partition tuples, one partition per arrow, as if no
 arrows were bundled and no width were bounded.  One pass over the bundle
 flows both sizes the enumeration (by cached partition counts, before any
@@ -75,10 +87,10 @@ sides independent.  A d with no zero entry is not memoised: its entry
 would serve only the same weight asked again.
 
 What both read of the dimension vector alone (bundle row bounds, parallel
-bundles, the vertex sides and their one-sided ends) is its layout, built
-once per vector: once per call of ``si_dim`` and per side of ``circ``, once
-per ray of ``si_table`` and ``polynomiality_check``, and once per vector
-scanned by the wild search.
+bundles, the vertex sides, their one-sided ends and the ends to bind) is
+its layout, built once per vector: once per call of ``si_dim`` and per
+side of ``circ``, once per ray of ``si_table`` and
+``polynomiality_check``, and once per vector scanned by the wild search.
 """
 
 import itertools
@@ -253,6 +265,74 @@ def _multisets(total, p, rows, width=None):
                     run = run + 1 if lam == mu else 1
                     weight //= run
             out.append((weight, tuple(sorted(itertools.chain(*pick)))))
+    return out
+
+
+def _bound_multisets(total, p, rows, width, dv, w):
+    """The multisets of ``_multisets(total, p, rows, width)`` on which the
+    rectangle R = (w^dv), dv >= 1, has a nonzero coefficient c^R, as
+    ``(weight, c^R, parts)`` triples with the same weights and parts.
+
+    Parts are chosen depth-first in (size, partition) order, so the last
+    one is the largest in size, and the product of the others is carried
+    along, capped at R (``lr._times``); a prefix whose product is empty is
+    cut there.  c^R_{nu,mu} is 1 when mu is the complement of nu in R and
+    0 otherwise, so each term nu of the last product, with coefficient c,
+    gives the one last part that completes it, the complement of nu, at
+    c^R = c; its size is the boxes left, since a flow puts w * dv on the
+    bundle.  For p = 1 that forces the rectangle itself, and for p = 2 it
+    pairs each partition with its complement.
+    """
+    if w < 0 or total != w * dv:
+        return []
+    # no part of a multiset with c^R != 0 is wider or taller than R
+    rows, width = min(rows, dv), max(0, min(width, w))
+    rect = (w,) * dv if w else ()
+    if p == 1:
+        return [(1, 1, (rect,))] if len(rect) <= rows and w <= width else []
+    # the last part is at most width wide only when row dv of its
+    # complement nu reaches w - width
+    floor = w - width
+    out = []
+    prefix = []
+
+    def rec(i, remaining, acc, size, index, weight, run):
+        # the parts still to choose, this one included, are no smaller,
+        # and none holds more than rows * width boxes
+        low = max(size, remaining - (p - 1 - i) * rows * width)
+        for s in range(low, remaining // (p - i) + 1):
+            lams = partitions_bounded(s, rows, width)
+            for j in range(index if s == size else 0, len(lams)):
+                lam = lams[j]
+                nxt = lr._times(acc, lam, dv, rect) if lam else acc
+                if not nxt:
+                    continue
+                r = run + 1 if i and s == size and j == index else 1
+                prefix.append(lam)
+                if i < p - 2:
+                    rec(i + 1, remaining - s, nxt, s, j, weight // r, r)
+                    prefix.pop()
+                    continue
+                # the last part: one per term of the product
+                tie = remaining - s == s
+                for nu, c in nxt.items():
+                    if floor and (len(nu) < dv or nu[-1] < floor):
+                        continue
+                    mu = _complement(nu, dv, w)
+                    if len(mu) > rows:
+                        continue
+                    wt = weight // r
+                    if tie:
+                        # within a size the order is decreasing, as listed
+                        # by partitions_bounded
+                        if mu > lam:
+                            continue
+                        if mu == lam:
+                            wt //= r + 1
+                    out.append((wt, c, tuple(sorted(prefix + [mu]))))
+                prefix.pop()
+
+    rec(0, total, {(): 1}, 0, 0, math.factorial(p), 0)
     return out
 
 
@@ -433,27 +513,51 @@ def _pivot_vector(euler, theta):
 
 def _layout(plan, dt):
     """What the flow pass and the Cauchy sum read of the dimension vector
-    ``dt``, whatever the weight: ``(shape, parallel, sides, ends)``.
+    ``dt``, whatever the weight: ``(shape, parallel, sides, ends, binds)``.
 
     ``shape`` gives each bundle's row bound min(d(tail), d(head)) and
-    number of arrows, ``parallel`` the ``(position, arrows)`` of each bundle
-    of two or more arrows, and ``sides`` the ``(v, d(v), tail bundles, head
-    bundles)`` of each vertex that an arrow touches and d does not vanish on
-    (a vertex of dimension zero has multiplicity 1 whatever it is given).
+    number of arrows, and ``parallel`` the ``(position, arrows)`` of each
+    bundle of two or more arrows.  ``sides`` gives the ``(v, d(v), tail
+    bundles, head bundles)`` of each vertex that an arrow touches and where
+    d(v) >= 2.  Where d(v) = 0 the multiplicity is 1 whatever it is given.
+    Where d(v) = 1 it is 1 on every flow: each partition at v then has at
+    most one row, S_lam(k) is det^|lam|, and the flow balances the sizes
+    at v to theta(v).
     ``ends`` is the plan's ``(position, v, sign)`` of each bundle end at a
     one-sided vertex (sign +1 at a vertex with tails only, -1 at one with
     heads only): every partition on the bundle must fit inside the
     rectangle (|theta(v)|^d(v)) there, so its width is at most
     sign * theta(v).  Where d(v) vanishes, the flows that carry tuples put
     nothing on the bundle, and the empty partition fits any width.
-    Callers build it once per vector, so a ray of weights shares one.
+
+    ``binds`` lists a ``(position, v, sign, d(v), twin)`` for each bundle
+    whose multisets are enumerated bound to the rectangle of its end v
+    (``_bound_multisets``).  That end is one of the plan's ``lone`` ends,
+    fed by this bundle alone, and has d(v) >= 2 rows, no more than the
+    bundle's row bound.  An end with more rows leaves the complement of
+    most product terms too tall for the bundle, and binding it costs more
+    than it prunes.  When
+    the other end u also qualifies, ``twin`` is its ``(u, sign)``: at a
+    weight that gives u the same width, hence the same rectangle, one
+    coefficient serves both ends.  Callers build the layout once per
+    vector, so a ray of weights shares one.
     """
     shape = tuple((min(dt[t], dt[h]), p) for t, h, p in plan.bundles)
     parallel = tuple((k, p) for k, (_, p) in enumerate(shape) if p > 1)
     sides = tuple(
-        (v, dt[v], tails, heads) for v, tails, heads in plan.incidence if dt[v]
+        (v, dt[v], tails, heads)
+        for v, tails, heads in plan.incidence
+        if dt[v] > 1
     )
-    return shape, parallel, sides, plan.ends
+    binds = []
+    for k, lone in plan.lone:
+        rows = shape[k][0]
+        if rows > 1:
+            ends = [(v, sign) for v, sign in lone if dt[v] == rows]
+            if ends:
+                twin = ends[1] if len(ends) == 2 else None
+                binds.append((k, *ends[0], rows, twin))
+    return shape, parallel, sides, plan.ends, tuple(binds)
 
 
 def _constant(dt, th, budget):
@@ -484,7 +588,7 @@ def _sized_flows(plan, dt, layout, th, cap):
     happens does not depend on the order of the flows.  The sum thus runs
     under a budget exactly when the larger total fits it.
     """
-    shape, parallel, _, _ = layout
+    shape, parallel = layout[:2]
     nflows = 0
     cost = 0
     kept = []
@@ -516,8 +620,10 @@ def si_dim(euler, d, theta, budget=DEFAULT_BUDGET, pivot=True):
     described in the module docstring.  Raises BudgetError once more than
     ``budget`` ordered partition tuples (one partition per arrow) or arrow
     flows would be examined; the sum itself visits only one multiset of
-    partitions per bundle of parallel arrows, and skips partitions wider
-    than the rectangle of a one-sided vertex, which is never more.
+    partitions per bundle of parallel arrows, skips partitions wider than
+    the rectangle of a one-sided vertex, and on a bundle bound to an end's
+    rectangle visits only the multisets that rectangle admits, which is
+    never more.
 
     One pass over the bundle flows, which the quiver's spanning forest maps
     from its cycle space, sizes the enumeration with cached partition
@@ -594,20 +700,48 @@ def _cauchy_sum(layout, th, flows):
     per bundle, counted once per ordering over the bundle's arrows, and is
     a product of vertex multiplicities.  A bundle at a one-sided vertex
     only takes partitions that fit inside its rectangle; the others would
-    give that vertex multiplicity 0."""
+    give that vertex multiplicity 0.
+
+    A bundle in the layout's ``binds`` takes only the multisets on which
+    its end's rectangle has a nonzero coefficient, each weighed by that
+    coefficient (squared when it also serves the twin end), and the ends
+    it serves leave the loop over vertices."""
     if not flows:
         return 0
-    shape, _, sides, ends = layout
+    shape, _, sides, ends, binds = layout
     widths = [None] * len(shape)
     for k, v, sign in ends:
         w = sign * th[v]
         if widths[k] is None or w < widths[k]:
             widths[k] = w
+    bound = [None] * len(shape)
+    served = set()
+    for k, v, sign, dv, twin in binds:
+        w = sign * th[v]
+        power = 1
+        if twin is not None and twin[1] * th[twin[0]] == w:
+            power = 2
+            served.add(twin[0])
+        bound[k] = (dv, w, power)
+        served.add(v)
+    if served:
+        sides = [side for side in sides if side[0] not in served]
     total = 0
     for flow in flows:
-        choices = [
-            _multisets(s, p, r, w) for s, (r, p), w in zip(flow, shape, widths)
-        ]
+        choices = []
+        for s, (r, p), w, b in zip(flow, shape, widths, bound):
+            if b is None:
+                choices.append(_multisets(s, p, r, w))
+            else:
+                dv, rw, power = b
+                choices.append(
+                    [
+                        (weight * c**power, parts)
+                        for weight, c, parts in _bound_multisets(
+                            s, p, r, w, dv, rw
+                        )
+                    ]
+                )
         for combo in itertools.product(*choices):
             prod = 1
             for v, dv, tails, heads in sides:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import ref_classify_tree, ref_det
+from oracles import ref_canonical_weight, ref_classify_tree, ref_det
 from quiverinv.core import (
     BoundQuiver,
     EulerMatrix,
@@ -131,6 +131,26 @@ def test_theta_d_annihilates_d():
             d = tuple(rng.randrange(0, 5) for _ in range(e.n))
             th = e.theta(d)
             assert sum(t * x for t, x in zip(th, d)) == 0
+
+
+@pytest.mark.parametrize("as_dict", [False, True], ids=["tuple", "dict"])
+def test_theta_coerces_once_and_matches_reference(monkeypatch, as_dict):
+    e = EulerMatrix(euclidean_quiver("D~4"))
+    calls = []
+    original = EulerMatrix.tup
+
+    def counted(self, vec):
+        calls.append(vec)
+        return original(self, vec)
+
+    monkeypatch.setattr(EulerMatrix, "tup", counted)
+    rng = random.Random(11)
+    for _ in range(20):
+        d = tuple(rng.randrange(0, 5) for _ in range(e.n))
+        arg = dict(zip(e.order, d)) if as_dict else list(d)
+        calls.clear()
+        assert e.theta(arg) == ref_canonical_weight(e, d)
+        assert calls == [arg]
 
 
 def test_canonical_weights_examples():

@@ -1,6 +1,7 @@
 """Semi-invariant dimensions, reciprocity, polynomiality, log-concavity."""
 
 import itertools
+import math
 import random
 from collections import Counter
 
@@ -835,6 +836,193 @@ def test_k2_with_a_tail_two_sided_vertex():
     euler = EulerMatrix(K2_TAIL)
     got = siweights.si_dim(euler, (4, 4, 2), (12, -9, -6), budget=5 * 10**7)
     assert got == 1750
+
+
+@pytest.mark.parametrize(
+    "n, budget, want",
+    [
+        (1, siweights.DEFAULT_BUDGET, 50),
+        (2, siweights.DEFAULT_BUDGET, 406),
+        (3, 10**8, 1750),
+        # the budget prices every ordered tuple, bound or not
+        (3, siweights.DEFAULT_BUDGET, "budget"),
+    ],
+)
+def test_k2_with_a_tail_along_its_ray(n, budget, want):
+    # a is bound to its 4 x 4n rectangle, c to its 2 x 2n rectangle, and
+    # only b is read one multiplicity at a time
+    euler = EulerMatrix(K2_TAIL)
+    th = (4 * n, -3 * n, -2 * n)
+    got = _outcome(siweights.si_dim, euler, (4, 4, 2), th, budget=budget)
+    assert got == want
+
+
+# a => b, a -> c, b -> c: the triangle, whose bundles form a cycle; and the
+# star with five arms into its centre c
+TRIANGLE = Quiver(
+    ("a", "b", "c"),
+    (("x", "a", "b"), ("y", "a", "b"), ("z", "a", "c"), ("w", "b", "c")),
+)
+STAR5 = Quiver(
+    ("c", "v1", "v2", "v3", "v4", "v5"),
+    tuple((f"x{i}", f"v{i}", "c") for i in range(1, 6)),
+)
+
+
+@pytest.mark.parametrize(
+    "quiver, dt, binds",
+    [
+        # equal ends: the source is bound and the sink is its twin
+        (K3, (2, 2), ((0, 0, 1, 2, (1, -1)),)),
+        # the end with fewer rows; the other end's 4 rows exceed the bundle
+        (K3, (2, 4), ((0, 0, 1, 2, None),)),
+        (K3, (4, 2), ((0, 1, -1, 2, None),)),
+        # a bundle of one row: nothing to bind, not even a 2-row end
+        (K3, (1, 1), ()),
+        (K3, (2, 1), ()),
+        # a and c are bound, b has both sides
+        (K2_TAIL, (4, 4, 2), ((0, 0, 1, 4, None), (1, 2, -1, 2, None))),
+        # v2 of the pair v1 => v2 keeps its empty tail bundle to v3
+        (K3_TAIL, (2, 2, 0), ((0, 0, 1, 2, None),)),
+        (STAR5, (4, 2, 2, 2, 2, 2), tuple((k, k + 1, 1, 2, None) for k in range(5))),
+        # a vertex with two bundles is never bound
+        (TRIANGLE, (2, 2, 2), ()),
+    ],
+)
+def test_layout_binds_single_bundle_ends(quiver, dt, binds):
+    layout = siweights._layout(EulerMatrix(quiver).plan, dt)
+    assert layout[4] == binds
+    # vertices of dimension 0 or 1 have multiplicity 1 on every flow
+    assert all(dv > 1 for _, dv, _, _ in layout[2])
+
+
+def test_bound_multisets_match_filtered_multisets():
+    # the bound enumeration against every multiset, filtered by the
+    # rectangle coefficient: the same multisets, once each, with the same
+    # weights and coefficients
+    for total, p, rows, dv in itertools.product(
+        range(9), range(1, 5), range(4), range(1, 4)
+    ):
+        for w in range(-1, 5):
+            for width in range(-1, w + 2):
+                want = {}
+                for weight, parts in siweights._multisets(total, p, rows, width):
+                    if w >= 0:
+                        factors = tuple(lam for lam in parts if lam)
+                        c = siweights._rect_mult(dv, w, factors)
+                        if c:
+                            want[parts] = (weight, c)
+                got = siweights._bound_multisets(total, p, rows, width, dv, w)
+                case = (total, p, rows, width, dv, w)
+                assert len({parts for _, _, parts in got}) == len(got), case
+                assert {parts: (wt, c) for wt, c, parts in got} == want, case
+    # one part: the rectangle itself, when the bundle carries it
+    assert siweights._bound_multisets(6, 1, 2, 3, 2, 3) == [(1, 1, ((3, 3),))]
+    assert siweights._bound_multisets(6, 1, 1, 3, 2, 3) == []
+    assert siweights._bound_multisets(6, 1, 2, 2, 2, 3) == []
+    # rows 0: only the empty rectangle, at width 0 or above
+    for width in (0, 2):
+        assert siweights._bound_multisets(0, 3, 0, width, 2, 0) == [
+            (1, 1, ((), (), ()))
+        ]
+        assert siweights._bound_multisets(4, 3, 0, width, 2, 2) == []
+
+
+def test_twin_ends_share_one_coefficient():
+    # K3 at d = (2, 2): source and sink have the same rectangle, so each
+    # bound multiset weighs c^2 and neither end calls _vertex_mult
+    dt, th = (2, 2), (6, -6)
+    want = sum(
+        weight
+        * siweights._vertex_mult(2, 6, parts, ())
+        * siweights._vertex_mult(2, -6, (), parts)
+        for weight, parts in siweights._multisets(12, 3, 2, 6)
+    )
+    bound = siweights._bound_multisets(12, 3, 2, 6, 2, 6)
+    assert sum(weight * c * c for weight, c, _ in bound) == want
+    siweights.clear_caches()
+    assert siweights.si_dim(EK3, dt, th, pivot=False) == want
+    assert siweights._VERTEX_CACHE == {}
+
+
+BIND_QUIVERS = {
+    **WALK_QUIVERS,
+    "K2_tail": K2_TAIL,
+    "K3_tail": K3_TAIL,
+    "triangle": TRIANGLE,
+    "star5": STAR5,
+}
+
+
+@pytest.mark.parametrize("pivot", [True, False], ids=["pivot", "literal"])
+@pytest.mark.parametrize("name", sorted(BIND_QUIVERS))
+@settings(max_examples=30)
+@given(data=st.data())
+def test_bound_ends_match_reference(name, pivot, data):
+    # entries up to 3 put two or more rows on single-bundle ends; small
+    # budgets keep the reference short and bring BudgetError into play
+    euler = EulerMatrix(BIND_QUIVERS[name])
+    dt = data.draw(st.tuples(*[st.sampled_from((0, 1, 2, 2, 3))] * euler.n))
+    # a flow leaves a source and enters a sink: draw theta > 0 at sources
+    # and < 0 at sinks, and solve theta(d) = 0 at the last vertex of the
+    # support
+    tails = {t for t, _, _ in euler.plan.bundles}
+    heads = {h for _, h, _ in euler.plan.bundles}
+    th = []
+    for v in range(euler.n):
+        lo, hi = (
+            (1, 3)
+            if v not in heads and v in tails
+            else (-3, -1) if v not in tails and v in heads else (-2, 2)
+        )
+        th.append(data.draw(st.integers(lo, hi)))
+    live = [i for i, x in enumerate(dt) if x]
+    if live:
+        k = live[-1]
+        rest = sum(t * x for t, x in zip(th, dt)) - th[k] * dt[k]
+        assume(rest % dt[k] == 0)
+        th[k] = -rest // dt[k]
+    th = tuple(th)
+    budget = data.draw(st.sampled_from([0, 20, 400, 2000, 2000]))
+    want = _outcome(ref_si_dim, euler, dt, th, budget, pivot)
+    got = _outcome(siweights.si_dim, euler, dt, th, budget=budget, pivot=pivot)
+    assert got == want
+
+
+@pytest.mark.parametrize("pivot", [True, False], ids=["pivot", "literal"])
+@pytest.mark.parametrize("equal", [True, False], ids=["a=b", "a!=b"])
+@pytest.mark.parametrize(
+    "name, pair",
+    [
+        ("K3", (0, 1)),
+        ("K4", (0, 1)),
+        # d vanishes off a Kronecker pair inside a larger quiver
+        ("K3_tail", (0, 1)),
+        ("K2_tail", (0, 1)),
+        ("wild_chain", (1, 2)),
+    ],
+)
+@settings(max_examples=15)
+@given(data=st.data())
+def test_kronecker_pair_binding_matches_reference(name, pair, equal, pivot, data):
+    euler = EulerMatrix(BIND_QUIVERS[name])
+    i, j = pair
+    a = data.draw(st.integers(1, 4))
+    b = a if equal else data.draw(st.integers(1, 4).filter(lambda x: x != a))
+    t = data.draw(st.integers(1, 3))
+    g = math.gcd(a, b)
+    # the boxes on the pair's bundle
+    assume(t * a * b // g <= 12)
+    dt = [0] * euler.n
+    dt[i], dt[j] = a, b
+    # the weight off the pair is never read
+    th = [data.draw(st.integers(-3, 3)) for _ in range(euler.n)]
+    th[i], th[j] = t * b // g, -t * a // g
+    budget = data.draw(st.sampled_from([0, 20, 400, 5000, 5000]))
+    dt, th = tuple(dt), tuple(th)
+    want = _outcome(ref_si_dim, euler, dt, th, budget, pivot)
+    got = _outcome(siweights.si_dim, euler, dt, th, budget=budget, pivot=pivot)
+    assert got == want
 
 
 @pytest.mark.parametrize(
