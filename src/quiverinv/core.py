@@ -165,15 +165,18 @@ class QuiverPlan(NamedTuple):
     ``closing`` is the part of ``row`` on tree bundles that no later cycle
     touches.  All of these are empty when the quiver has an oriented cycle.
 
-    The last four fields are memos on the plan's matrix.  Three memoise
+    The last five fields are memos on the plan's matrix.  Three memoise
     the Schofield recursion of :mod:`quiverinv.generic`, keyed by the
     int-tuple dimension vector alone: its generic subdimension vectors, the
     rows that ext reads off them, and its canonical decomposition.
     ``sidims`` memoises :mod:`quiverinv.siweights`: it maps ``(d, theta)``,
     for a d with a zero entry and theta set to 0 off the support of d, to
     ``(price, dim SI(Q,d)_theta)`` for a sum taken on the literal side,
-    ``price`` being the least budget under which that sum runs.  All four
-    start empty and are freed with the matrix.
+    ``price`` being the least budget under which that sum runs.
+    ``reflections`` maps a vertex index x to the ``EulerMatrix`` of the
+    quiver with every arrow at x reversed, for the reflections that
+    :mod:`quiverinv.siweights` takes at a sink or a source; at most one per
+    vertex.  All five start empty and are freed with the matrix.
     """
 
     acyclic: bool
@@ -188,6 +191,7 @@ class QuiverPlan(NamedTuple):
     rows: dict
     candecomp: dict
     sidims: dict
+    reflections: dict
 
 
 def _spanning_forest(n, bundles, tails, heads):
@@ -325,7 +329,7 @@ class EulerMatrix:
     def plan(self):
         _, acyclic = self.quiver._kahn()
         if not acyclic:
-            return QuiverPlan(False, (), (), (), (), (), (), (), {}, {}, {}, {})
+            return QuiverPlan(False, (), (), (), (), (), (), (), {}, {}, {}, {}, {})
         idx = self.index
         mult = {}
         for _, t, h in self.quiver.arrows:
@@ -359,7 +363,7 @@ class EulerMatrix:
                 lone.append((k, alone))
         forest = _spanning_forest(self.n, bundles, tails, heads)
         return QuiverPlan(
-            True, bundles, incidence, ends, tuple(lone), *forest, {}, {}, {}, {}
+            True, bundles, incidence, ends, tuple(lone), *forest, {}, {}, {}, {}, {}
         )
 
     def tup(self, vec):

@@ -55,10 +55,20 @@ R: its multisets are enumerated with the product of all parts but the
 last capped at R, and each term of that product gives the last part, its
 complement in R, with c^R as coefficient.  Only the multisets with
 c^R != 0 are visited, each weighed by c^R, and v leaves the loop over
-vertices; a one-row end is never bound, since every multiset that fits
-has c^R = 1 there.  When the bundle's other end has the same rectangle,
-c^R squared serves both.  A vertex of dimension one is never visited: its
+vertices.  When the bundle's other end has the same rectangle, c^R
+squared serves both.  A vertex of dimension one is never visited: its
 multiplicity is 1 on every flow.
+
+A bundle of p arrows with one row, because its other end u has d(u) = 1,
+is not enumerated at all when v is such an end: every partition on it is
+a single row, c^R of one-row factors is a Kostka number K_{R,alpha},
+and the multisets, each counted once per ordering, add up to the sum of
+K_{R,alpha} over the compositions alpha of |R| into p parts.  By the
+Cauchy identity that is s_R(1^p), the dimension of the GL_p module of
+highest weight R, read off MacMahon's box formula (``_rect_dim``;
+hook-content formula, Stanley, EC2 7.21).  The bundle takes that one
+number on every flow, and v leaves the loop over vertices, as u does
+already.
 
 Budgets count ordered partition tuples, one partition per arrow, as if no
 arrows were bundled and no width were bounded.  One pass over the bundle
@@ -87,10 +97,21 @@ sides independent.  A d with no zero entry is not memoised: its entry
 would serve only the same weight asked again.
 
 What both read of the dimension vector alone (bundle row bounds, parallel
-bundles, the vertex sides, their one-sided ends and the ends to bind) is
-its layout, built once per vector: once per call of ``si_dim`` and per
-side of ``circ``, once per ray of ``si_table`` and
+bundles, the vertex sides, their one-sided ends, the ends to bind and the
+one-row ends) is its layout, built once per vector: once per call of
+``si_dim`` and per side of ``circ``, once per ray of ``si_table`` and
 ``polynomiality_check``, and once per vector scanned by the wild search.
+
+A sum that the literal side would run above ``PIVOT_THRESHOLD`` tuples,
+and that the pivot of ``si_dim`` does not take, may be moved to a smaller
+vector by Bernstein-Gelfand-Ponomarev reflections (``_reduce``): a sink x
+with theta(x) <= 0, or a source with theta(x) >= 0, whose reflected
+dimension sum_{arrows at x} d(other end) - d(x) lies in [0, d(x)), is
+reflected, arrows at x reversed, theta(x) negated and a_xy theta(x) added
+to each neighbour y.  The dimension is unchanged; without the sign of
+theta(x) it is not.  The reflected side is sized like the pivot side and
+summed only when it is cheaper; pricing and refusals stay the literal
+side's, and the reflected quivers are kept on the plan (``reflections``).
 """
 
 import itertools
@@ -98,7 +119,7 @@ import math
 from dataclasses import dataclass
 
 from . import linalg, lr
-from .core import dimension_vectors
+from .core import EulerMatrix, Quiver, dimension_vectors
 from .errors import (
     BudgetError,
     InputError,
@@ -395,6 +416,28 @@ def _rect_mult(dv, w, factors):
     return 0 if rest is None else _coefficient(rest, factors[:-1], dv)
 
 
+def _rect_dim(p, dv, w):
+    """s_R(1^p) for the rectangle R = (w^dv), w >= 0: the dimension of the
+    GL_p module of highest weight R, and the sum of the Kostka numbers
+    K_{R,alpha} over the compositions alpha of w * dv into p parts.
+
+    R is empty when w = 0, whatever dv is; otherwise R has dv rows and
+    vanishes on p variables when dv > p.  Else MacMahon's box formula,
+    prod over i <= dv and j <= p - dv of (w + i + j - 1) / (i + j - 1),
+    in exact integers.
+    """
+    if w == 0:
+        return 1
+    if dv > p:
+        return 0
+    num = den = 1
+    for i in range(1, dv + 1):
+        for j in range(1, p - dv + 1):
+            num *= w + i + j - 1
+            den *= i + j - 1
+    return num // den
+
+
 def _vertex_mult(dv, tv, tails, heads):
     """Multiplicity of det^tv in (tail product) tensor (head product)^*.
 
@@ -511,9 +554,66 @@ def _pivot_vector(euler, theta):
     return e
 
 
+def _reflected(euler, x):
+    """The Euler matrix of the quiver with every arrow at vertex index x
+    reversed, kept on the plan of ``euler``.  Vertex ids, hence the sorted
+    order and every index, are unchanged."""
+    found = euler.plan.reflections.get(x)
+    if found is None:
+        quiver = euler.quiver
+        vx = euler.order[x]
+        arrows = tuple(
+            (a, h, t) if vx in (t, h) else (a, t, h) for a, t, h in quiver.arrows
+        )
+        found = EulerMatrix(Quiver(quiver.vertices, arrows, quiver.name))
+        euler.plan.reflections[x] = found
+    return found
+
+
+def _reduce(euler, dt, th):
+    """``(euler', dt', th')`` with dim SI(Q',dt')_th' = dim SI(Q,dt)_th
+    and |dt'| < |dt|, from Bernstein-Gelfand-Ponomarev reflections, or
+    None when no reflection applies.
+
+    A sink x with th(x) <= 0, or a source with th(x) >= 0, is reflected
+    when its reflected dimension dt'(x), the sum of dt over the arrows at
+    x less dt(x), satisfies 0 <= dt'(x) < dt(x): the arrows at x turn
+    round, th'(x) = -th(x), and th'(y) = th(y) + a_xy th(x) for each of
+    the a_xy arrows between x and a neighbour y.  Without the sign of th(x)
+    the identity fails.  The first vertex in sorted order that qualifies is
+    reflected, and the quiver it gives is searched again; |dt| falls at
+    every step, so the search ends.
+    """
+    reduced = None
+    while True:
+        plan = euler.plan
+        for x, tails, heads in plan.incidence:
+            sx = th[x]
+            if (tails and heads) or (sx < 0 if tails else sx > 0):
+                continue
+            arms = [
+                (h if t == x else t, p)
+                for t, h, p in map(plan.bundles.__getitem__, tails or heads)
+            ]
+            bx = sum(p * dt[y] for y, p in arms) - dt[x]
+            if 0 <= bx < dt[x]:
+                break
+        else:
+            return reduced
+        dt = dt[:x] + (bx,) + dt[x + 1 :]
+        moved = list(th)
+        moved[x] = -sx
+        for y, p in arms:
+            moved[y] += p * sx
+        th = tuple(moved)
+        euler = _reflected(euler, x)
+        reduced = euler, dt, th
+
+
 def _layout(plan, dt):
     """What the flow pass and the Cauchy sum read of the dimension vector
-    ``dt``, whatever the weight: ``(shape, parallel, sides, ends, binds)``.
+    ``dt``, whatever the weight: ``(shape, parallel, sides, ends, binds,
+    rows1)``.
 
     ``shape`` gives each bundle's row bound min(d(tail), d(head)) and
     number of arrows, and ``parallel`` the ``(position, arrows)`` of each
@@ -539,8 +639,14 @@ def _layout(plan, dt):
     than it prunes.  When
     the other end u also qualifies, ``twin`` is its ``(u, sign)``: at a
     weight that gives u the same width, hence the same rectangle, one
-    coefficient serves both ends.  Callers build the layout once per
-    vector, so a ray of weights shares one.
+    coefficient serves both ends.
+
+    ``rows1`` lists a ``(position, v, sign, d(v))`` for each bundle of one
+    row whose end v is one of its ``lone`` ends and whose other end has
+    dimension 1: no vertex but v reads its multisets, and their sum at v is
+    the closed form ``_rect_dim``.  Binds need two rows, so no bundle is in
+    both.  Callers build the layout once per vector, so a ray of weights
+    shares one.
     """
     shape = tuple((min(dt[t], dt[h]), p) for t, h, p in plan.bundles)
     parallel = tuple((k, p) for k, (_, p) in enumerate(shape) if p > 1)
@@ -550,6 +656,7 @@ def _layout(plan, dt):
         if dt[v] > 1
     )
     binds = []
+    rows1 = []
     for k, lone in plan.lone:
         rows = shape[k][0]
         if rows > 1:
@@ -557,7 +664,13 @@ def _layout(plan, dt):
             if ends:
                 twin = ends[1] if len(ends) == 2 else None
                 binds.append((k, *ends[0], rows, twin))
-    return shape, parallel, sides, plan.ends, tuple(binds)
+        elif rows == 1:
+            t, h, _ = plan.bundles[k]
+            for v, sign in lone:
+                if dt[h if sign > 0 else t] == 1:
+                    rows1.append((k, v, sign, dt[v]))
+                    break
+    return shape, parallel, sides, plan.ends, tuple(binds), tuple(rows1)
 
 
 def _constant(dt, th, budget):
@@ -623,7 +736,7 @@ def si_dim(euler, d, theta, budget=DEFAULT_BUDGET, pivot=True):
     partitions per bundle of parallel arrows, skips partitions wider than
     the rectangle of a one-sided vertex, and on a bundle bound to an end's
     rectangle visits only the multisets that rectangle admits, which is
-    never more.
+    never more; a one-row bundle at such an end takes its closed form.
 
     One pass over the bundle flows, which the quiver's spanning forest maps
     from its cycle space, sizes the enumeration with cached partition
@@ -633,7 +746,11 @@ def si_dim(euler, d, theta, budget=DEFAULT_BUDGET, pivot=True):
     equals dim SI(Q,e)_{<d,->}.  When the literal side is over budget or above
     ``PIVOT_THRESHOLD`` tuples, the other side is sized by a pass of its own
     and the smaller one is summed; ``pivot=False`` forces the literal side,
-    which ``circ`` uses to keep its two evaluations independent.
+    which ``circ`` uses to keep its two evaluations independent.  When the
+    literal side would run above ``PIVOT_THRESHOLD`` and the pivot does not
+    answer, reflections at sinks and sources may give a smaller vector of
+    the same dimension (``_reduce``), summed only when it is cheaper; this
+    too only with ``pivot=True``, and it changes no price and no refusal.
 
     ``budget`` must be a nonnegative integer; anything else, here and in
     the other public functions of this module, is an ``InputError``.
@@ -641,6 +758,15 @@ def si_dim(euler, d, theta, budget=DEFAULT_BUDGET, pivot=True):
     (dt,) = dimension_vectors(euler, d)
     layout = _layout(euler.plan, dt)
     return _si_dim(euler, dt, layout, euler.tup(theta), as_budget(budget), pivot)
+
+
+def _sum_within(plan, dt, th, cap):
+    """The Cauchy sum of dim SI(Q,dt)_th when it is sized at no more than
+    ``cap`` arrow flows and tuples, else None: the other side of ``si_dim``,
+    a pivot vector or a reflected one."""
+    layout = _layout(plan, dt)
+    _, cost, flows = _sized_flows(plan, dt, layout, th, cap)
+    return _cauchy_sum(layout, th, flows) if cost <= cap else None
 
 
 def _si_dim(euler, dt, layout, th, budget, pivot=True):
@@ -657,9 +783,9 @@ def _si_dim(euler, dt, layout, th, budget, pivot=True):
     its arrow flows and its tuples, the least budget under which that sum
     runs.  A kept answer is returned only to a call whose budget covers its
     price, where the literal side would run too; any other call takes the
-    path above.  An answer from the pivot side is not kept, so that
-    ``circ``, which runs both of its sides literally, never reads one
-    side's value as the other's.
+    path above.  An answer from the pivot side or from a reflected vector
+    is not kept, so that ``circ``, which runs both of its sides literally,
+    never reads one side's value as the other's.
     """
     one = _constant(dt, th, budget)
     if one:
@@ -676,11 +802,15 @@ def _si_dim(euler, dt, layout, th, budget, pivot=True):
         e = _pivot_vector(euler, th)
         if e is not None:
             wl = linalg.vecmat(dt, euler.matrix)
-            cap = min(cost - 1, budget)
-            e_layout = _layout(plan, e)
-            _, pivot_cost, pivot_flows = _sized_flows(plan, e, e_layout, wl, cap)
-            if pivot_cost <= cap:
-                return _cauchy_sum(e_layout, wl, pivot_flows)
+            dim = _sum_within(plan, e, wl, min(cost - 1, budget))
+            if dim is not None:
+                return dim
+        reduced = _reduce(euler, dt, th) if cost <= budget else None
+        if reduced is not None:
+            r_euler, r_dt, r_th = reduced
+            dim = _sum_within(r_euler.plan, r_dt, r_th, cost - 1)
+            if dim is not None:
+                return dim
     if cost > budget:
         raise BudgetError("semi-invariant partition tuples", budget)
     dim = _cauchy_sum(layout, th, flows)
@@ -705,16 +835,21 @@ def _cauchy_sum(layout, th, flows):
     A bundle in the layout's ``binds`` takes only the multisets on which
     its end's rectangle has a nonzero coefficient, each weighed by that
     coefficient (squared when it also serves the twin end), and the ends
-    it serves leave the loop over vertices."""
+    it serves leave the loop over vertices.  A bundle in ``rows1`` takes a
+    single choice, its multisets summed at once by ``_rect_dim``, and its
+    end leaves that loop too: a flow puts w * d(v) on it, for the width w
+    of its end v."""
     if not flows:
         return 0
-    shape, _, sides, ends, binds = layout
+    shape, _, sides, ends, binds, rows1 = layout
     widths = [None] * len(shape)
     for k, v, sign in ends:
         w = sign * th[v]
         if widths[k] is None or w < widths[k]:
             widths[k] = w
-    bound = [None] * len(shape)
+    # a flow puts w * d(v) on a bundle fed to a lone end v of width w, so
+    # the choices of a bound or closed-form bundle are the same on each flow
+    fixed = [None] * len(shape)
     served = set()
     for k, v, sign, dv, twin in binds:
         w = sign * th[v]
@@ -722,26 +857,26 @@ def _cauchy_sum(layout, th, flows):
         if twin is not None and twin[1] * th[twin[0]] == w:
             power = 2
             served.add(twin[0])
-        bound[k] = (dv, w, power)
+        r, p = shape[k]
+        fixed[k] = [
+            (weight * c**power, parts)
+            for weight, c, parts in _bound_multisets(
+                w * dv, p, r, widths[k], dv, w
+            )
+        ]
+        served.add(v)
+    for k, v, sign, dv in rows1:
+        c = _rect_dim(shape[k][1], dv, sign * th[v])
+        fixed[k] = [(c, ())] if c else []
         served.add(v)
     if served:
         sides = [side for side in sides if side[0] not in served]
     total = 0
     for flow in flows:
-        choices = []
-        for s, (r, p), w, b in zip(flow, shape, widths, bound):
-            if b is None:
-                choices.append(_multisets(s, p, r, w))
-            else:
-                dv, rw, power = b
-                choices.append(
-                    [
-                        (weight * c**power, parts)
-                        for weight, c, parts in _bound_multisets(
-                            s, p, r, w, dv, rw
-                        )
-                    ]
-                )
+        choices = [
+            _multisets(s, p, r, w) if f is None else f
+            for s, (r, p), w, f in zip(flow, shape, widths, fixed)
+        ]
         for combo in itertools.product(*choices):
             prod = 1
             for v, dv, tails, heads in sides:

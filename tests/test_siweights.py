@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -1022,6 +1023,270 @@ def test_kronecker_pair_binding_matches_reference(name, pair, equal, pivot, data
     dt, th = tuple(dt), tuple(th)
     want = _outcome(ref_si_dim, euler, dt, th, budget, pivot)
     got = _outcome(siweights.si_dim, euler, dt, th, budget=budget, pivot=pivot)
+    assert got == want
+
+
+# a => b (three arrows), c -> b and b => d: the dimension-1 vertex b feeds
+# the lone ends a and c; and D4 with every arrow into its centre c
+ONE_ROW = Quiver(
+    ("a", "b", "c", "d"),
+    (
+        ("x1", "a", "b"),
+        ("x2", "a", "b"),
+        ("x3", "a", "b"),
+        ("y", "c", "b"),
+        ("z1", "b", "d"),
+        ("z2", "b", "d"),
+    ),
+)
+D4_IN = Quiver(
+    ("c", "p", "q", "r"), (("x", "p", "c"), ("y", "q", "c"), ("z", "r", "c"))
+)
+
+
+@pytest.mark.parametrize(
+    "quiver, dt, rows1",
+    [
+        # both ends of dimension 1: the tail end serves
+        (K3, (1, 1), ((0, 0, 1, 1),)),
+        (K3, (1, 2), ((0, 1, -1, 2),)),
+        (K3, (2, 1), ((0, 0, 1, 2),)),
+        # two rows: the bundle is bound instead
+        (K3, (2, 2), ()),
+        (K2_TAIL, (3, 1, 3), ((0, 0, 1, 3), (1, 2, -1, 3))),
+        # b has two rows and reads both bundles
+        (K2_TAIL, (1, 2, 1), ()),
+        (ONE_ROW, (1, 1, 3, 0), ((0, 0, 1, 1), (2, 2, 1, 3))),
+        (D4_IN, (1, 3, 1, 1), ((0, 1, 1, 3), (1, 2, 1, 1), (2, 3, 1, 1))),
+        # no vertex of the triangle is a lone end
+        (TRIANGLE, (1, 1, 2), ()),
+    ],
+)
+def test_layout_lists_one_row_ends(quiver, dt, rows1):
+    layout = siweights._layout(EulerMatrix(quiver).plan, dt)
+    assert layout[5] == rows1
+    assert not {k for k, *_ in layout[4]} & {k for k, *_ in rows1}
+
+
+def _weyl_dim(lam, p):
+    """dim of the GL_p module of highest weight ``lam``, by Weyl's formula:
+    prod over i < j of (lam_i - lam_j + j - i) / (j - i)."""
+    if len(lam) > p:
+        return 0
+    lam = list(lam) + [0] * (p - len(lam))
+    out = Fraction(1)
+    for i, j in itertools.combinations(range(p), 2):
+        out *= Fraction(lam[i] - lam[j] + j - i, j - i)
+    assert out.denominator == 1
+    return int(out)
+
+
+@pytest.mark.parametrize("p", range(2, 7))
+def test_one_row_end_is_a_weyl_dimension(p):
+    # K_p at (1, b) and (b, 1): the sum over the bundle's one-row multisets
+    # is s_R(1^p) for R = (n^b), far past what the enumeration reaches
+    euler = EulerMatrix(kronecker_quiver(p))
+    for b in range(1, 6):
+        for n in range(41):
+            want = _weyl_dim((n,) * b if n else (), p)
+            assert siweights._rect_dim(p, b, n) == want
+            for dt, th in (((1, b), (b * n, -n)), ((b, 1), (n, -b * n))):
+                got = siweights.si_dim(euler, dt, th, budget=10**30, pivot=False)
+                assert got == want, (p, dt, th)
+    # the check value: 25 * 13 * 13 * 9
+    ek4 = EulerMatrix(kronecker_quiver(4))
+    assert siweights.si_dim(ek4, (1, 2), (48, -24)) == 38025
+
+
+@pytest.mark.parametrize(
+    "quiver, dt, th, want",
+    [
+        # w = 0 with d(v) = 3 > p = 1: R is empty, so the factor is 1
+        (D4_IN, (1, 3, 1, 1), (-2, 0, 0, 2), 1),
+        # c is a 3-row end of width 0; a gives C(2 + 2, 2) compositions
+        (ONE_ROW, (1, 1, 3, 0), (2, -2, 0, 0), 6),
+    ],
+)
+def test_one_row_edge_cases(quiver, dt, th, want):
+    euler = EulerMatrix(quiver)
+    for pivot in (True, False):
+        assert siweights.si_dim(euler, dt, th, pivot=pivot) == want
+        assert ref_si_dim(euler, dt, th, siweights.DEFAULT_BUDGET, pivot) == want
+
+
+def _reflect(quiver, dt, th, x):
+    """(Q', dt', th') for the reflection at the vertex of sorted index x:
+    its arrows turn round, dt'(x) is the sum of dt over its arrows less
+    dt(x), th'(x) = -th(x) and th'(y) = th(y) + a_xy th(x)."""
+    order = sorted(quiver.vertices)
+    vx = order[x]
+    dt, th = list(dt), list(th)
+    arrows = []
+    moved = 0
+    for a, t, h in quiver.arrows:
+        if vx in (t, h):
+            y = order.index(h if t == vx else t)
+            moved += dt[y]
+            th[y] += th[x]
+            t, h = h, t
+        arrows.append((a, t, h))
+    dt[x] = moved - dt[x]
+    th[x] = -th[x]
+    return Quiver(quiver.vertices, tuple(arrows)), tuple(dt), tuple(th)
+
+
+def _meets_guard(quiver, dt, th, x):
+    """Whether the vertex of sorted index x is a sink with th(x) <= 0 or a
+    source with th(x) >= 0, and its reflected dimension is in [0, dt(x))."""
+    vx = sorted(quiver.vertices)[x]
+    out = any(t == vx for _, t, _ in quiver.arrows)
+    into = any(h == vx for _, _, h in quiver.arrows)
+    if out == into or (th[x] < 0 if out else th[x] > 0):
+        return False
+    return 0 <= _reflect(quiver, dt, th, x)[1][x] < dt[x]
+
+
+REFLECT_QUIVERS = {
+    **BIND_QUIVERS,
+    "A3": A3,
+    "A3_sink": Quiver(("v1", "v2", "v3"), (("a", "v1", "v2"), ("b", "v3", "v2"))),
+    "D4": dynkin_quiver("D4"),
+    "D4_in": D4_IN,
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFLECT_QUIVERS))
+@settings(max_examples=30)
+@given(data=st.data())
+def test_reflection_keeps_si_dim(name, data):
+    quiver = REFLECT_QUIVERS[name]
+    euler = EulerMatrix(quiver)
+    dt = data.draw(st.tuples(*[st.integers(0, 3)] * euler.n))
+    dt, th = _draw_balanced(data, euler.n, dt)
+    want = _outcome(siweights.si_dim, euler, dt, th, budget=20_000, pivot=False)
+    for x in range(euler.n):
+        if want == "budget" or not _meets_guard(quiver, dt, th, x):
+            continue
+        q, rdt, rth = _reflect(quiver, dt, th, x)
+        got = _outcome(
+            siweights.si_dim, EulerMatrix(q), rdt, rth, budget=20_000, pivot=False
+        )
+        assert got in (want, "budget"), (x, rdt, rth)
+
+
+def test_reflection_needs_the_sign_guard():
+    # a => b -> c at (0, 3, 3): the sink c has theta(c) = 1 > 0; its
+    # reflected dimension 0 is in range, but the reflected sum differs
+    dt, th = (0, 3, 3), (-3, -1, 1)
+    euler = EulerMatrix(K2_TAIL)
+    assert siweights.si_dim(euler, dt, th) == 0
+    assert not _meets_guard(K2_TAIL, dt, th, 2)
+    assert siweights._reduce(euler, dt, th) is None
+    q, rdt, rth = _reflect(K2_TAIL, dt, th, 2)
+    assert (rdt, rth) == ((0, 3, 0), (-3, 0, -1))
+    assert siweights.si_dim(EulerMatrix(q), rdt, rth) == 1
+
+
+def test_reflection_chain_stops_at_the_guard(monkeypatch):
+    # a => b -> c at (3, 2, 1): the source a reflects to 1, then b, now a
+    # source, to 1; c, now a source with theta(c) = -2 < 0, must stay, for
+    # reflecting it as well would give (1, 1, 0) and a nonzero answer
+    euler = EulerMatrix(K2_TAIL)
+    dt, th = (3, 2, 1), (3, -1, -7)
+    reduced = siweights._reduce(euler, dt, th)
+    assert reduced[1:] == ((1, 1, 1), (7, -5, -2))
+    arrows = (("x", "a", "b"), ("y", "a", "b"), ("z", "c", "b"))
+    assert reduced[0].quiver.arrows == arrows
+    monkeypatch.setattr(siweights, "PIVOT_THRESHOLD", 0)
+    monkeypatch.setattr(siweights, "_pivot_vector", lambda euler, theta: None)
+    assert siweights.si_dim(euler, dt, th) == 0
+    assert ref_si_dim(euler, dt, th, siweights.DEFAULT_BUDGET, False) == 0
+
+
+def test_reflection_sums_the_smaller_vector():
+    # K3 at (2, 4): the sink v2 reflects to 3 * 2 - 4 = 2, and the literal
+    # side's 19,292 tuples give way to those of (2, 2); an isolated vertex
+    # gives d a zero entry, so a literal answer would be memoised
+    quiver = Quiver(("v1", "v2", "v3"), K3.arrows)
+    euler = EulerMatrix(quiver)
+    dt, th = (2, 4, 0), (12, -6, 5)
+    reduced = siweights._reduce(euler, dt, th)
+    assert reduced[1:] == ((2, 2, 0), (-6, 6, 5))
+    assert euler.plan.reflections == {1: reduced[0]}
+    assert siweights.si_dim(euler, dt, th) == 462
+    # the reflected answer is not memoised, and the reflection is reused
+    assert euler.plan.sidims == {}
+    assert siweights._reduce(euler, dt, th)[0] is reduced[0]
+    assert siweights.si_dim(euler, dt, th, pivot=False) == 462
+    assert len(euler.plan.sidims) == 1
+    # no reflection where the literal side is refused
+    budget = 19_291
+    assert _outcome(siweights.si_dim, euler, dt, th, budget=budget) == "budget"
+    assert _outcome(ref_si_dim, euler, dt, th, budget) == "budget"
+
+
+def _draw_one_row_case(data, case):
+    """A quiver, a dimension vector and a balanced weight for ``case``."""
+    if case == "Kp(1,b)":
+        p, b = data.draw(st.integers(2, 5)), data.draw(st.integers(1, 5))
+        t = data.draw(st.integers(-1, 4))
+        if data.draw(st.booleans()):
+            return kronecker_quiver(p), (1, b), (b * t, -t)
+        return kronecker_quiver(p), (b, 1), (t, -b * t)
+    if case == "Kp(2,4)":
+        p, t = data.draw(st.integers(2, 3)), data.draw(st.integers(1, 2))
+        if data.draw(st.booleans()):
+            return kronecker_quiver(p), (2, 4), (2 * t, -t)
+        return kronecker_quiver(p), (4, 2), (t, -2 * t)
+    # the dimension-1 vertex stays at 1, the ends it feeds take 0..3
+    quiver, one = {
+        "one_row": (ONE_ROW, 1),
+        "d4_in": (D4_IN, 0),
+        "star5": (STAR5, 0),
+    }[case]
+    n = len(quiver.vertices)
+    dt = list(data.draw(st.tuples(*[st.integers(0, 3)] * n)))
+    dt[one] = 1
+    return (quiver, *_draw_balanced(data, n, tuple(dt)))
+
+
+@pytest.mark.parametrize(
+    "threshold", [siweights.PIVOT_THRESHOLD, 0], ids=["threshold", "threshold0"]
+)
+@pytest.mark.parametrize("pivot", [True, False], ids=["pivot", "literal"])
+@pytest.mark.parametrize("case", ["Kp(1,b)", "Kp(2,4)", "one_row", "d4_in", "star5"])
+@settings(max_examples=20)
+@given(data=st.data())
+def test_one_row_ends_and_reflection_match_reference(case, pivot, threshold, data):
+    # at threshold 0 every sum tries the pivot and then the reflection, so
+    # the small vectors drawn here reach both; small budgets compare
+    # BudgetError as well
+    quiver, dt, th = _draw_one_row_case(data, case)
+    budget = data.draw(st.sampled_from([0, 20, 400, 5000, 50_000]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(siweights, "PIVOT_THRESHOLD", threshold)
+        euler = EulerMatrix(quiver)
+        want = _outcome(ref_si_dim, euler, dt, th, budget, pivot)
+        got = _outcome(siweights.si_dim, euler, dt, th, budget=budget, pivot=pivot)
+    assert got == want
+
+
+@pytest.mark.parametrize("name", sorted(REFLECT_QUIVERS))
+@settings(max_examples=25)
+@given(data=st.data())
+def test_reduced_sums_match_reference(name, data):
+    # with threshold 0 and no pivot vector, every sum that the literal side
+    # would run tries the reflections, so the refusals are the literal
+    # side's and every answer comes from the smaller of the two vectors
+    euler = EulerMatrix(REFLECT_QUIVERS[name])
+    dt = data.draw(st.tuples(*[st.integers(0, 3)] * euler.n))
+    dt, th = _draw_balanced(data, euler.n, dt)
+    budget = data.draw(st.sampled_from([0, 20, 400, 5000]))
+    want = _outcome(ref_si_dim, euler, dt, th, budget, False)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(siweights, "PIVOT_THRESHOLD", 0)
+        mp.setattr(siweights, "_pivot_vector", lambda euler, theta: None)
+        got = _outcome(siweights.si_dim, euler, dt, th, budget=budget)
     assert got == want
 
 
