@@ -169,8 +169,10 @@ class QuiverPlan(NamedTuple):
     the Schofield recursion of :mod:`quiverinv.generic`, keyed by the
     int-tuple dimension vector alone: its generic subdimension vectors, the
     rows that ext reads off them, and its canonical decomposition.
-    ``sidims`` memoises :mod:`quiverinv.siweights`: it maps ``(d, theta)``,
-    for a d with a zero entry and theta set to 0 off the support of d, to
+    ``sidims`` memoises :mod:`quiverinv.siweights` by ray: it maps
+    ``(d, p)``, for a d with a zero entry and p the primitive direction of
+    theta with its entries off the support of d set to 0, to a dict from
+    each multiple m >= 1 (theta = m p on that support) to
     ``(price, dim SI(Q,d)_theta)`` for a sum taken on the literal side,
     ``price`` being the least budget under which that sum runs.
     ``reflections`` maps a vertex index x to the ``EulerMatrix`` of the

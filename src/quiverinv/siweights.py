@@ -88,19 +88,24 @@ budget 0 such a weight raises BudgetError, as the flow pass would.
 
 When d vanishes somewhere, every weight that agrees with theta on the
 support of d has the same dimension, so the other answers for such a d are
-memoised on the matrix's plan (``sidims``), keyed by d and theta on its
-support, with their price, the least budget under which the sum runs.  A
-memoised answer is returned only when the call's budget covers its price,
-so the same inputs raise BudgetError as on a fresh matrix; an answer from
-the pivot side (see ``si_dim``) is never stored, so ``circ`` keeps its two
-sides independent.  A d with no zero entry is not memoised: its entry
-would serve only the same weight asked again.
+memoised on the matrix's plan (``sidims``), one entry per ray: keyed by d
+and the primitive direction p of theta on its support, it maps each
+multiple m of p asked so far to its price, the least budget under which
+the sum runs, and its dimension.  A memoised answer is returned only when
+the call's budget covers its price, so the same inputs raise BudgetError
+as on a fresh matrix; an answer from the pivot side (see ``si_dim``) is
+never stored, so ``circ`` keeps its two sides independent.  A ray of
+``si_table`` or ``polynomiality_check`` whose points are all held within
+the budget is read in one lookup, with no layout built.  A d with no zero
+entry is not memoised: its entry would serve only the same weight asked
+again.
 
 What both read of the dimension vector alone (bundle row bounds, parallel
 bundles, the vertex sides, their one-sided ends, the ends to bind and the
 one-row ends) is its layout, built once per vector: once per call of
-``si_dim`` and per side of ``circ``, once per ray of ``si_table`` and
-``polynomiality_check``, and once per vector scanned by the wild search.
+``si_dim`` and per side of ``circ``, at most once per ray of ``si_table``
+and ``polynomiality_check``, and once per vector scanned by the wild
+search.
 
 A sum that the literal side would run above ``PIVOT_THRESHOLD`` tuples,
 and that the pivot of ``si_dim`` does not take, may be moved to a smaller
@@ -769,6 +774,15 @@ def _sum_within(plan, dt, th, cap):
     return _cauchy_sum(layout, th, flows) if cost <= cap else None
 
 
+def _ray_key(dt, th):
+    """``(key, m)`` for the plan's ``sidims``: th on the support of dt,
+    its other entries set to 0, is m * p for a primitive p and m >= 1, and
+    ``key`` is ``(dt, p)``.  th must not vanish on that support."""
+    on = tuple(t if x else 0 for t, x in zip(th, dt))
+    m = math.gcd(*on)
+    return (dt, tuple(t // m for t in on)), m
+
+
 def _si_dim(euler, dt, layout, th, budget, pivot=True):
     """dim SI(Q,dt)_th for int tuples, with ``layout = _layout(plan, dt)``.
 
@@ -778,14 +792,14 @@ def _si_dim(euler, dt, layout, th, budget, pivot=True):
     vanishes on the support of dt reads no layout: it is ``_constant``.
 
     When dt has a zero entry, every other answer summed on the literal side
-    is kept in the plan's ``sidims``, keyed by dt and th with its entries
-    off the support of dt set to 0, together with its price: the larger of
-    its arrow flows and its tuples, the least budget under which that sum
-    runs.  A kept answer is returned only to a call whose budget covers its
-    price, where the literal side would run too; any other call takes the
-    path above.  An answer from the pivot side or from a reflected vector
-    is not kept, so that ``circ``, which runs both of its sides literally,
-    never reads one side's value as the other's.
+    is kept in the plan's ``sidims``, under the ray key of ``_ray_key`` and
+    the multiple m of its primitive direction, together with its price:
+    the larger of its arrow flows and its tuples, the least budget under
+    which that sum runs.  A kept answer is returned only to a call whose
+    budget covers its price, where the literal side would run too; any
+    other call takes the path above.  An answer from the pivot side or from
+    a reflected vector is not kept, so that ``circ``, which runs both of
+    its sides literally, never reads one side's value as the other's.
     """
     one = _constant(dt, th, budget)
     if one:
@@ -793,8 +807,8 @@ def _si_dim(euler, dt, layout, th, budget, pivot=True):
     plan = euler.plan
     key = None
     if 0 in dt:
-        key = (dt, tuple(t if x else 0 for t, x in zip(th, dt)))
-        found = plan.sidims.get(key)
+        key, m = _ray_key(dt, th)
+        found = plan.sidims.get(key, {}).get(m)
         if found is not None and found[0] <= budget:
             return found[1]
     arrows, cost, flows = _sized_flows(plan, dt, layout, th, budget)
@@ -815,7 +829,7 @@ def _si_dim(euler, dt, layout, th, budget, pivot=True):
         raise BudgetError("semi-invariant partition tuples", budget)
     dim = _cauchy_sum(layout, th, flows)
     if key is not None:
-        plan.sidims[key] = (max(arrows, cost), dim)
+        plan.sidims.setdefault(key, {})[m] = (max(arrows, cost), dim)
     return dim
 
 
@@ -922,11 +936,13 @@ def si_table(euler, d, theta, n_max, budget=DEFAULT_BUDGET):
     gives it, with its budget and pivot rule.
 
     The input is checked once and the layout of d is built once for the
-    whole ray; along it only the weight, and so the supply, changes.  When
-    theta(d) != 0 the table is zero throughout, n = 0 included.  When theta
-    vanishes on the support of d so does every n theta, and the table is one
-    throughout, with no layout built; it costs one tuple, as does n = 0 on
-    any ray with theta(d) = 0, so ``budget=0`` raises BudgetError there.
+    whole ray; along it only the weight, and so the supply, changes.  A ray
+    whose points the memo holds within the budget builds no layout at all
+    (``_si_ray``).  When theta(d) != 0 the table is zero throughout, n = 0
+    included.  When theta vanishes on the support of d so does every
+    n theta, and the table is one throughout, with no layout built; it
+    costs one tuple, as does n = 0 on any ray with theta(d) = 0, so
+    ``budget=0`` raises BudgetError there.
     """
     (dt,) = dimension_vectors(euler, d)
     th = euler.tup(theta)
@@ -939,12 +955,31 @@ def si_table(euler, d, theta, n_max, budget=DEFAULT_BUDGET):
     one = _constant(dt, th, budget)
     if one:
         return SIWeightTable(th, (one,) * (n_max + 1))
+    return SIWeightTable(th, _si_ray(euler, dt, th, n_max, budget))
+
+
+def _si_ray(euler, dt, th, n_max, budget):
+    """dim SI(Q,dt)_{n th} for n = 0, ..., n_max, each as ``_si_dim`` gives
+    it.
+
+    When dt has a zero entry and th does not vanish on its support, the
+    ray's entry in the plan's ``sidims`` is read once: if it holds every
+    multiple n th, n >= 1, at a price the budget covers, and the budget
+    covers the one tuple of n = 0, the dimensions are read from it, with no
+    layout and no point evaluated.  Otherwise one layout serves the ray,
+    and each point is ``_si_dim``, which still reads the multiples held.
+    """
+    if budget >= 1 and 0 in dt and any(t for t, x in zip(th, dt) if x):
+        key, g = _ray_key(dt, th)
+        ray = euler.plan.sidims.get(key, {})
+        found = [ray.get(m) for m in range(g, g * n_max + 1, g)]
+        if all(f is not None and f[0] <= budget for f in found):
+            return (1,) + tuple(f[1] for f in found)
     layout = _layout(euler.plan, dt)
-    dims = tuple(
+    return tuple(
         _si_dim(euler, dt, layout, tuple(n * t for t in th), budget)
         for n in range(n_max + 1)
     )
-    return SIWeightTable(th, dims)
 
 
 def circ(euler, d, e, budget=DEFAULT_BUDGET):
@@ -1026,16 +1061,8 @@ def polynomiality_check(euler, d, e, n_max, budget=DEFAULT_BUDGET):
         raise PreconditionError("polynomiality requires circ(d, e) != 0")
     wl = linalg.vecmat(dt, euler.matrix)
     wr = tuple(-x for x in linalg.matvec(euler.matrix, et))
-    e_layout = _layout(euler.plan, et)
-    first = tuple(
-        _si_dim(euler, et, e_layout, tuple(n * t for t in wl), budget)
-        for n in range(n_max + 1)
-    )
-    d_layout = _layout(euler.plan, dt)
-    second = tuple(
-        _si_dim(euler, dt, d_layout, tuple(n * t for t in wr), budget)
-        for n in range(n_max + 1)
-    )
+    first = _si_ray(euler, et, wl, n_max, budget)
+    second = _si_ray(euler, dt, wr, n_max, budget)
     degrees = tuple(_pin_polynomial(values)[0] for values in (first, second))
     if None in degrees:
         raise PreconditionError(

@@ -366,18 +366,20 @@ def test_si_dim_on_a_warm_plan_matches_reference(name, data):
 
 def test_memo_keeps_the_price_of_arrow_flows():
     # WILD_CHAIN (1, 0, 1) at (3, 0, -3): no tuple, but 16 arrow flows, so
-    # the answer at budget 16 is memoised at price 16, not at 0 tuples
+    # the answer at budget 16 is memoised at price 16, not at 0 tuples, as
+    # multiple 3 of the ray (1, 0, -1)
     euler = EulerMatrix(WILD_CHAIN)
     dt, th = (1, 0, 1), (3, 0, -3)
+    memo = {(dt, (1, 0, -1)): {3: (16, 0)}}
     assert siweights.si_dim(euler, dt, th, budget=16, pivot=False) == 0
-    assert euler.plan.sidims == {(dt, th): (16, 0)}
+    assert euler.plan.sidims == memo
     assert _outcome(ref_si_dim, euler, dt, th, 15, False) == "budget"
     with pytest.raises(BudgetError):
         siweights.si_dim(euler, dt, th, budget=15, pivot=False)
     # at budget 15 the pivot rule still decides, as on a cold plan
     want = ref_si_dim(euler, dt, th, 15)
     assert siweights.si_dim(euler, dt, th, budget=15) == want
-    assert euler.plan.sidims == {(dt, th): (16, 0)}
+    assert euler.plan.sidims == memo
     # the weight off the support of d is not read, and the memo answers
     assert siweights.si_dim(euler, dt, (3, 7, -3), budget=16) == 0
 
@@ -423,8 +425,8 @@ def test_circ_sums_both_sides_after_a_pivot_answer(monkeypatch):
     # both literal sides were summed, neither read from the memo
     assert summed == [wl, th]
     assert euler.plan.sidims == {
-        (et, (2, -2, 0)): (7_286, answer),
-        (dt, th): (cost, answer),
+        (et, (1, -1, 0)): {2: (7_286, answer)},
+        (dt, (2, -1, 0)): {6: (cost, answer)},
     }
 
 
@@ -444,17 +446,21 @@ def test_si_dims_live_on_the_matrix_plan():
     }
     first = EulerMatrix(euclidean_quiver("A~3"))
     dt, th = (2, 2, 2, 0), (1, -1, 0, 5)
+    ray = (dt, (1, -1, 0, 0))
     table = siweights.si_table(first, dt, th, 4)
-    # n = 0 is the constant and is not memoised; every other point is
-    assert len(first.plan.sidims) == 4
+    # n = 0 is the constant and is not memoised; every other point is, as
+    # a multiple of the one ray
+    assert list(first.plan.sidims) == [ray]
+    assert sorted(first.plan.sidims[ray]) == [1, 2, 3, 4]
     # a weight that agrees on the support of d reads the same entries, and
     # a vector with no zero entry is not memoised
     assert siweights.si_table(first, dt, (1, -1, 0, -7), 4).dims == table.dims
     siweights.si_table(first, (2, 2, 2, 2), (1, 1, -1, -1), 4)
-    assert len(first.plan.sidims) == 4
+    assert list(first.plan.sidims) == [ray]
+    assert sorted(first.plan.sidims[ray]) == [1, 2, 3, 4]
     siweights.clear_caches()
     assert not any(vars(siweights)[name] for name in tables)
-    assert len(first.plan.sidims) == 4
+    assert sorted(first.plan.sidims[ray]) == [1, 2, 3, 4]
     second = EulerMatrix(euclidean_quiver("A~3"))
     assert second == first and second.plan.sidims == {}
     assert siweights.si_table(second, dt, th, 4) == table
@@ -856,6 +862,146 @@ def test_k2_with_a_tail_along_its_ray(n, budget, want):
     th = (4 * n, -3 * n, -2 * n)
     got = _outcome(siweights.si_dim, euler, (4, 4, 2), th, budget=budget)
     assert got == want
+
+
+def _count_ray_work(monkeypatch):
+    """The dimension vectors handed to ``_layout`` and ``_si_dim`` from now
+    on, in one list."""
+    calls = []
+    for name in ("_layout", "_si_dim"):
+        original = getattr(siweights, name)
+
+        def counted(first, dt, *args, _original=original, **kwargs):
+            calls.append(dt)
+            return _original(first, dt, *args, **kwargs)
+
+        monkeypatch.setattr(siweights, name, counted)
+    return calls
+
+
+# K2 with a tail at d = (2, 2, 0): along theta = (1, -1, 0) the dimensions
+# are 1, 3, 6, 10, 15; along -theta there is no flow, and every price is 0
+K2_RAY = ((2, 2, 0), (1, -1, 0))
+
+
+def test_memoised_ray_is_read_whole(monkeypatch):
+    euler = EulerMatrix(K2_TAIL)
+    dt, p = K2_RAY
+    assert siweights.si_table(euler, dt, p, 4).dims == (1, 3, 6, 10, 15)
+    prices = {1: 5, 2: 14, 3: 30, 4: 55}
+    memo = {(dt, p): {m: (prices[m], (1, 3, 6, 10, 15)[m]) for m in prices}}
+    assert euler.plan.sidims == memo
+    calls = _count_ray_work(monkeypatch)
+    # weight 2p with noise off the support of d reads multiples 2 and 4
+    assert siweights.si_table(euler, dt, (2, -2, 9), 2).dims == (1, 6, 15)
+    # n_max = 0 is the constant alone
+    assert siweights.si_table(euler, dt, p, 0).dims == (1,)
+    assert calls == []
+    # -p is another ray: summed, and kept apart
+    assert siweights.si_table(euler, dt, (-1, 1, 0), 4).dims == (1, 0, 0, 0, 0)
+    assert calls and euler.plan.sidims == {
+        **memo,
+        (dt, (-1, 1, 0)): {m: (0, 0) for m in prices},
+    }
+
+
+def test_memoised_ray_keeps_the_price_of_n_zero():
+    # every price on the ray of -p is 0, yet n = 0 costs one tuple
+    euler = EulerMatrix(K2_TAIL)
+    dt, minus = K2_RAY[0], (-1, 1, 0)
+    siweights.si_table(euler, dt, minus, 4)
+    assert set(euler.plan.sidims[dt, minus].values()) == {(0, 0)}
+    with pytest.raises(BudgetError):
+        siweights.si_table(euler, dt, minus, 4, budget=0)
+    assert siweights.si_table(euler, dt, minus, 4, budget=1).dims == (1, 0, 0, 0, 0)
+
+
+def test_memoised_ray_over_budget_takes_the_points(monkeypatch):
+    # A~3 at d = (2, 2, 2, 0): the memo prices of n (1, -1, 0, 0) are
+    # n + 1, so budget 5 covers n = 1..4 and not n = 5, and the ray is then
+    # evaluated point by point, answered or refused as on a fresh matrix.
+    # At n = 5 the pivot answers for p, whose pivot vector is a dimension
+    # vector, and not with weight 5 off the support of d
+    warm = EulerMatrix(euclidean_quiver("A~3"))
+    dt, p = (2, 2, 2, 0), (1, -1, 0, 0)
+    siweights.si_table(warm, dt, p, 5)
+    assert warm.plan.sidims[dt, p] == {n: (n + 1, 1) for n in range(1, 6)}
+    calls = _count_ray_work(monkeypatch)
+    for theta, last in ((p, 1), ((1, -1, 0, 5), "budget")):
+        cold = EulerMatrix(euclidean_quiver("A~3"))
+        for n_max in (4, 5):
+            want = _outcome(siweights.si_table, cold, dt, theta, n_max, budget=5)
+            calls.clear()
+            got = _outcome(siweights.si_table, warm, dt, theta, n_max, budget=5)
+            assert got == want
+            # n_max = 4 reads the memo alone; n_max = 5 builds one layout
+            # and goes through the six points
+            assert calls[:7] == ([dt] * 7 if n_max == 5 else [])
+        assert (want if want == "budget" else want.dims[-1]) == last
+
+
+# one matrix per quiver for every example, as in SHARED_EULER, so that the
+# rays held in the plan's memo carry from one example to the next
+RAY_QUIVERS = dict(WALK_QUIVERS, k2_tail=K2_TAIL)
+WARM_RAYS = {name: EulerMatrix(q) for name, q in RAY_QUIVERS.items()}
+
+
+def _ref_table(euler, dt, th, n_max, budget):
+    """``si_table(euler, dt, th, n_max, budget).dims`` from the reference,
+    point by point, or "budget" where a point is refused."""
+    if sum(t * x for t, x in zip(th, dt)):
+        return (0,) * (n_max + 1)
+    dims = []
+    for n in range(n_max + 1):
+        dims.append(
+            _outcome(ref_si_dim, euler, dt, tuple(n * t for t in th), budget)
+        )
+        if dims[-1] == "budget":
+            return "budget"
+    return tuple(dims)
+
+
+@pytest.mark.parametrize("name", sorted(RAY_QUIVERS))
+@settings(max_examples=25)
+@given(data=st.data())
+def test_warm_rays_match_cold_reference(name, data):
+    # points and tables of one ray, interleaved on a warm matrix, at budgets
+    # around the prices held for the ray: every answer and every refusal
+    # must be the reference's on a cold matrix
+    warm, cold = WARM_RAYS[name], EulerMatrix(RAY_QUIVERS[name])
+    dt, th = _draw_balanced(data, warm.n, _draw_with_zeros(data, warm.n))
+    # the same ray with weight off the support of d
+    moved = tuple(
+        t if x else data.draw(st.integers(-3, 3)) for t, x in zip(th, dt)
+    )
+    on_support = any(t for t, x in zip(th, dt) if x)
+    for _ in range(4):
+        held = {}
+        if on_support:
+            held = warm.plan.sidims.get(siweights._ray_key(dt, th)[0], {})
+        # a held price or a fixed budget, or one either side of it; drawn
+        # by position, so that what is drawn does not depend on the memo
+        around = sorted({q for q, _ in held.values()})
+        around += [0, 1, siweights.DEFAULT_BUDGET]
+        pick = around[data.draw(st.integers(0, 15)) % len(around)]
+        budget = max(0, pick + data.draw(st.integers(-1, 1)))
+        # a multiple of theta is the same ray, read at other multiples
+        k = data.draw(st.integers(1, 2))
+        weight = tuple(k * t for t in data.draw(st.sampled_from([th, moved])))
+        if data.draw(st.booleans()):
+            point = tuple(data.draw(st.integers(0, 4)) * t for t in weight)
+            pivot = data.draw(st.booleans())
+            want = _outcome(ref_si_dim, cold, dt, point, budget, pivot)
+            got = _outcome(
+                siweights.si_dim, warm, dt, point, budget=budget, pivot=pivot
+            )
+        else:
+            n_max = data.draw(st.integers(0, 3))
+            want = _ref_table(cold, dt, weight, n_max, budget)
+            got = _outcome(siweights.si_table, warm, dt, weight, n_max, budget)
+            if got != "budget":
+                got = got.dims
+        assert got == want, (dt, weight, budget)
 
 
 # a => b, a -> c, b -> c: the triangle, whose bundles form a cycle; and the
