@@ -165,10 +165,13 @@ class QuiverPlan(NamedTuple):
     ``closing`` is the part of ``row`` on tree bundles that no later cycle
     touches.  All of these are empty when the quiver has an oriented cycle.
 
-    The last five fields are memos on the plan's matrix.  Three memoise
+    The last six fields are memos on the plan's matrix.  Four memoise
     the Schofield recursion of :mod:`quiverinv.generic`, keyed by the
     int-tuple dimension vector alone: its generic subdimension vectors, the
-    rows that ext reads off them, and its canonical decomposition.
+    rows that ext(v, -) reads off them, the columns that ext(-, v) reads
+    off its generic quotients, and its canonical decomposition.  A vector
+    gets rows or columns only on the side that ext expands, so it may have
+    either, both or neither.
     ``sidims`` memoises :mod:`quiverinv.siweights` by ray: it maps
     ``(d, p)``, for a d with a zero entry and p the primitive direction of
     theta with its entries off the support of d set to 0, to a dict from
@@ -178,7 +181,7 @@ class QuiverPlan(NamedTuple):
     ``reflections`` maps a vertex index x to the ``EulerMatrix`` of the
     quiver with every arrow at x reversed, for the reflections that
     :mod:`quiverinv.siweights` takes at a sink or a source; at most one per
-    vertex.  All five start empty and are freed with the matrix.
+    vertex.  All six start empty and are freed with the matrix.
     """
 
     acyclic: bool
@@ -191,6 +194,7 @@ class QuiverPlan(NamedTuple):
     cycles: tuple
     subdims: dict
     rows: dict
+    cols: dict
     candecomp: dict
     sidims: dict
     reflections: dict
@@ -331,7 +335,7 @@ class EulerMatrix:
     def plan(self):
         _, acyclic = self.quiver._kahn()
         if not acyclic:
-            return QuiverPlan(False, (), (), (), (), (), (), (), {}, {}, {}, {}, {})
+            return QuiverPlan(False, (), (), (), (), (), (), (), {}, {}, {}, {}, {}, {})
         idx = self.index
         mult = {}
         for _, t, h in self.quiver.arrows:
@@ -365,7 +369,7 @@ class EulerMatrix:
                 lone.append((k, alone))
         forest = _spanning_forest(self.n, bundles, tails, heads)
         return QuiverPlan(
-            True, bundles, incidence, ends, tuple(lone), *forest, {}, {}, {}, {}, {}
+            True, bundles, incidence, ends, tuple(lone), *forest, {}, {}, {}, {}, {}, {}
         )
 
     def tup(self, vec):

@@ -6,27 +6,38 @@ built.  The sampled-representation oracle, which measures hom and ext on
 concrete random matrices, lives in the test suite (``tests/oracles.py``).
 For an acyclic quiver ``hom(a, b) - ext(a, b)`` is the Euler pairing
 ``<a, b>``, so hom follows from ext, and ext is computed structurally
-through the Schofield recursion
+through Schofield's theorem, read on either side:
 
     ext(a, b) = max(-<a', b>  :  a' a generic subdimension vector of a)
+              = max(-<a, b - s>  :  s a generic subdimension vector of b)
 
 where a' is a generic subdimension vector of a exactly when
-``ext(a', a - a') = 0``.  So each vector a is kept as the rows
-``<a', -> = a' M`` of its nonzero generic subdimension vectors: ext(a, b) = 0
-exactly when every row is nonnegative on b, a test that stops at the first
-negative row.  The recursion is lazy.  A zero test first reads the Euler
-form: ext(a, b) = 0 forces <a, b> = hom(a, b) >= 0, and <a, b> is the first
-row of a on b, so a negative pairing answers before a is expanded.  The
-stability tests and the decompositions scan the box of d in lexicographic
-order and test ext only on the vectors whose weight can change the answer.
-So a vector gets its subdimension vectors and rows only when some test
-needs them.  On the matrix's plan, freed with it, the caches hold the
-subdimension vectors and the rows of each vector expanded, and the canonical
-decomposition of each vector asked for; nothing is cached per pair.
+``ext(a', a - a') = 0``, and b - s runs over the generic quotients of b.
+So a vector a may be kept as the rows ``<a', -> = a' M`` of its nonzero
+generic subdimension vectors, and a vector b as the columns
+``<-, q> = M q`` of its nonzero generic quotients q: ext(a, b) = 0 exactly
+when every row of a is nonnegative on b, or every column of b on a, a test
+that stops at the first negative one.  The recursion is lazy.  A zero test
+reads the rows of a if they are cached.  Otherwise it first reads the
+Euler form: ext(a, b) = 0 forces <a, b> = hom(a, b) >= 0, and <a, b> is
+the first row of a (a' = a) on b and the first column of b (q = b) on a,
+so a negative pairing answers before either is expanded.  Then it reads
+the columns of b if they are cached, and otherwise expands the vector with
+the smaller price (below), a on a tie: a large a against a small b costs
+about as much as b.  The stability tests and the decompositions scan the
+box of d in lexicographic order and test ext only on the vectors whose
+weight can change the answer.  So a vector gets its subdimension vectors,
+rows and columns only when some test needs them.  On the matrix's plan,
+freed with it, the caches hold the subdimension vectors, the rows and the
+columns of each vector expanded, and the canonical decomposition of each
+vector asked for; nothing is cached per pair.
 ``box_limit`` bounds the recursion's total work from a cold cache, as on a
 fresh matrix, as if every v <= d were expanded: the points of the
-subdimension boxes of all v <= d.  The lazy scans usually do far less, but
-the price is that of the full expansion, so it refuses the same inputs.
+subdimension boxes of all v <= d, the price of d.  The lazy scans usually
+do far less, but the price is that of the full expansion, so it refuses the
+same inputs.  Every vector either side expands lies below d, and
+``ext_generic(a, b)``, which prices a alone, expands b only when b's price
+is the smaller, so no side costs more than the price checked.
 """
 
 import itertools
@@ -41,21 +52,27 @@ from .linalg import bilinear, dot
 BOX_LIMIT = 10**7
 
 
+def _price(vec):
+    """The recursion's work for ``vec`` from a cold cache: the subdimension
+    box points of every v <= vec, prod((x + 1)(x + 2) / 2)."""
+    work = 1
+    for x in vec:
+        work *= (x + 1) * (x + 2) // 2
+    return work
+
+
 def _boxed_vectors(euler, box_limit, d, *others):
     """``dimension_vectors`` of a public call, plus a nonnegative integral
     ``box_limit`` and recursion work for ``d`` within it.
 
     From a cold cache (a fresh matrix) the recursion scans the subdimension
-    box of every v <= d, which is prod((d_i + 1)(d_i + 2) / 2) points in
-    all; that total, not the box of ``d`` alone, is what ``box_limit``
-    bounds.
+    box of every v <= d, ``_price(d)`` points in all; that total, not the
+    box of ``d`` alone, is what ``box_limit`` bounds.  Only ``d`` is priced:
+    no vector of ``others`` is expanded unless its price is smaller.
     """
     vecs = dimension_vectors(euler, d, *others)
     box_limit = as_budget(box_limit, "box_limit")
-    work = 1
-    for x in vecs[0]:
-        work *= (x + 1) * (x + 2) // 2
-    if work > box_limit:
+    if _price(vecs[0]) > box_limit:
         raise BudgetError("subdimension box points summed over all v <= d", box_limit)
     return vecs
 
@@ -89,47 +106,99 @@ def _generic_subs(euler, dt, wanted):
             yield sub
 
 
+def _forms(vectors, lines):
+    """The forms ``(v . line for line in lines)`` of the nonzero vectors v,
+    one per direction, the first seen in each.  M is invertible, so forms
+    share a direction only when their vectors do; walked in descending
+    order, the first in each direction is the largest multiple, the one
+    that the minimum in ext needs."""
+    by_direction = {}
+    for vec in vectors:
+        if any(vec):
+            form = tuple(sum(map(mul, vec, line)) for line in lines)
+            g = math.gcd(*form)
+            by_direction.setdefault(tuple(x // g for x in form), form)
+    return tuple(by_direction.values())
+
+
 def _rows(euler, at):
     """The rows <beta, -> = beta M of the nonzero generic subdimension
     vectors beta of a, one per direction, in reverse lexicographic order of
     beta (beta = a first).
 
-    ext(a, b) = max(0, -min(row . b)) over these rows, so they are all the
-    recursion keeps of a; they are cached per vector, never per pair.  M is
-    invertible, so rows share a direction only when their betas do, and the
-    first one seen is the largest multiple, the one the minimum needs.
+    ext(a, b) = max(0, -min(row . b)) over these rows.  The same number is
+    read off the columns of b (``_cols``, the quotient side); ``_side``
+    builds the rows of a only when neither side is cached and a's price is
+    at most b's, so they never cost more than the price checked.  They are
+    cached per vector, never per pair.
     """
     cache = euler.plan.rows
     rows = cache.get(at)
     if rows is None:
-        columns = tuple(zip(*euler.matrix))
-        by_direction = {}
-        for sub in reversed(_subdims(euler, at)):
-            if any(sub):
-                row = tuple(sum(map(mul, sub, col)) for col in columns)
-                g = math.gcd(*row)
-                by_direction.setdefault(tuple(x // g for x in row), row)
-        rows = tuple(by_direction.values())
+        rows = _forms(reversed(_subdims(euler, at)), tuple(zip(*euler.matrix)))
         cache[at] = rows
     return rows
 
 
+def _cols(euler, bt):
+    """The columns <-, q> = M q of the nonzero generic quotient vectors
+    q = b - s of b, s a generic subdimension vector of b, one per direction,
+    in reverse lexicographic order of q (q = b first).
+
+    ext(a, b) = max(0, -min(a . col)) over these columns, by Schofield's
+    theorem read on the quotients of b.  They are cached per vector, never
+    per pair.
+    """
+    cache = euler.plan.cols
+    cols = cache.get(bt)
+    if cols is None:
+        quotients = (tuple(map(minus, bt, sub)) for sub in _subdims(euler, bt))
+        cols = _forms(quotients, euler.matrix)
+        cache[bt] = cols
+    return cols
+
+
+def _side(euler, at, bt):
+    """``(forms, vec)`` with ext(a, b) = max(0, -min(form . vec)): the rows
+    of a on b, or the columns of b on a.  A memoised side is read first,
+    rows before columns; otherwise the vector with the smaller price is
+    expanded, a on a tie.  The price, not the box, decides: a smaller box
+    can hide a larger price ((14, 0) against (3, 3)), and ``ext_generic``
+    prices a alone."""
+    rows = euler.plan.rows.get(at)
+    if rows is not None:
+        return rows, bt
+    cols = euler.plan.cols.get(bt)
+    if cols is not None:
+        return cols, at
+    if _price(bt) < _price(at):
+        return _cols(euler, bt), at
+    return _rows(euler, at), bt
+
+
 def _ext_vanishes(euler, at, bt):
-    """ext(a, b) == 0: every row of a is nonnegative on b (early exit)."""
-    # b = 0 answers before the rows are asked for: ``_subdims(a)`` tests
-    # (a, 0) while it builds the set that the rows of a come from
+    """ext(a, b) == 0: every row of a is nonnegative on b, or every column
+    of b on a (early exit).
+
+    Unless the rows of a are memoised, the Euler form answers first:
+    ext(a, b) = 0 forces <a, b> = hom(a, b) >= 0, and <a, b> is the first
+    row of a (beta = a) on b and the first column of b (q = b) on a, so a
+    negative pairing answers as either side would, before one is expanded.
+    Then the columns of b, if memoised, and otherwise the side with the
+    smaller price (see ``_side``).  Inside a scan of d both vectors lie
+    below d, so either side stays within the price that ``box_limit``
+    checked.
+    """
+    # a zero vector answers before either side is asked for: ``_subdims(v)``
+    # tests (0, v) and (v, 0) while it builds the set that the rows and the
+    # columns of v come from
     if not any(at) or not any(bt):
         return True
-    rows = euler.plan.rows.get(at)
-    if rows is None:
-        # ext(a, b) = 0 forces <a, b> = hom(a, b) >= 0, and <a, b> is the
-        # first row of a (beta = a) on b: a negative pairing answers as the
-        # rows would, before a is expanded
-        if bilinear(euler.matrix, at, bt) < 0:
-            return False
-        rows = _rows(euler, at)
-    for row in rows:
-        if sum(map(mul, row, bt)) < 0:
+    if at not in euler.plan.rows and bilinear(euler.matrix, at, bt) < 0:
+        return False
+    forms, vec = _side(euler, at, bt)
+    for form in forms:
+        if sum(map(mul, form, vec)) < 0:
             return False
     return True
 
@@ -143,9 +212,10 @@ def ext_generic(euler, a, b, box_limit=BOX_LIMIT):
 def _ext(euler, at, bt):
     if not any(bt):
         return 0
-    # the zero subvector, which has no row, scores 0: ext is never negative
-    scores = (sum(map(mul, row, bt)) for row in _rows(euler, at))
-    return max(0, -min(scores, default=0))
+    # the zero subvector (zero quotient), which has no form, scores 0: ext
+    # is never negative
+    forms, vec = _side(euler, at, bt)
+    return max(0, -min((sum(map(mul, form, vec)) for form in forms), default=0))
 
 
 def generic_hom_ext(euler, a, b, box_limit=BOX_LIMIT):

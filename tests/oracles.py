@@ -12,8 +12,10 @@ thin semi-invariant dimensions by torus character counts,
 canonical decompositions by exhaustive multiset search, Dynkin and
 Euclidean trees by canonical tree codes against every candidate diagram,
 the Schofield recursion by a plain copy of its first implementation that
-reads nothing of the Euler matrix but ``euler.matrix``, the signature of a symmetric
-matrix by the sign pattern of its characteristic polynomial, ranks,
+reads nothing of the Euler matrix but ``euler.matrix`` and reads ext(a, b)
+off the subdimension vectors of a alone (this rows-only copy is the oracle
+for the library's two-sided rule, which may read it off the generic
+quotients of b instead), the signature of a symmetric matrix by the sign pattern of its characteristic polynomial, ranks,
 kernels, inverses and Coxeter matrices by Gauss-Jordan elimination over
 Fraction, and semi-invariant dimensions by a copy of the first two-walk
 ``si_dim`` over every ordered partition tuple, with vertex multiplicities
@@ -535,7 +537,9 @@ def candecomp_exhaustive(euler, d):
 # Reference Schofield recursion
 #
 # The recursion as the library first implemented it: every call re-coerces
-# its vectors and evaluates the Euler form as a double sum.  Only
+# its vectors, evaluates the Euler form as a double sum, and reads ext(a, b)
+# off the generic subdimension vectors of a only, never off the generic
+# quotients of b.  Only
 # ``euler.matrix`` is read, so no library kernel, plan or cache is shared.
 # Vectors are int tuples in sorted vertex order.
 

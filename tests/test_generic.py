@@ -283,6 +283,15 @@ WILD_CHAIN = Quiver(
     ("a", "b", "c"),
     (("x1", "a", "b"), ("x2", "a", "b"), ("y1", "b", "c"), ("y2", "b", "c")),
 )
+# a => b -> c: K2 with a tail
+K2_TAIL = Quiver(
+    ("a", "b", "c"), (("x1", "a", "b"), ("x2", "a", "b"), ("y", "b", "c"))
+)
+# a => b, a -> c, b -> c: the triangle, whose arrows form an unoriented cycle
+TRIANGLE = Quiver(
+    ("a", "b", "c"),
+    (("x", "a", "b"), ("y", "a", "b"), ("z", "a", "c"), ("w", "b", "c")),
+)
 
 
 # the reference recursion costs about the square of the subdimension box, so
@@ -297,8 +306,10 @@ RECURSION_QUIVERS = pytest.mark.parametrize(
         (A3, None),
         (euclidean_quiver("D~4"), 8),
         (WILD_CHAIN, None),
+        (K2_TAIL, None),
+        (TRIANGLE, None),
     ],
-    ids=["K2", "K3", "A3", "D~4", "wild_chain"],
+    ids=["K2", "K3", "A3", "D~4", "wild_chain", "K2_tail", "triangle"],
 )
 
 
@@ -362,6 +373,75 @@ def test_weighted_scans_match_reference(quiver, max_total):
     check()
 
 
+@RECURSION_QUIVERS
+def test_two_sided_recursion_in_any_warm_order(quiver, max_total):
+    # one matrix for every draw, each ask made in both argument orders: the
+    # rows of a vector are memoised before its columns on some vectors and
+    # after them on others, and each answer must not depend on which side
+    # was read
+    euler = EulerMatrix(quiver)
+    vectors = _vectors(euler, max_total)
+    kinds = st.sampled_from(("ext", "vanishes", "subdims"))
+    first = {}
+
+    def note(side, memo):
+        for key in memo:
+            first.setdefault(key, side)
+
+    @settings(max_examples=40)
+    @given(st.lists(st.tuples(kinds, vectors, vectors), min_size=1, max_size=4))
+    def check(asks):
+        for kind, d, e in asks:
+            for a, b in ((d, e), (e, d)):
+                if kind == "ext":
+                    assert ext_generic(euler, a, b) == ref_ext_generic(euler, a, b)
+                elif kind == "vanishes":
+                    assert generic._ext_vanishes(euler, a, b) == (
+                        ref_ext_generic(euler, a, b) == 0
+                    )
+                else:
+                    assert generic_subdims(euler, a) == ref_generic_subdims(euler, a)
+                # a vector that gains both memos in one ask has no order
+                both = set(euler.plan.rows) & set(euler.plan.cols)
+                for key in both - set(first):
+                    first[key] = "both"
+                note("rows", euler.plan.rows)
+                note("cols", euler.plan.cols)
+
+    check()
+    both = set(euler.plan.rows) & set(euler.plan.cols)
+    assert {"rows", "cols"} <= {first[key] for key in both}
+
+
+def test_ext_expands_no_vector_beyond_the_priced_one():
+    # box_limit prices only a in ext_generic(a, b).  b = (14, 0) has the
+    # smaller box (15 against 16 points) but the larger price (120 against
+    # 100), so a is expanded and every vector touched is priced within 100
+    euler = EulerMatrix(K3)
+    assert ext_generic(euler, (3, 3), (14, 0), box_limit=100) == 0
+    plan = euler.plan
+    touched = set(plan.subdims) | set(plan.rows) | set(plan.cols)
+    assert (3, 3) in plan.rows and (14, 0) not in plan.cols
+    assert max(generic._price(v) for v in touched) == 100
+
+
+def test_wild_chain_stable_decomposition_expands_few_vectors():
+    # the scans test ext(a, d - a) on many large a whose d - a is small:
+    # the quotients of d - a are the cheap side, and expanding the
+    # subdimension vectors of every a took 64 vectors
+    euler = EulerMatrix(WILD_CHAIN)
+    got = theta_stable_decomposition(euler, (7, 5, 6), (5, -1, -5))
+    assert got.factors == (((7, 5, 6), 1, "imaginary"),)
+    assert len(euler.plan.rows) + len(euler.plan.cols) < 16
+
+
+def test_k3_decomposition_of_a_long_vector():
+    # (20, 90) splits into 30 (0, 1) and 20 (1, 3); expanding only
+    # subrepresentations took about 19 s (CPython 3.11.7, 2-core host)
+    got = canonical_decomposition(EulerMatrix(K3), (20, 90))
+    assert [(r, m) for r, m, _ in got.summands] == [((0, 1), 30), ((1, 3), 20)]
+
+
 def test_recursion_caches_live_on_the_matrix_plan():
     # no module-level cache outlives a matrix; an equal matrix starts empty
     assert not any(
@@ -373,26 +453,28 @@ def test_recursion_caches_live_on_the_matrix_plan():
     # (3, 4) is a Schur root, whose stability scan expands few vectors;
     # the full subdimension set expands every one it tests
     generic_subdims(first, (3, 4))
-    assert first.plan.subdims and first.plan.rows and first.plan.candecomp
+    memos = first.plan
+    assert memos.subdims and memos.rows and memos.cols and memos.candecomp
     second = EulerMatrix(K3)
     assert second == first
     plan = second.plan
-    assert (plan.subdims, plan.rows, plan.candecomp) == ({}, {}, {})
+    assert (plan.subdims, plan.rows, plan.cols, plan.candecomp) == ({}, {}, {}, {})
     assert canonical_decomposition(second, (3, 4)) == answer
     assert generic_subdims(second, (3, 4)) == generic_subdims(first, (3, 4))
     assert plan.subdims == first.plan.subdims
 
 
 def test_recursion_caches_one_entry_per_vector():
-    # rows are kept per vector, next to its subdimension vectors; no cache
-    # keyed by a pair of vectors is left to grow with the square of the box
+    # rows and columns are kept per vector, next to its subdimension
+    # vectors; no cache keyed by a pair of vectors is left to grow with the
+    # square of the box
     euler = EulerMatrix(K3)
     canonical_decomposition(euler, (6, 9))
     generic_subdims(euler, (6, 9))
-    rows, subdims = euler.plan.rows, euler.plan.subdims
-    assert 0 < len(rows) <= len(subdims)
-    assert set(rows) <= set(subdims)
-    keys = set(subdims) | set(euler.plan.candecomp)
+    rows, cols, subdims = euler.plan.rows, euler.plan.cols, euler.plan.subdims
+    assert rows and cols
+    assert set(rows) | set(cols) <= set(subdims)
+    keys = set(subdims) | set(rows) | set(cols) | set(euler.plan.candecomp)
     assert all(
         type(key) is tuple and len(key) == euler.n and all(type(x) is int for x in key)
         for key in keys
