@@ -181,7 +181,8 @@ class QuiverPlan(NamedTuple):
     ``reflections`` maps a vertex index x to the ``EulerMatrix`` of the
     quiver with every arrow at x reversed, for the reflections that
     :mod:`quiverinv.siweights` takes at a sink or a source; at most one per
-    vertex.  All six start empty and are freed with the matrix.
+    vertex, and the reflected matrix keeps this one under x.  All six
+    start empty and are freed with the matrix.
     """
 
     acyclic: bool

@@ -29,10 +29,10 @@ internals that take plain int tuples: ``_product`` for one product,
 sorted sequence of trimmed partitions (one ``_times`` per factor), and
 ``_coef`` for a single coefficient.  Hot callers that already hold such
 tuples (``siweights``) call ``_times``, ``_fold`` and ``_coef`` directly.
-``_coef`` with a target of at most two rows and ``_product`` with
-``rows <= 2`` answer by the two-row rule.  Every case of three or more rows
-goes to the one walk: ``_product`` calls ``_schur_mult``, and ``_coef``
-reads nu off the product capped at nu, which the sizes fill exactly.
+``_coef`` reads nu off ``_product`` over len(nu) rows capped at nu, which
+the sizes fill exactly, so ``_product`` holds the only closed form: with
+``rows <= 2`` it answers by the two-row rule, and with three or more rows
+it calls the one walk, ``_schur_mult``.
 
 Walked answers are cached in ``_PRODUCT_CACHE``: the weight-space
 enumeration in ``siweights`` revisits the same products and coefficients
@@ -145,22 +145,9 @@ def _schur_mult(lam, mu, maxrows, cap):
 
 
 def _coef(lam, mu, nu):
-    """lr_coefficient on trimmed partitions: the two-row rule when nu has
-    at most two rows, else the entry nu of the product capped at nu."""
-    if len(nu) < 3:
-        # c^nu is 1 when nu is the term j = nu2 - l2 - m2 of the two-row
-        # sum; that range of j already puts both factors inside nu
-        if len(lam) > 2 or len(mu) > 2:
-            return 0
-        l1, l2 = (lam + (0, 0))[:2]
-        m1, m2 = (mu + (0, 0))[:2]
-        n1, n2 = (nu + (0, 0))[:2]
-        j = n2 - l2 - m2
-        return (
-            1
-            if n1 + n2 == l1 + l2 + m1 + m2 and 0 <= j <= min(l1 - l2, m1 - m2)
-            else 0
-        )
+    """lr_coefficient on trimmed partitions: the entry nu of the product
+    over len(nu) rows capped at nu, by the two-row rule when nu has at most
+    two rows and by the walk otherwise."""
     if sum(nu) != sum(lam) + sum(mu):
         return 0
     return _product(lam, mu, len(nu), nu).get(nu, 0)

@@ -14,14 +14,14 @@ determinant-power bookkeeping, and the per-vertex multiplicity becomes
 with nu running over partitions with at most d(v) rows.  Tails-only and
 heads-only vertices degenerate to a single coefficient of the rectangle
 R = (|theta(v)|^d(v)); a heads-only side is read as the tails-only side of
--theta(v), so both share one cache entry.  Since c^R_{alpha,beta} is 1 when
-beta is the complement of alpha in R and 0 otherwise, that coefficient is
-the coefficient of the complement of the largest factor in the product of
-the others.  Every multiplicity is thus read one target at a time: the
-factors but one fold capped at the target, and each partition of that
-fold meets the last factor in a single LR coefficient (``lr._coef``).  At
-a vertex with both sides only the side with fewer factors is folded whole;
-each nu of it, shifted by theta(v), is one target on the other side.
+-theta(v).  Since c^R_{alpha,beta} is 1 when beta is the complement of
+alpha in R and 0 otherwise, that coefficient is the coefficient of the
+complement of the largest factor in the product of the others.  Every
+multiplicity is thus read one target at a time: the factors but one fold
+capped at the target, and each partition of that fold meets the last
+factor in a single LR coefficient (``lr._coef``).  At a vertex with both
+sides only the side with fewer factors is folded whole; each nu of it,
+shifted by theta(v), is one target on the other side.
 
 The block is nonzero only when the partition sizes s_a = |lambda_a| satisfy
 the flow-balance equations sum_out s - sum_in s = theta(v) d(v) at every
@@ -137,51 +137,37 @@ from .errors import (
 DEFAULT_BUDGET = 5_000_000
 
 _PARTS_CACHE = {}
-_VERTEX_CACHE = {}
 _COUNT_CACHE = {}
 _TUPLE_COUNT_CACHE = {}
-_SINGLES_CACHE = {}
 
 
 def clear_caches():
     _PARTS_CACHE.clear()
-    _VERTEX_CACHE.clear()
     _COUNT_CACHE.clear()
     _TUPLE_COUNT_CACHE.clear()
-    _SINGLES_CACHE.clear()
 
 
 def count_partitions(size, rows):
     """Number of partitions of ``size`` with at most ``rows`` parts.
 
-    p(s, r) = p(s, r - 1) + p(s - r, r).  A missing value is filled
-    bottom-up from an explicit stack, children first, so large sizes need
-    no deep recursion; every value is cached.
+    Each row bound keeps one table of counts by size, filled part size by
+    part size, p_k(s) = p_{k-1}(s) + p_k(s - k), with k up to the smaller
+    of ``rows`` and the table's largest size, since no larger part fits.
+    A size beyond the table rebuilds it at twice that size.
     """
     if size == 0:
         return 1
     if rows <= 0 or size < 0:
         return 0
-    found = _COUNT_CACHE.get((size, rows))
-    if found is not None:
-        return found
-    todo = [(size, rows)]
-    while todo:
-        s, r = todo[-1]
-        # children that are neither a base case above nor cached yet
-        missing = [
-            k
-            for k in ((s, r - 1), (s - r, r))
-            if k[0] > 0 and k[1] > 0 and k not in _COUNT_CACHE
-        ]
-        if missing:
-            todo.append(missing[0])
-        else:
-            _COUNT_CACHE[s, r] = count_partitions(s, r - 1) + count_partitions(
-                s - r, r
-            )
-            todo.pop()
-    return _COUNT_CACHE[size, rows]
+    table = _COUNT_CACHE.get(rows)
+    if table is None or len(table) <= size:
+        top = 2 * size
+        table = [1] + [0] * top
+        for k in range(1, min(rows, top) + 1):
+            for s in range(k, top + 1):
+                table[s] += table[s - k]
+        _COUNT_CACHE[rows] = table
+    return table[size]
 
 
 def partitions_bounded(size, rows, width=None):
@@ -254,19 +240,11 @@ def _multisets(total, p, rows, width=None):
     partitions, ``_count_tuples(total, p, rows)`` when nothing bounds the
     width.  The sizes of a multiset, padded with zeros, form a partition of
     ``total`` into at most p parts, none above rows * width; each such shape
-    picks a multiset of partitions per distinct size.  Lists for p = 1 are
-    cached: they are as few and as small as the partition lists, and asked
-    for once per arrow and flow.
+    picks a multiset of partitions per distinct size.  For p = 1 the list
+    wraps the cached partition list.
     """
     if p == 1:
-        key = (total, rows, width)
-        found = _SINGLES_CACHE.get(key)
-        if found is None:
-            found = tuple(
-                (1, (lam,)) for lam in partitions_bounded(total, rows, width)
-            )
-            _SINGLES_CACHE[key] = found
-        return found
+        return [(1, (lam,)) for lam in partitions_bounded(total, rows, width)]
     if width is None or width > total:
         width = total
     elif width < 0:
@@ -446,9 +424,8 @@ def _rect_dim(p, dv, w):
 def _vertex_mult(dv, tv, tails, heads):
     """Multiplicity of det^tv in (tail product) tensor (head product)^*.
 
-    A heads-only side at tv is the tails-only side at -tv, and is cached
-    under that key, so a source and a sink with the same rectangle
-    (tv^dv) share one entry; a one-sided multiplicity is ``_rect_mult``.
+    A heads-only side at tv is read as the tails-only side at -tv, and a
+    one-sided multiplicity is ``_rect_mult`` of the rectangle (tv^dv).
     At a vertex with both sides only the side with fewer factors is folded,
     uncapped; each nu of that fold, shifted by the determinant power, is a
     single target on the other side, read by ``_coefficient``.
@@ -457,24 +434,18 @@ def _vertex_mult(dv, tv, tails, heads):
         return 1
     if not tails:
         tv, tails, heads = -tv, heads, ()
-    key = (dv, tv, tails, heads)
-    found = _VERTEX_CACHE.get(key)
-    if found is not None:
-        return found
     tails = tuple(lam for lam in tails if lam)
     heads = tuple(lam for lam in heads if lam)
     if not heads:
-        result = _rect_mult(dv, tv, tails) if tv >= 0 else 0
-    else:
-        # sum_nu c_nu(tails) * c_{nu - tv*1}(heads), read from either side
-        if len(heads) < len(tails):
-            tails, heads, tv = heads, tails, -tv
-        result = 0
-        for nu, c in lr._fold(tails, dv, None).items():
-            target = _shift(nu, dv, tv)
-            if target is not None:
-                result += c * _coefficient(target, heads, dv)
-    _VERTEX_CACHE[key] = result
+        return _rect_mult(dv, tv, tails) if tv >= 0 else 0
+    # sum_nu c_nu(tails) * c_{nu - tv*1}(heads), read from either side
+    if len(heads) < len(tails):
+        tails, heads, tv = heads, tails, -tv
+    result = 0
+    for nu, c in lr._fold(tails, dv, None).items():
+        target = _shift(nu, dv, tv)
+        if target is not None:
+            result += c * _coefficient(target, heads, dv)
     return result
 
 
@@ -561,8 +532,9 @@ def _pivot_vector(euler, theta):
 
 def _reflected(euler, x):
     """The Euler matrix of the quiver with every arrow at vertex index x
-    reversed, kept on the plan of ``euler``.  Vertex ids, hence the sorted
-    order and every index, are unchanged."""
+    reversed, kept on the plan of ``euler``; the new matrix keeps ``euler``
+    under x in turn, so reflecting back at x returns it, memos and all.
+    Vertex ids, hence the sorted order and every index, are unchanged."""
     found = euler.plan.reflections.get(x)
     if found is None:
         quiver = euler.quiver
@@ -572,6 +544,7 @@ def _reflected(euler, x):
         )
         found = EulerMatrix(Quiver(quiver.vertices, arrows, quiver.name))
         euler.plan.reflections[x] = found
+        found.plan.reflections[x] = euler
     return found
 
 

@@ -330,6 +330,28 @@ def test_rr_check_cli(capsys, tubular):
     assert doc["result"]["rhs"] == "-2"
 
 
+def test_cli_refuses_negative_classes_the_library_accepts(
+    capsys, k2, tmp_path
+):
+    # euler and rr-check take K0 classes, which the library accepts with
+    # negative entries, yet the CLI's own vector check refuses them
+    path = tmp_path / "t3.alg"
+    path.write_text("canonical weights=2,2,2 lambda=1\n")
+    d, e = (-1, 0, 0, 0, 0), (1, 1, 1, 1, 1)
+    algebra = canonical.build_canonical((2, 2, 2), (1,))
+    assert canonical.riemann_roch_check(algebra, d, e).status == "ok"
+    for argv in (
+        ("rr-check", "-f", str(path), "-d=-1,0,0,0,0", "-e", "1,1,1,1,1"),
+        ("euler", "-f", k2, "-d=-1,2", "-e", "1,1"),
+    ):
+        code, out, _ = run(capsys, *argv)
+        assert code == 2
+        assert json.loads(out)["error"] == {
+            "message": "-d entries must be non-negative",
+            "type": "InputError",
+        }
+
+
 def test_iso_hull_cli(capsys, tubular):
     code, out, _ = run(capsys, "iso-hull", "-f", tubular, "-d", "1,0,0,0,0,0")
     assert code == 0

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -82,6 +83,24 @@ def test_count_partitions_needs_no_deep_recursion():
     assert siweights.count_partitions(3000, 2) == 1501
     assert siweights.count_partitions(5000, 3) == round(5003**2 / 12)
     assert siweights.si_dim(EA2, (1, 1), (1500, -1500)) == 1
+
+
+def test_count_partitions_reads_one_table_per_row_bound():
+    # no part of a partition of 40 exceeds 40, so the table of a far larger
+    # row bound loops over part sizes up to its top size, not up to the bound
+    siweights.clear_caches()
+    start = time.perf_counter()
+    assert siweights.count_partitions(40, 10**7) == 37338
+    assert time.perf_counter() - start < 5
+    assert list(siweights._COUNT_CACHE) == [10**7]
+    # one bound asked large, then small, then larger: a size beyond the
+    # table rebuilds it at twice that size, and a smaller one reads it
+    for size, length in ((20, 41), (3, 41), (50, 101)):
+        want = len(brute_partitions(size, 4))
+        assert siweights.count_partitions(size, 4) == want
+        assert len(siweights._COUNT_CACHE[4]) == length
+    siweights.clear_caches()
+    assert siweights._COUNT_CACHE == {}
 
 
 def test_si_dim_kronecker_ray():
@@ -431,19 +450,13 @@ def test_circ_sums_both_sides_after_a_pivot_answer(monkeypatch):
 
 
 def test_si_dims_live_on_the_matrix_plan():
-    # the module keeps no dict beyond the five that clear_caches empties
+    # the module keeps no dict beyond the three that clear_caches empties
     tables = {
         name
         for name, value in vars(siweights).items()
         if isinstance(value, dict) and not name.startswith("__")
     }
-    assert tables == {
-        "_PARTS_CACHE",
-        "_VERTEX_CACHE",
-        "_COUNT_CACHE",
-        "_TUPLE_COUNT_CACHE",
-        "_SINGLES_CACHE",
-    }
+    assert tables == {"_PARTS_CACHE", "_COUNT_CACHE", "_TUPLE_COUNT_CACHE"}
     first = EulerMatrix(euclidean_quiver("A~3"))
     dt, th = (2, 2, 2, 0), (1, -1, 0, 5)
     ray = (dt, (1, -1, 0, 0))
@@ -1075,7 +1088,7 @@ def test_bound_multisets_match_filtered_multisets():
         assert siweights._bound_multisets(4, 3, 0, width, 2, 2) == []
 
 
-def test_twin_ends_share_one_coefficient():
+def test_twin_ends_share_one_coefficient(monkeypatch):
     # K3 at d = (2, 2): source and sink have the same rectangle, so each
     # bound multiset weighs c^2 and neither end calls _vertex_mult
     dt, th = (2, 2), (6, -6)
@@ -1087,9 +1100,17 @@ def test_twin_ends_share_one_coefficient():
     )
     bound = siweights._bound_multisets(12, 3, 2, 6, 2, 6)
     assert sum(weight * c * c for weight, c, _ in bound) == want
+    calls = []
+    vertex_mult = siweights._vertex_mult
+
+    def counted(*args):
+        calls.append(args)
+        return vertex_mult(*args)
+
+    monkeypatch.setattr(siweights, "_vertex_mult", counted)
     siweights.clear_caches()
     assert siweights.si_dim(EK3, dt, th, pivot=False) == want
-    assert siweights._VERTEX_CACHE == {}
+    assert calls == []
 
 
 BIND_QUIVERS = {
@@ -1333,6 +1354,16 @@ def test_reflection_needs_the_sign_guard():
     assert siweights.si_dim(EulerMatrix(q), rdt, rth) == 1
 
 
+def test_reflecting_back_returns_the_original_matrix():
+    # K3 reflected at v2 and back has the arrows of K3 again, and is the
+    # matrix it started from, with its memos, not a third one
+    euler = EulerMatrix(K3)
+    once = siweights._reflected(euler, 1)
+    assert once is not euler
+    assert siweights._reflected(once, 1) is euler
+    assert siweights._reflected(euler, 1) is once
+
+
 def test_reflection_chain_stops_at_the_guard(monkeypatch):
     # a => b -> c at (3, 2, 1): the source a reflects to 1, then b, now a
     # source, to 1; c, now a source with theta(c) = -2 < 0, must stay, for
@@ -1439,16 +1470,23 @@ def test_reduced_sums_match_reference(name, data):
 @pytest.mark.parametrize(
     "quiver", [SHARED_TAIL, SHARED_HEAD], ids=["shared_tail", "shared_head"]
 )
-def test_merged_sides_reach_vertex_cache_sorted(quiver):
+def test_merged_sides_reach_vertex_mult_sorted(quiver, monkeypatch):
     # a vertex side fed by two bundles is merged into one sorted tuple, so
-    # equal multiplicities share one cache entry
+    # _vertex_mult sees each multiset of its factors in one order
+    seen = []
+    vertex_mult = siweights._vertex_mult
+
+    def spy(dv, tv, tails, heads):
+        seen.append((tails, heads))
+        return vertex_mult(dv, tv, tails, heads)
+
+    monkeypatch.setattr(siweights, "_vertex_mult", spy)
     euler = EulerMatrix(quiver)
     siweights.clear_caches()
     for th in ((2, 1, -3), (3, 0, -3), (1, 2, -3)):
         siweights.si_dim(euler, (2, 2, 2), th)
-    keys = list(siweights._VERTEX_CACHE)
-    assert any(len(tails) > 2 or len(heads) > 2 for _, _, tails, heads in keys)
-    for _, _, tails, heads in keys:
+    assert any(len(tails) > 2 or len(heads) > 2 for tails, heads in seen)
+    for tails, heads in seen:
         assert list(tails) == sorted(tails) and list(heads) == sorted(heads)
 
 
@@ -1460,7 +1498,8 @@ def test_clear_caches_empties_every_module_cache():
         for name, value in vars(siweights).items()
         if isinstance(value, dict) and not name.startswith("__")
     }
-    assert len(caches) >= 5 and any(caches.values())
+    assert set(caches) == {"_PARTS_CACHE", "_COUNT_CACHE", "_TUPLE_COUNT_CACHE"}
+    assert any(caches.values())
     siweights.clear_caches()
     assert {name: len(c) for name, c in caches.items() if c} == {}
 
