@@ -310,10 +310,14 @@ def kronecker_pair(source, d, budget=SEARCH_BUDGET):
     path-algebra case runs through the same arithmetic).  For an isotropic
     Schur root of a tame algebra a pair must exist, so exhausting the box is
     an invariant failure, not a routine miss.  ``budget`` bounds the box of
-    d, prod(d_i + 1) candidates, and must be a nonnegative integer.
+    d, prod(d_i + 1) candidates, and must be a nonnegative integer.  An
+    EulerMatrix of a quiver with an oriented cycle is refused, as by every
+    other quiver operation.
     """
     budget = as_budget(budget)
     euler = _euler_form_of(source)
+    if not isinstance(source, CanonicalAlgebra) and not euler.plan.acyclic:
+        raise PreconditionError("operation requires an acyclic quiver")
     (dt,) = dimension_vectors(euler, d, hereditary=False)
     q = euler.tits(dt)
     if q == 1:

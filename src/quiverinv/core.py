@@ -589,8 +589,11 @@ def classify_path_algebra(quiver):
     The verdict comes from the shape of the underlying graph: a cycle, or
     a tree read by its branch vertices and their arm lengths.  It is
     cross-checked against the definiteness of the symmetrized Tits form;
-    a disagreement raises an internal error.
+    a disagreement raises an internal error.  A quiver with no vertex has
+    no diagram and is refused before that check.
     """
+    if not quiver.vertices:
+        raise PreconditionError("classification requires a vertex")
     if not quiver.is_connected():
         raise PreconditionError("classification requires a connected quiver")
     if not quiver.is_acyclic():

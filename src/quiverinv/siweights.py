@@ -35,6 +35,7 @@ therefore runs over the quiver's bundles: a flow fixes the total size on
 each bundle, a block takes one multiset of partitions per bundle, and it
 counts once per ordering of that multiset over the bundle's arrows.  A
 generalized Kronecker quiver has one bundle, hence a single flow per weight.
+One depth-first walk lists every bundle's multisets (``_multisets``).
 
 The bundle flows are read off a spanning forest of the bundles, kept in
 the quiver's plan: the supplies theta(v) d(v) fix the flow on every tree
@@ -51,13 +52,13 @@ multiplicity 0.
 A one-sided vertex v fed by a single bundle (a one-sided end) reads
 nothing but that bundle's multiset M, and its multiplicity is c^R(M).
 Where d(v) >= 2 and the bundle carries d(v) rows, the bundle is bound to
-R: its multisets are enumerated with the product of all parts but the
-last capped at R, and each term of that product gives the last part, its
-complement in R, with c^R as coefficient.  Only the multisets with
-c^R != 0 are visited, each weighed by c^R, and v leaves the loop over
-vertices.  When the bundle's other end has the same rectangle, c^R
-squared serves both.  A vertex of dimension one is never visited: its
-multiplicity is 1 on every flow.
+R: the walk carries the product of all parts but the last, capped at R,
+and each term of that product gives the last part, its complement in R,
+with c^R as coefficient.  Only the multisets with c^R != 0 are visited,
+each weighed by c^R, and v leaves the loop over vertices.  When the
+bundle's other end has the same rectangle, c^R squared serves both.  A
+vertex of dimension one is never visited: its multiplicity is 1 on every
+flow.
 
 A bundle of p arrows with one row, because its other end u has d(u) = 1,
 is not enumerated at all when v is such an end: every partition on it is
@@ -229,74 +230,48 @@ def _count_tuples(total, p, rows):
     return found
 
 
-def _multisets(total, p, rows, width=None):
+def _multisets(total, p, rows, width=None, rect=None):
     """Every multiset of p partitions, each with at most ``rows`` parts and
     none above ``width`` (see ``partitions_bounded``), whose sizes sum to
-    ``total``, as ``(weight, parts)`` pairs.
+    ``total``, as ``(weight, c, parts)`` triples.
 
     ``parts`` is the multiset as a sorted tuple and ``weight`` is its number
     of orderings, p! / prod(m!) over the multiplicities m of its distinct
     partitions; the weights sum to the number of ordered p-tuples of such
     partitions, ``_count_tuples(total, p, rows)`` when nothing bounds the
-    width.  The sizes of a multiset, padded with zeros, form a partition of
-    ``total`` into at most p parts, none above rows * width; each such shape
-    picks a multiset of partitions per distinct size.  For p = 1 the list
-    wraps the cached partition list.
+    width.  Without ``rect``, c is 1.  With ``rect = (dv, w)``, dv >= 1,
+    only the multisets on which the rectangle R = (w^dv) has a nonzero
+    coefficient c^R are listed, and c is c^R.
+
+    Parts are chosen depth-first in (size, partition) order, so the last
+    one is the largest in size and takes the boxes left.  Without ``rect``
+    it is any partition of them.  With it the product of the others is
+    carried along, capped at R (``lr._times``), and a prefix whose product
+    is empty is cut there.  c^R_{nu,mu} is 1 when mu is the complement of
+    nu in R and 0 otherwise, so each term nu of the last product, with
+    coefficient c, gives the one last part that completes it, the
+    complement of nu, at c^R = c.  For p = 1 that forces the rectangle
+    itself, and for p = 2 it pairs each partition with its complement.
     """
-    if p == 1:
-        return [(1, (lam,)) for lam in partitions_bounded(total, rows, width)]
     if width is None or width > total:
         width = total
     elif width < 0:
         width = 0
-    orderings = math.factorial(p)
-    out = []
-    for shape in partitions_bounded(total, p, rows * width):
-        counts = {}
-        for size in shape + (0,) * (p - len(shape)):
-            counts[size] = counts.get(size, 0) + 1
-        pools = [
-            itertools.combinations_with_replacement(
-                partitions_bounded(size, rows, width), c
-            )
-            for size, c in counts.items()
-        ]
-        for pick in itertools.product(*pools):
-            weight = orderings
-            for group in pick:
-                run = 1
-                for lam, mu in zip(group, group[1:]):
-                    run = run + 1 if lam == mu else 1
-                    weight //= run
-            out.append((weight, tuple(sorted(itertools.chain(*pick)))))
-    return out
-
-
-def _bound_multisets(total, p, rows, width, dv, w):
-    """The multisets of ``_multisets(total, p, rows, width)`` on which the
-    rectangle R = (w^dv), dv >= 1, has a nonzero coefficient c^R, as
-    ``(weight, c^R, parts)`` triples with the same weights and parts.
-
-    Parts are chosen depth-first in (size, partition) order, so the last
-    one is the largest in size, and the product of the others is carried
-    along, capped at R (``lr._times``); a prefix whose product is empty is
-    cut there.  c^R_{nu,mu} is 1 when mu is the complement of nu in R and
-    0 otherwise, so each term nu of the last product, with coefficient c,
-    gives the one last part that completes it, the complement of nu, at
-    c^R = c; its size is the boxes left, since a flow puts w * dv on the
-    bundle.  For p = 1 that forces the rectangle itself, and for p = 2 it
-    pairs each partition with its complement.
-    """
-    if w < 0 or total != w * dv:
-        return []
-    # no part of a multiset with c^R != 0 is wider or taller than R
-    rows, width = min(rows, dv), max(0, min(width, w))
-    rect = (w,) * dv if w else ()
-    if p == 1:
-        return [(1, 1, (rect,))] if len(rect) <= rows and w <= width else []
-    # the last part is at most width wide only when row dv of its
-    # complement nu reaches w - width
-    floor = w - width
+    if rect is None:
+        if p == 1:
+            return [(1, 1, (lam,)) for lam in partitions_bounded(total, rows, width)]
+    else:
+        dv, w = rect
+        if w < 0 or total != w * dv:
+            return []
+        # no part of a multiset with c^R != 0 is wider or taller than R
+        rows, width = min(rows, dv), min(width, w)
+        box = (w,) * dv if w else ()
+        if p == 1:
+            return [(1, 1, (box,))] if len(box) <= rows and w <= width else []
+        # the last part is at most width wide only when row dv of its
+        # complement nu reaches w - width
+        floor = w - width
     out = []
     prefix = []
 
@@ -308,7 +283,7 @@ def _bound_multisets(total, p, rows, width, dv, w):
             lams = partitions_bounded(s, rows, width)
             for j in range(index if s == size else 0, len(lams)):
                 lam = lams[j]
-                nxt = lr._times(acc, lam, dv, rect) if lam else acc
+                nxt = lr._times(acc, lam, dv, box) if rect and lam else acc
                 if not nxt:
                     continue
                 r = run + 1 if i and s == size and j == index else 1
@@ -317,8 +292,21 @@ def _bound_multisets(total, p, rows, width, dv, w):
                     rec(i + 1, remaining - s, nxt, s, j, weight // r, r)
                     prefix.pop()
                     continue
-                # the last part: one per term of the product
-                tie = remaining - s == s
+                # the last part; within a size the order is decreasing, as
+                # listed by partitions_bounded, so on a tie it is no larger
+                # than lam, and lam once more lengthens its run
+                left = remaining - s
+                tie = left == s
+                if rect is None:
+                    lasts = partitions_bounded(left, rows, width)
+                    for mu in lasts[j:] if tie else lasts:
+                        wt = weight // r
+                        if mu == lam:
+                            wt //= r + 1
+                        out.append((wt, 1, tuple(sorted(prefix + [mu]))))
+                    prefix.pop()
+                    continue
+                # one last part per term of the product
                 for nu, c in nxt.items():
                     if floor and (len(nu) < dv or nu[-1] < floor):
                         continue
@@ -327,8 +315,6 @@ def _bound_multisets(total, p, rows, width, dv, w):
                         continue
                     wt = weight // r
                     if tie:
-                        # within a size the order is decreasing, as listed
-                        # by partitions_bounded
                         if mu > lam:
                             continue
                         if mu == lam:
@@ -610,9 +596,9 @@ def _layout(plan, dt):
 
     ``binds`` lists a ``(position, v, sign, d(v), twin)`` for each bundle
     whose multisets are enumerated bound to the rectangle of its end v
-    (``_bound_multisets``).  That end is one of the plan's ``lone`` ends,
-    fed by this bundle alone, and has d(v) >= 2 rows, no more than the
-    bundle's row bound.  An end with more rows leaves the complement of
+    (``_multisets`` with ``rect``).  That end is one of the plan's
+    ``lone`` ends, fed by this bundle alone, and has d(v) >= 2 rows, no
+    more than the bundle's row bound.  An end with more rows leaves the complement of
     most product terms too tall for the bundle, and binding it costs more
     than it prunes.  When
     the other end u also qualifies, ``twin`` is its ``(u, sign)``: at a
@@ -714,7 +700,8 @@ def si_dim(euler, d, theta, budget=DEFAULT_BUDGET, pivot=True):
     partitions per bundle of parallel arrows, skips partitions wider than
     the rectangle of a one-sided vertex, and on a bundle bound to an end's
     rectangle visits only the multisets that rectangle admits, which is
-    never more; a one-row bundle at such an end takes its closed form.
+    never more; one walk, ``_multisets``, lists both kinds.  A one-row
+    bundle at such an end takes its closed form.
 
     One pass over the bundle flows, which the quiver's spanning forest maps
     from its cycle space, sizes the enumeration with cached partition
@@ -808,7 +795,7 @@ def _si_dim(euler, dt, layout, th, budget, pivot=True):
 
 def _merge(combo, ks):
     """The partitions chosen on the bundles at positions ``ks``, sorted."""
-    return tuple(sorted([lam for k in ks for lam in combo[k][1]]))
+    return tuple(sorted([lam for k in ks for lam in combo[k][2]]))
 
 
 def _cauchy_sum(layout, th, flows):
@@ -819,13 +806,15 @@ def _cauchy_sum(layout, th, flows):
     only takes partitions that fit inside its rectangle; the others would
     give that vertex multiplicity 0.
 
-    A bundle in the layout's ``binds`` takes only the multisets on which
-    its end's rectangle has a nonzero coefficient, each weighed by that
-    coefficient (squared when it also serves the twin end), and the ends
-    it serves leave the loop over vertices.  A bundle in ``rows1`` takes a
-    single choice, its multisets summed at once by ``_rect_dim``, and its
-    end leaves that loop too: a flow puts w * d(v) on it, for the width w
-    of its end v."""
+    Every choice is a ``(weight, c, parts)`` triple of ``_multisets``; a
+    block counts the product of the weights, and a free bundle's list is
+    read as returned.  A bundle in the layout's ``binds`` takes only the
+    multisets on which its end's rectangle has a nonzero coefficient,
+    folded into the weight (squared when it also serves the twin end), and
+    the ends it serves leave the loop over vertices.  A bundle in ``rows1``
+    takes a single choice, its multisets summed at once by ``_rect_dim``,
+    and its end leaves that loop too: a flow puts w * d(v) on it, for the
+    width w of its end v."""
     if not flows:
         return 0
     shape, _, sides, ends, binds, rows1 = layout
@@ -846,15 +835,13 @@ def _cauchy_sum(layout, th, flows):
             served.add(twin[0])
         r, p = shape[k]
         fixed[k] = [
-            (weight * c**power, parts)
-            for weight, c, parts in _bound_multisets(
-                w * dv, p, r, widths[k], dv, w
-            )
+            (weight * c**power, 1, parts)
+            for weight, c, parts in _multisets(w * dv, p, r, widths[k], (dv, w))
         ]
         served.add(v)
     for k, v, sign, dv in rows1:
         c = _rect_dim(shape[k][1], dv, sign * th[v])
-        fixed[k] = [(c, ())] if c else []
+        fixed[k] = [(c, 1, ())] if c else []
         served.add(v)
     if served:
         sides = [side for side in sides if side[0] not in served]
@@ -872,10 +859,10 @@ def _cauchy_sum(layout, th, flows):
                 mult = _vertex_mult(
                     dv,
                     th[v],
-                    combo[tails[0]][1]
+                    combo[tails[0]][2]
                     if len(tails) == 1
                     else _merge(combo, tails) if tails else (),
-                    combo[heads[0]][1]
+                    combo[heads[0]][2]
                     if len(heads) == 1
                     else _merge(combo, heads) if heads else (),
                 )
@@ -884,7 +871,7 @@ def _cauchy_sum(layout, th, flows):
                     break
                 prod *= mult
             if prod:
-                for weight, _ in combo:
+                for weight, _, _ in combo:
                     prod *= weight
                 total += prod
     return total

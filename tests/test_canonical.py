@@ -446,6 +446,11 @@ def test_kronecker_pair_rejects():
     minus_h = tuple(-x for x in DOM.h())
     with pytest.raises(InputError, match="nonnegative"):
         can.kronecker_pair(DOM, minus_h)
+    # a <-> b: q(1, 1) = 0, but the quiver has an oriented cycle, which
+    # used to end in the same InvariantError
+    cycle = Quiver(("a", "b"), (("x", "a", "b"), ("y", "b", "a")))
+    with pytest.raises(PreconditionError, match="acyclic"):
+        can.kronecker_pair(EulerMatrix(cycle), (1, 1))
 
 
 def test_rational_invariants_canonical():

@@ -140,6 +140,28 @@ def test_precondition_error_exit_3(capsys, k2):
     assert json.loads(out)["error"]["type"] == "PreconditionError"
 
 
+@pytest.mark.parametrize(
+    "text, argv",
+    [
+        # no vertex: used to exit 5 through the Tits form cross-check
+        ("quiver\n", ("classify",)),
+        ("quiver\n", ("delta",)),
+        ("quiver\n", ("wild-search",)),
+        # an oriented cycle a <-> b: used to exit 5, no pair despite q = 0
+        (
+            "quiver\nvertices: a b\narrow x: a -> b\narrow y: b -> a\n",
+            ("kronecker-pair", "-d", "1,1"),
+        ),
+    ],
+)
+def test_empty_or_cyclic_quiver_exits_3(capsys, tmp_path, text, argv):
+    path = tmp_path / "q.quiver"
+    path.write_text(text)
+    code, out, _ = run(capsys, argv[0], "-f", str(path), *argv[1:])
+    assert code == 3
+    assert json.loads(out)["error"]["type"] == "PreconditionError"
+
+
 def test_budget_error_exit_4(capsys, k2):
     code, out, _ = run(
         capsys, "si-dim", "-f", k2, "-d", "1,1", "-t", "1,-1", "--budget", "0"

@@ -179,6 +179,10 @@ def test_classification_rejects_cycles_and_disconnection():
     two = Quiver(("1", "2"), ())
     with pytest.raises(PreconditionError):
         classify_path_algebra(two)
+    # no vertex: the empty graph reads as connected and Euclidean, which
+    # the Tits form cross-check used to report as an internal error
+    with pytest.raises(PreconditionError, match="vertex"):
+        classify_path_algebra(Quiver((), ()))
 
 
 def test_classification_orientation_independent():

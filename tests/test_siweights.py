@@ -726,13 +726,14 @@ def test_multisets_weigh_ordered_tuples():
                 for combo in itertools.product(*(fits[s] for s in sizes))
             ]
             got = siweights._multisets(total, p, rows, width)
-            parts = [m for _, m in got]
+            assert all(c == 1 for _, c, _ in got)
+            parts = [m for _, _, m in got]
             assert all(list(m) == sorted(m) and len(m) == p for m in parts)
             assert len(set(parts)) == len(parts)
-            assert dict((m, w) for w, m in got) == Counter(
+            assert dict((m, w) for w, _, m in got) == Counter(
                 tuple(sorted(combo)) for combo in ordered
             )
-            assert sum(w for w, _ in got) == len(ordered)
+            assert sum(w for w, _, _ in got) == len(ordered)
             if width is None:
                 assert siweights._count_tuples(total, p, rows) == len(ordered)
 
@@ -744,7 +745,9 @@ def test_width_bound_keeps_the_budget_of_unpruned_tuples():
     # summed; the budget still prices every tuple
     dt, th = (2, 4), (18, -9)
     assert siweights._count_tuples(36, 3, 2) == 112_651
-    assert len(siweights._multisets(36, 3, 2)) == 19_135
+    free = siweights._multisets(36, 3, 2)
+    assert len(free) == 19_135
+    assert sum(weight for weight, _, _ in free) == 112_651
     assert len(siweights._multisets(36, 3, 2, 9)) == 782
     assert siweights.si_dim(EK3, dt, th) == 2002
     got = siweights.si_dim(EK3, dt, th, budget=112_651, pivot=False)
@@ -1057,35 +1060,34 @@ def test_layout_binds_single_bundle_ends(quiver, dt, binds):
 
 
 def test_bound_multisets_match_filtered_multisets():
-    # the bound enumeration against every multiset, filtered by the
-    # rectangle coefficient: the same multisets, once each, with the same
-    # weights and coefficients
+    # the walk bound to a rectangle against every multiset of the free
+    # walk, filtered by the rectangle coefficient: the same multisets,
+    # once each, with the same weights and coefficients
+    multisets = siweights._multisets
     for total, p, rows, dv in itertools.product(
         range(9), range(1, 5), range(4), range(1, 4)
     ):
         for w in range(-1, 5):
             for width in range(-1, w + 2):
                 want = {}
-                for weight, parts in siweights._multisets(total, p, rows, width):
+                for weight, _, parts in multisets(total, p, rows, width):
                     if w >= 0:
                         factors = tuple(lam for lam in parts if lam)
                         c = siweights._rect_mult(dv, w, factors)
                         if c:
                             want[parts] = (weight, c)
-                got = siweights._bound_multisets(total, p, rows, width, dv, w)
+                got = multisets(total, p, rows, width, rect=(dv, w))
                 case = (total, p, rows, width, dv, w)
                 assert len({parts for _, _, parts in got}) == len(got), case
                 assert {parts: (wt, c) for wt, c, parts in got} == want, case
     # one part: the rectangle itself, when the bundle carries it
-    assert siweights._bound_multisets(6, 1, 2, 3, 2, 3) == [(1, 1, ((3, 3),))]
-    assert siweights._bound_multisets(6, 1, 1, 3, 2, 3) == []
-    assert siweights._bound_multisets(6, 1, 2, 2, 2, 3) == []
+    assert multisets(6, 1, 2, 3, rect=(2, 3)) == [(1, 1, ((3, 3),))]
+    assert multisets(6, 1, 1, 3, rect=(2, 3)) == []
+    assert multisets(6, 1, 2, 2, rect=(2, 3)) == []
     # rows 0: only the empty rectangle, at width 0 or above
     for width in (0, 2):
-        assert siweights._bound_multisets(0, 3, 0, width, 2, 0) == [
-            (1, 1, ((), (), ()))
-        ]
-        assert siweights._bound_multisets(4, 3, 0, width, 2, 2) == []
+        assert multisets(0, 3, 0, width, rect=(2, 0)) == [(1, 1, ((), (), ()))]
+        assert multisets(4, 3, 0, width, rect=(2, 2)) == []
 
 
 def test_twin_ends_share_one_coefficient(monkeypatch):
@@ -1096,9 +1098,9 @@ def test_twin_ends_share_one_coefficient(monkeypatch):
         weight
         * siweights._vertex_mult(2, 6, parts, ())
         * siweights._vertex_mult(2, -6, (), parts)
-        for weight, parts in siweights._multisets(12, 3, 2, 6)
+        for weight, _, parts in siweights._multisets(12, 3, 2, 6)
     )
-    bound = siweights._bound_multisets(12, 3, 2, 6, 2, 6)
+    bound = siweights._multisets(12, 3, 2, 6, rect=(2, 6))
     assert sum(weight * c * c for weight, c, _ in bound) == want
     calls = []
     vertex_mult = siweights._vertex_mult
@@ -1111,6 +1113,34 @@ def test_twin_ends_share_one_coefficient(monkeypatch):
     siweights.clear_caches()
     assert siweights.si_dim(EK3, dt, th, pivot=False) == want
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "quiver, dt, th, want",
+    [
+        # v1 => v2 shares its source with v1 -> v3, and v2 has both sides
+        (SHARED_TAIL, (2, 2, 1), (2, -2, 0), 6),
+        # v2 => v3 ends at a sink of three rows, more than the bundle's two
+        (WILD_CHAIN, (1, 2, 3), (2, 2, -2), 10),
+    ],
+)
+def test_free_multisets_of_parallel_arrows_feed_the_sum(
+    monkeypatch, quiver, dt, th, want
+):
+    # a bundle of two arrows and two rows that is bound to no rectangle
+    # takes the free walk's list as it is
+    euler = EulerMatrix(quiver)
+    assert ref_si_dim(euler, dt, th, siweights.DEFAULT_BUDGET) == want
+    calls = []
+    multisets = siweights._multisets
+
+    def spied(total, p, rows, width=None, rect=None):
+        calls.append((p, rows, rect))
+        return multisets(total, p, rows, width, rect)
+
+    monkeypatch.setattr(siweights, "_multisets", spied)
+    assert siweights.si_dim(euler, dt, th, pivot=False) == want
+    assert (2, 2, None) in calls
 
 
 BIND_QUIVERS = {
