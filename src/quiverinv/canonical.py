@@ -268,13 +268,20 @@ class RiemannRochCheck:
     rhs: Fraction
 
 
-def riemann_roch_check(algebra, d, e):
+def riemann_roch_check(algebra, d, e, budget=SEARCH_BUDGET):
     """Sum of <Phi^i d, e> over a full Coxeter period against the genus and
-    rank/degree side; exact, so any mismatch is a genuine violation."""
+    rank/degree side; exact, so any mismatch is a genuine violation.
+
+    The period is lcm(weights), so the sum takes lcm(weights) - 1 Coxeter
+    steps; ``budget``, a nonnegative integer, bounds them, and a period
+    that needs more raises BudgetError before the first step."""
+    budget = as_budget(budget)
     dt = algebra.tup(d)
     et = algebra.tup(e)
-    step = _coxeter_step(algebra.euler)
     m = algebra.m_lcm
+    if m - 1 > budget:
+        raise BudgetError("Coxeter steps", budget)
+    step = _coxeter_step(algebra.euler)
     w = linalg.matvec(algebra.euler.matrix, et)  # <x, e> = x . w
     x = dt
     lhs = linalg.dot(x, w)

@@ -411,7 +411,7 @@ def _run_command(args):
     if cmd == "rr-check":
         _need_kind(source, "canonical", cmd)
         check = canonical_mod.riemann_roch_check(
-            source.algebra, dim("d"), dim("e")
+            source.algebra, dim("d"), dim("e"), budget(canonical_mod.SEARCH_BUDGET)
         )
         result = {
             "status": check.status,

@@ -56,9 +56,12 @@ R: the walk carries the product of all parts but the last, capped at R,
 and each term of that product gives the last part, its complement in R,
 with c^R as coefficient.  Only the multisets with c^R != 0 are visited,
 each weighed by c^R, and v leaves the loop over vertices.  When the
-bundle's other end has the same rectangle, c^R squared serves both.  A
-vertex of dimension one is never visited: its multiplicity is 1 on every
-flow.
+bundle's other end u is such an end too (a twin), the bundle is a whole
+component, so a flow gives u the same rectangle and c^R squared serves
+both ends.  No vertex then reads the multisets: the walk sums weight *
+(c^R)^2 over them to one number, the bundle's single choice, and builds
+no multiset.  A vertex of dimension one is never visited: its
+multiplicity is 1 on every flow.
 
 A bundle of p arrows with one row, because its other end u has d(u) = 1,
 is not enumerated at all when v is such an end: every partition on it is
@@ -230,7 +233,7 @@ def _count_tuples(total, p, rows):
     return found
 
 
-def _multisets(total, p, rows, width=None, rect=None):
+def _multisets(total, p, rows, width=None, rect=None, summed=False):
     """Every multiset of p partitions, each with at most ``rows`` parts and
     none above ``width`` (see ``partitions_bounded``), whose sizes sum to
     ``total``, as ``(weight, c, parts)`` triples.
@@ -241,7 +244,10 @@ def _multisets(total, p, rows, width=None, rect=None):
     partitions, ``_count_tuples(total, p, rows)`` when nothing bounds the
     width.  Without ``rect``, c is 1.  With ``rect = (dv, w)``, dv >= 1,
     only the multisets on which the rectangle R = (w^dv) has a nonzero
-    coefficient c^R are listed, and c is c^R.
+    coefficient c^R are listed, and c is c^R.  With ``rect`` and
+    ``summed`` they are not listed but summed in the walk, to the single
+    choice ``(S, 1, ())`` with S the sum of weight * c^2 over them, or to
+    no choice when S is 0: a bundle whose two ends both read c^R.
 
     Parts are chosen depth-first in (size, partition) order, so the last
     one is the largest in size and takes the boxes left.  Without ``rect``
@@ -251,7 +257,10 @@ def _multisets(total, p, rows, width=None, rect=None):
     nu in R and 0 otherwise, so each term nu of the last product, with
     coefficient c, gives the one last part that completes it, the
     complement of nu, at c^R = c.  For p = 1 that forces the rectangle
-    itself, and for p = 2 it pairs each partition with its complement.
+    itself, and for p = 2 it pairs each partition with its complement.  A
+    summed walk builds that last part only where it is read: on a size tie,
+    to keep the (size, partition) order and weigh a run, and where ``rows``
+    or ``width`` may exclude it.
     """
     if width is None or width > total:
         width = total
@@ -268,14 +277,21 @@ def _multisets(total, p, rows, width=None, rect=None):
         rows, width = min(rows, dv), min(width, w)
         box = (w,) * dv if w else ()
         if p == 1:
-            return [(1, 1, (box,))] if len(box) <= rows and w <= width else []
+            if len(box) > rows or w > width:
+                return []
+            return [(1, 1, ())] if summed else [(1, 1, (box,))]
         # the last part is at most width wide only when row dv of its
         # complement nu reaches w - width
         floor = w - width
+        # where no last part can be too tall or too wide, a summed walk
+        # reads it only on a size tie
+        lean = summed and rows >= dv and not floor
     out = []
     prefix = []
+    found = 0
 
     def rec(i, remaining, acc, size, index, weight, run):
+        nonlocal found
         # the parts still to choose, this one included, are no smaller,
         # and none holds more than rows * width boxes
         low = max(size, remaining - (p - 1 - i) * rows * width)
@@ -307,6 +323,10 @@ def _multisets(total, p, rows, width=None, rect=None):
                     prefix.pop()
                     continue
                 # one last part per term of the product
+                if lean and not tie:
+                    found += weight // r * sum(c * c for c in nxt.values())
+                    prefix.pop()
+                    continue
                 for nu, c in nxt.items():
                     if floor and (len(nu) < dv or nu[-1] < floor):
                         continue
@@ -319,10 +339,15 @@ def _multisets(total, p, rows, width=None, rect=None):
                             continue
                         if mu == lam:
                             wt //= r + 1
-                    out.append((wt, c, tuple(sorted(prefix + [mu]))))
+                    if summed:
+                        found += wt * c * c
+                    else:
+                        out.append((wt, c, tuple(sorted(prefix + [mu]))))
                 prefix.pop()
 
     rec(0, total, {(): 1}, 0, 0, math.factorial(p), 0)
+    if summed:
+        return [(found, 1, ())] if found else []
     return out
 
 
@@ -598,12 +623,12 @@ def _layout(plan, dt):
     whose multisets are enumerated bound to the rectangle of its end v
     (``_multisets`` with ``rect``).  That end is one of the plan's
     ``lone`` ends, fed by this bundle alone, and has d(v) >= 2 rows, no
-    more than the bundle's row bound.  An end with more rows leaves the complement of
-    most product terms too tall for the bundle, and binding it costs more
-    than it prunes.  When
-    the other end u also qualifies, ``twin`` is its ``(u, sign)``: at a
-    weight that gives u the same width, hence the same rectangle, one
-    coefficient serves both ends.
+    more than the bundle's row bound.  An end with more rows leaves the
+    complement of most product terms too tall for the bundle, and binding
+    it costs more than it prunes.  When the other end u also qualifies,
+    ``twin`` is its ``(u, sign)``: the bundle is then a whole component,
+    each weight with a flow gives u the same width, hence the same
+    rectangle, and the walk sums the bundle to one number.
 
     ``rows1`` lists a ``(position, v, sign, d(v))`` for each bundle of one
     row whose end v is one of its ``lone`` ends and whose other end has
@@ -700,7 +725,8 @@ def si_dim(euler, d, theta, budget=DEFAULT_BUDGET, pivot=True):
     partitions per bundle of parallel arrows, skips partitions wider than
     the rectangle of a one-sided vertex, and on a bundle bound to an end's
     rectangle visits only the multisets that rectangle admits, which is
-    never more; one walk, ``_multisets``, lists both kinds.  A one-row
+    never more; one walk, ``_multisets``, lists both kinds, and sums a
+    bundle whose two ends share the rectangle to one number.  A one-row
     bundle at such an end takes its closed form.
 
     One pass over the bundle flows, which the quiver's spanning forest maps
@@ -810,11 +836,12 @@ def _cauchy_sum(layout, th, flows):
     block counts the product of the weights, and a free bundle's list is
     read as returned.  A bundle in the layout's ``binds`` takes only the
     multisets on which its end's rectangle has a nonzero coefficient,
-    folded into the weight (squared when it also serves the twin end), and
-    the ends it serves leave the loop over vertices.  A bundle in ``rows1``
-    takes a single choice, its multisets summed at once by ``_rect_dim``,
-    and its end leaves that loop too: a flow puts w * d(v) on it, for the
-    width w of its end v."""
+    folded into the weight; with a twin the walk sums weight * c^2 over
+    them to a single choice (``_multisets`` with ``summed``), which serves
+    both ends.  The ends it serves leave the loop over vertices.  A bundle
+    in ``rows1`` takes a single choice, its multisets summed at once by
+    ``_rect_dim``, and its end leaves that loop too: a flow puts w * d(v)
+    on it, for the width w of its end v."""
     if not flows:
         return 0
     shape, _, sides, ends, binds, rows1 = layout
@@ -829,15 +856,18 @@ def _cauchy_sum(layout, th, flows):
     served = set()
     for k, v, sign, dv, twin in binds:
         w = sign * th[v]
-        power = 1
-        if twin is not None and twin[1] * th[twin[0]] == w:
-            power = 2
-            served.add(twin[0])
         r, p = shape[k]
-        fixed[k] = [
-            (weight * c**power, 1, parts)
-            for weight, c, parts in _multisets(w * dv, p, r, widths[k], (dv, w))
-        ]
+        args = (w * dv, p, r, widths[k], (dv, w))
+        if twin is None:
+            fixed[k] = [
+                (weight * c, 1, parts) for weight, c, parts in _multisets(*args)
+            ]
+        else:
+            # both ends are lone, so the bundle is a whole component, and a
+            # flow balances it: d(u) = d(v) gives th(u) = -th(v), and the
+            # opposite end signs give u the width w of v, the same rectangle
+            fixed[k] = _multisets(*args, summed=True)
+            served.add(twin[0])
         served.add(v)
     for k, v, sign, dv in rows1:
         c = _rect_dim(shape[k][1], dv, sign * th[v])

@@ -277,6 +277,29 @@ def test_riemann_roch_examples():
     assert check.lhs == check.rhs == -2
 
 
+def test_riemann_roch_prices_its_coxeter_period(monkeypatch):
+    # the period lcm(53, 47, 43) = 107,113 needs 107,112 steps: over the
+    # budget, the check raises before the first step
+    algebra = can.build_canonical((53, 47, 43), (1,))
+    ones = (1,) * algebra.euler.n
+    stepper = can._coxeter_step
+
+    def refused(euler):
+        raise AssertionError("a step was taken")
+
+    monkeypatch.setattr(can, "_coxeter_step", refused)
+    with pytest.raises(BudgetError):
+        can.riemann_roch_check(algebra, ones, ones, budget=10**5)
+    monkeypatch.setattr(can, "_coxeter_step", stepper)
+    # T4's period 2 takes one step
+    d, e = T4.h(), unit(T4, "0")
+    assert can.riemann_roch_check(T4, d, e, budget=1).status == "ok"
+    with pytest.raises(BudgetError):
+        can.riemann_roch_check(T4, d, e, budget=0)
+    with pytest.raises(InputError):
+        can.riemann_roch_check(T4, d, e, budget=-1)
+
+
 def test_riemann_roch_random():
     rng = random.Random(23)
     tuples = ((2, 2, 2, 2), (3, 3, 3), (4, 4, 2), (6, 3, 2), (3, 3, 2))

@@ -352,6 +352,27 @@ def test_rr_check_cli(capsys, tubular):
     assert doc["result"]["rhs"] == "-2"
 
 
+def test_rr_check_cli_honours_budget(capsys, tmp_path):
+    # weights (53, 47, 43) have period 107,113, so 107,112 Coxeter steps
+    path = tmp_path / "wild.alg"
+    path.write_text("canonical weights=53,47,43 lambda=1\n")
+    ones = ",".join(["1"] * 142)
+    code, out, _ = run(
+        capsys,
+        "rr-check",
+        "-f",
+        str(path),
+        "-d",
+        ones,
+        "-e",
+        ones,
+        "--budget",
+        "100000",
+    )
+    assert code == 4
+    assert json.loads(out)["error"]["type"] == "BudgetError"
+
+
 def test_cli_refuses_negative_classes_the_library_accepts(
     capsys, k2, tmp_path
 ):

@@ -1062,7 +1062,8 @@ def test_layout_binds_single_bundle_ends(quiver, dt, binds):
 def test_bound_multisets_match_filtered_multisets():
     # the walk bound to a rectangle against every multiset of the free
     # walk, filtered by the rectangle coefficient: the same multisets,
-    # once each, with the same weights and coefficients
+    # once each, with the same weights and coefficients; summed, the walk
+    # gives the sum of weight * c^2 over them as one choice
     multisets = siweights._multisets
     for total, p, rows, dv in itertools.product(
         range(9), range(1, 5), range(4), range(1, 4)
@@ -1080,14 +1081,22 @@ def test_bound_multisets_match_filtered_multisets():
                 case = (total, p, rows, width, dv, w)
                 assert len({parts for _, _, parts in got}) == len(got), case
                 assert {parts: (wt, c) for wt, c, parts in got} == want, case
+                squares = sum(wt * c * c for wt, c, _ in got)
+                summed = multisets(total, p, rows, width, rect=(dv, w), summed=True)
+                assert summed == ([(squares, 1, ())] if squares else []), case
     # one part: the rectangle itself, when the bundle carries it
     assert multisets(6, 1, 2, 3, rect=(2, 3)) == [(1, 1, ((3, 3),))]
     assert multisets(6, 1, 1, 3, rect=(2, 3)) == []
     assert multisets(6, 1, 2, 2, rect=(2, 3)) == []
+    assert multisets(6, 1, 2, 3, rect=(2, 3), summed=True) == [(1, 1, ())]
+    assert multisets(6, 1, 1, 3, rect=(2, 3), summed=True) == []
+    assert multisets(6, 1, 2, 2, rect=(2, 3), summed=True) == []
     # rows 0: only the empty rectangle, at width 0 or above
     for width in (0, 2):
         assert multisets(0, 3, 0, width, rect=(2, 0)) == [(1, 1, ((), (), ()))]
         assert multisets(4, 3, 0, width, rect=(2, 2)) == []
+        assert multisets(0, 3, 0, width, rect=(2, 0), summed=True) == [(1, 1, ())]
+        assert multisets(4, 3, 0, width, rect=(2, 2), summed=True) == []
 
 
 def test_twin_ends_share_one_coefficient(monkeypatch):
@@ -1115,6 +1124,52 @@ def test_twin_ends_share_one_coefficient(monkeypatch):
     assert calls == []
 
 
+def _spy_multisets(monkeypatch):
+    """Record the ``(p, rows, rect, summed)`` of every ``_multisets`` call."""
+    calls = []
+    multisets = siweights._multisets
+
+    def spied(total, p, rows, width=None, rect=None, summed=False):
+        calls.append((p, rows, rect, summed))
+        return multisets(total, p, rows, width, rect, summed)
+
+    monkeypatch.setattr(siweights, "_multisets", spied)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "dt, th, want, summed",
+    [
+        # twin ends: one bound walk, summed to a single choice
+        ((2, 2), (6, -6), 462, True),
+        # the 4-row sink reads every multiset bound to the source's 2 rows
+        ((2, 4), (6, -3), 56, False),
+    ],
+)
+def test_twin_bundle_is_summed_in_the_walk(monkeypatch, dt, th, want, summed):
+    assert ref_si_dim(EK3, dt, th, siweights.DEFAULT_BUDGET) == want
+    calls = _spy_multisets(monkeypatch)
+    assert siweights.si_dim(EK3, dt, th, pivot=False) == want
+    assert calls == [(3, 2, (2, 6), summed)]
+
+
+def test_twin_kronecker_rays_at_their_closed_forms():
+    # K3 at d = (2, 2) along n (3, -3) gives C(3n + 5, 5); K4 at the same
+    # d is pinned along n (4, -4)
+    for n in range(1, 8):
+        th = (3 * n, -3 * n)
+        want = math.comb(3 * n + 5, 5)
+        if n <= 3:
+            assert ref_si_dim(EK3, (2, 2), th, siweights.DEFAULT_BUDGET) == want
+        for pivot in (True, False):
+            got = siweights.si_dim(EulerMatrix(K3), (2, 2), th, pivot=pivot)
+            assert got == want, (n, pivot)
+    assert [
+        siweights.si_dim(EulerMatrix(kronecker_quiver(4)), (2, 2), (4 * n, -4 * n))
+        for n in (1, 2, 3)
+    ] == [770, 29_315, 386_308]
+
+
 @pytest.mark.parametrize(
     "quiver, dt, th, want",
     [
@@ -1131,16 +1186,9 @@ def test_free_multisets_of_parallel_arrows_feed_the_sum(
     # takes the free walk's list as it is
     euler = EulerMatrix(quiver)
     assert ref_si_dim(euler, dt, th, siweights.DEFAULT_BUDGET) == want
-    calls = []
-    multisets = siweights._multisets
-
-    def spied(total, p, rows, width=None, rect=None):
-        calls.append((p, rows, rect))
-        return multisets(total, p, rows, width, rect)
-
-    monkeypatch.setattr(siweights, "_multisets", spied)
+    calls = _spy_multisets(monkeypatch)
     assert siweights.si_dim(euler, dt, th, pivot=False) == want
-    assert (2, 2, None) in calls
+    assert (2, 2, None, False) in calls
 
 
 BIND_QUIVERS = {
