@@ -49,30 +49,27 @@ bundle that meets a one-sided vertex v only takes partitions of width at
 most |theta(v)|; the sum skips the wider ones, which give that vertex
 multiplicity 0.
 
-A one-sided vertex v fed by a single bundle (a one-sided end) reads
-nothing but that bundle's multiset M, and its multiplicity is c^R(M).
-Where d(v) >= 2 and the bundle carries d(v) rows, the bundle is bound to
-R: the walk carries the product of all parts but the last, capped at R,
-and each term of that product gives the last part, its complement in R,
-with c^R as coefficient.  Only the multisets with c^R != 0 are visited,
-each weighed by c^R, and v leaves the loop over vertices.  When the
-bundle's other end u is such an end too (a twin), the bundle is a whole
+A one-sided vertex v fed by a single bundle (a lone end) reads nothing
+but that bundle's multiset M, and its multiplicity is c^R(M).  Such a
+bundle is a leaf: it serves v, which leaves the loop over vertices, and
+since a flow puts w * d(v) on it for the width w of v, it takes the same
+choices on every flow.  Its row bound says which.  With one row, because
+its other end u has d(u) = 1, every partition on it is a single row, c^R
+of one-row factors is a Kostka number K_{R,alpha}, and the multisets,
+each counted once per ordering, add up to the sum of K_{R,alpha} over the
+compositions alpha of |R| into p parts, for p arrows.  By the Cauchy
+identity that is s_R(1^p), the dimension of the GL_p module of highest
+weight R, read off MacMahon's box formula (``_rect_dim``; hook-content
+formula, Stanley, EC2 7.21): one number and no multiset.  With d(v) >= 2
+rows, as many as the bundle carries, the bundle is bound to R: the walk
+carries the product of all parts but the last, capped at R, and each term
+of that product gives the last part, its complement in R, with c^R as
+coefficient.  Only the multisets with c^R != 0 are visited, each weighed
+by c^R.  When u is such an end too (a twin), the bundle is a whole
 component, so a flow gives u the same rectangle and c^R squared serves
-both ends.  No vertex then reads the multisets: the walk sums weight *
-(c^R)^2 over them to one number, the bundle's single choice, and builds
-no multiset.  A vertex of dimension one is never visited: its
-multiplicity is 1 on every flow.
-
-A bundle of p arrows with one row, because its other end u has d(u) = 1,
-is not enumerated at all when v is such an end: every partition on it is
-a single row, c^R of one-row factors is a Kostka number K_{R,alpha},
-and the multisets, each counted once per ordering, add up to the sum of
-K_{R,alpha} over the compositions alpha of |R| into p parts.  By the
-Cauchy identity that is s_R(1^p), the dimension of the GL_p module of
-highest weight R, read off MacMahon's box formula (``_rect_dim``;
-hook-content formula, Stanley, EC2 7.21).  The bundle takes that one
-number on every flow, and v leaves the loop over vertices, as u does
-already.
+both ends: the walk sums weight * (c^R)^2 to one number and builds no
+multiset.  A vertex of dimension one is never visited: its multiplicity
+is 1 on every flow.
 
 Budgets count ordered partition tuples, one partition per arrow, as if no
 arrows were bundled and no width were bounded.  One pass over the bundle
@@ -105,11 +102,10 @@ entry is not memoised: its entry would serve only the same weight asked
 again.
 
 What both read of the dimension vector alone (bundle row bounds, parallel
-bundles, the vertex sides, their one-sided ends, the ends to bind and the
-one-row ends) is its layout, built once per vector: once per call of
-``si_dim`` and per side of ``circ``, at most once per ray of ``si_table``
-and ``polynomiality_check``, and once per vector scanned by the wild
-search.
+bundles, the vertex sides, their one-sided ends and the leaves) is its
+layout, built once per vector: once per call of ``si_dim`` and per side
+of ``circ``, at most once per ray of ``si_table`` and
+``polynomiality_check``, and once per vector scanned by the wild search.
 
 A sum that the literal side would run above ``PIVOT_THRESHOLD`` tuples,
 and that the pivot of ``si_dim`` does not take, may be moved to a smaller
@@ -127,8 +123,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from . import linalg, lr
-from .core import EulerMatrix, Quiver, dimension_vectors
+from . import generic, linalg, lr
+from .core import EulerMatrix, Quiver, classify_path_algebra, dimension_vectors
 from .errors import (
     BudgetError,
     InputError,
@@ -236,18 +232,18 @@ def _count_tuples(total, p, rows):
 def _multisets(total, p, rows, width=None, rect=None, summed=False):
     """Every multiset of p partitions, each with at most ``rows`` parts and
     none above ``width`` (see ``partitions_bounded``), whose sizes sum to
-    ``total``, as ``(weight, c, parts)`` triples.
+    ``total``, as ``(weight, parts)`` pairs.
 
     ``parts`` is the multiset as a sorted tuple and ``weight`` is its number
     of orderings, p! / prod(m!) over the multiplicities m of its distinct
     partitions; the weights sum to the number of ordered p-tuples of such
     partitions, ``_count_tuples(total, p, rows)`` when nothing bounds the
-    width.  Without ``rect``, c is 1.  With ``rect = (dv, w)``, dv >= 1,
-    only the multisets on which the rectangle R = (w^dv) has a nonzero
-    coefficient c^R are listed, and c is c^R.  With ``rect`` and
+    width.  With ``rect = (dv, w)``, dv >= 1, only the multisets on which
+    the rectangle R = (w^dv) has a nonzero coefficient c^R are listed, and
+    the weight is the number of orderings times c^R.  With ``rect`` and
     ``summed`` they are not listed but summed in the walk, to the single
-    choice ``(S, 1, ())`` with S the sum of weight * c^2 over them, or to
-    no choice when S is 0: a bundle whose two ends both read c^R.
+    choice ``(S, ())`` with S the sum of orderings * (c^R)^2 over them, or
+    to no choice when S is 0: a bundle whose two ends both read c^R.
 
     Parts are chosen depth-first in (size, partition) order, so the last
     one is the largest in size and takes the boxes left.  Without ``rect``
@@ -268,7 +264,7 @@ def _multisets(total, p, rows, width=None, rect=None, summed=False):
         width = 0
     if rect is None:
         if p == 1:
-            return [(1, 1, (lam,)) for lam in partitions_bounded(total, rows, width)]
+            return [(1, (lam,)) for lam in partitions_bounded(total, rows, width)]
     else:
         dv, w = rect
         if w < 0 or total != w * dv:
@@ -279,7 +275,7 @@ def _multisets(total, p, rows, width=None, rect=None, summed=False):
         if p == 1:
             if len(box) > rows or w > width:
                 return []
-            return [(1, 1, ())] if summed else [(1, 1, (box,))]
+            return [(1, ())] if summed else [(1, (box,))]
         # the last part is at most width wide only when row dv of its
         # complement nu reaches w - width
         floor = w - width
@@ -319,7 +315,7 @@ def _multisets(total, p, rows, width=None, rect=None, summed=False):
                         wt = weight // r
                         if mu == lam:
                             wt //= r + 1
-                        out.append((wt, 1, tuple(sorted(prefix + [mu]))))
+                        out.append((wt, tuple(sorted(prefix + [mu]))))
                     prefix.pop()
                     continue
                 # one last part per term of the product
@@ -342,12 +338,12 @@ def _multisets(total, p, rows, width=None, rect=None, summed=False):
                     if summed:
                         found += wt * c * c
                     else:
-                        out.append((wt, c, tuple(sorted(prefix + [mu]))))
+                        out.append((wt * c, tuple(sorted(prefix + [mu]))))
                 prefix.pop()
 
     rec(0, total, {(): 1}, 0, 0, math.factorial(p), 0)
     if summed:
-        return [(found, 1, ())] if found else []
+        return [(found, ())] if found else []
     return out
 
 
@@ -441,8 +437,6 @@ def _vertex_mult(dv, tv, tails, heads):
     uncapped; each nu of that fold, shifted by the determinant power, is a
     single target on the other side, read by ``_coefficient``.
     """
-    if dv == 0:
-        return 1
     if not tails:
         tv, tails, heads = -tv, heads, ()
     tails = tuple(lam for lam in tails if lam)
@@ -601,14 +595,15 @@ def _reduce(euler, dt, th):
 
 def _layout(plan, dt):
     """What the flow pass and the Cauchy sum read of the dimension vector
-    ``dt``, whatever the weight: ``(shape, parallel, sides, ends, binds,
-    rows1)``.
+    ``dt``, whatever the weight: ``(shape, parallel, sides, ends,
+    leaves)``.
 
     ``shape`` gives each bundle's row bound min(d(tail), d(head)) and
     number of arrows, and ``parallel`` the ``(position, arrows)`` of each
     bundle of two or more arrows.  ``sides`` gives the ``(v, d(v), tail
-    bundles, head bundles)`` of each vertex that an arrow touches and where
-    d(v) >= 2.  Where d(v) = 0 the multiplicity is 1 whatever it is given.
+    bundles, head bundles)`` of each vertex that an arrow touches, that no
+    leaf serves, and where d(v) >= 2.  Where d(v) = 0 the multiplicity is
+    1 whatever it is given.
     Where d(v) = 1 it is 1 on every flow: each partition at v then has at
     most one row, S_lam(k) is det^|lam|, and the flow balances the sizes
     at v to theta(v).
@@ -619,47 +614,47 @@ def _layout(plan, dt):
     sign * theta(v).  Where d(v) vanishes, the flows that carry tuples put
     nothing on the bundle, and the empty partition fits any width.
 
-    ``binds`` lists a ``(position, v, sign, d(v), twin)`` for each bundle
-    whose multisets are enumerated bound to the rectangle of its end v
-    (``_multisets`` with ``rect``).  That end is one of the plan's
-    ``lone`` ends, fed by this bundle alone, and has d(v) >= 2 rows, no
-    more than the bundle's row bound.  An end with more rows leaves the
-    complement of most product terms too tall for the bundle, and binding
-    it costs more than it prunes.  When the other end u also qualifies,
-    ``twin`` is its ``(u, sign)``: the bundle is then a whole component,
-    each weight with a flow gives u the same width, hence the same
-    rectangle, and the walk sums the bundle to one number.
-
-    ``rows1`` lists a ``(position, v, sign, d(v))`` for each bundle of one
-    row whose end v is one of its ``lone`` ends and whose other end has
-    dimension 1: no vertex but v reads its multisets, and their sum at v is
-    the closed form ``_rect_dim``.  Binds need two rows, so no bundle is in
-    both.  Callers build the layout once per vector, so a ray of weights
-    shares one.
+    ``leaves`` lists a ``(position, v, sign, d(v), twin)`` for each bundle
+    that serves one of the plan's ``lone`` ends v, met by no other bundle,
+    and its twin end if it has one: no other vertex reads its multisets,
+    and the ends it serves are not in ``sides``.  The bundle's row bound
+    says how v reads them.  With one row, because the other end has
+    dimension 1, their sum at v is the closed form ``_rect_dim``.  With two
+    or more, v has exactly as many rows, and the multisets are enumerated
+    bound to its rectangle (``_multisets`` with ``rect``); an end with more
+    rows leaves the complement of most product terms too tall for the
+    bundle, and binding it costs more than it prunes.  When the other end u
+    also qualifies, ``twin`` is its ``(u, sign)``: the bundle is then a
+    whole component, each weight with a flow gives u the same width, hence
+    the same rectangle, and the walk sums the bundle to one number.
+    Callers build the layout once per vector, so a ray of weights shares
+    one.
     """
     shape = tuple((min(dt[t], dt[h]), p) for t, h, p in plan.bundles)
     parallel = tuple((k, p) for k, (_, p) in enumerate(shape) if p > 1)
-    sides = tuple(
-        (v, dt[v], tails, heads)
-        for v, tails, heads in plan.incidence
-        if dt[v] > 1
-    )
-    binds = []
-    rows1 = []
+    leaves = []
+    fed = set()
     for k, lone in plan.lone:
         rows = shape[k][0]
         if rows > 1:
             ends = [(v, sign) for v, sign in lone if dt[v] == rows]
             if ends:
                 twin = ends[1] if len(ends) == 2 else None
-                binds.append((k, *ends[0], rows, twin))
+                leaves.append((k, *ends[0], rows, twin))
+                fed.update(v for v, _ in ends)
         elif rows == 1:
             t, h, _ = plan.bundles[k]
             for v, sign in lone:
                 if dt[h if sign > 0 else t] == 1:
-                    rows1.append((k, v, sign, dt[v]))
+                    leaves.append((k, v, sign, dt[v], None))
+                    fed.add(v)
                     break
-    return shape, parallel, sides, plan.ends, tuple(binds), tuple(rows1)
+    sides = tuple(
+        (v, dt[v], tails, heads)
+        for v, tails, heads in plan.incidence
+        if dt[v] > 1 and v not in fed
+    )
+    return shape, parallel, sides, plan.ends, tuple(leaves)
 
 
 def _constant(dt, th, budget):
@@ -821,7 +816,7 @@ def _si_dim(euler, dt, layout, th, budget, pivot=True):
 
 def _merge(combo, ks):
     """The partitions chosen on the bundles at positions ``ks``, sorted."""
-    return tuple(sorted([lam for k in ks for lam in combo[k][2]]))
+    return tuple(sorted([lam for k in ks for lam in combo[k][1]]))
 
 
 def _cauchy_sum(layout, th, flows):
@@ -832,49 +827,35 @@ def _cauchy_sum(layout, th, flows):
     only takes partitions that fit inside its rectangle; the others would
     give that vertex multiplicity 0.
 
-    Every choice is a ``(weight, c, parts)`` triple of ``_multisets``; a
-    block counts the product of the weights, and a free bundle's list is
-    read as returned.  A bundle in the layout's ``binds`` takes only the
-    multisets on which its end's rectangle has a nonzero coefficient,
-    folded into the weight; with a twin the walk sums weight * c^2 over
-    them to a single choice (``_multisets`` with ``summed``), which serves
-    both ends.  The ends it serves leave the loop over vertices.  A bundle
-    in ``rows1`` takes a single choice, its multisets summed at once by
-    ``_rect_dim``, and its end leaves that loop too: a flow puts w * d(v)
-    on it, for the width w of its end v."""
+    Every choice is a ``(weight, parts)`` pair of ``_multisets``, and a
+    block counts the product of the weights.  A leaf of the layout takes
+    the same choices on every flow, since a flow puts w * d(v) on it for
+    the width w of its end v, and the ends it serves are not in ``sides``.
+    A leaf of one row takes the single choice ``_rect_dim``, its multisets
+    summed at once; a wider one takes the walk bound to the rectangle of
+    v, each multiset weighed by its coefficient there, or with a twin the
+    walk's sum of weight * c^2, a single choice that serves both ends."""
     if not flows:
         return 0
-    shape, _, sides, ends, binds, rows1 = layout
+    shape, _, sides, ends, leaves = layout
     widths = [None] * len(shape)
     for k, v, sign in ends:
         w = sign * th[v]
         if widths[k] is None or w < widths[k]:
             widths[k] = w
-    # a flow puts w * d(v) on a bundle fed to a lone end v of width w, so
-    # the choices of a bound or closed-form bundle are the same on each flow
     fixed = [None] * len(shape)
-    served = set()
-    for k, v, sign, dv, twin in binds:
+    for k, v, sign, dv, twin in leaves:
         w = sign * th[v]
         r, p = shape[k]
-        args = (w * dv, p, r, widths[k], (dv, w))
-        if twin is None:
-            fixed[k] = [
-                (weight * c, 1, parts) for weight, c, parts in _multisets(*args)
-            ]
+        if r == 1:
+            c = _rect_dim(p, dv, w)
+            fixed[k] = [(c, ())] if c else []
         else:
-            # both ends are lone, so the bundle is a whole component, and a
-            # flow balances it: d(u) = d(v) gives th(u) = -th(v), and the
-            # opposite end signs give u the width w of v, the same rectangle
-            fixed[k] = _multisets(*args, summed=True)
-            served.add(twin[0])
-        served.add(v)
-    for k, v, sign, dv in rows1:
-        c = _rect_dim(shape[k][1], dv, sign * th[v])
-        fixed[k] = [(c, 1, ())] if c else []
-        served.add(v)
-    if served:
-        sides = [side for side in sides if side[0] not in served]
+            # with a twin both ends are lone, so the bundle is a whole
+            # component, and a flow balances it: d(u) = d(v) gives th(u) =
+            # -th(v), and the opposite end signs give u the width w of v,
+            # the same rectangle
+            fixed[k] = _multisets(w * dv, p, r, widths[k], (dv, w), twin is not None)
     total = 0
     for flow in flows:
         choices = [
@@ -889,10 +870,10 @@ def _cauchy_sum(layout, th, flows):
                 mult = _vertex_mult(
                     dv,
                     th[v],
-                    combo[tails[0]][2]
+                    combo[tails[0]][1]
                     if len(tails) == 1
                     else _merge(combo, tails) if tails else (),
-                    combo[heads[0]][2]
+                    combo[heads[0]][1]
                     if len(heads) == 1
                     else _merge(combo, heads) if heads else (),
                 )
@@ -901,7 +882,7 @@ def _cauchy_sum(layout, th, flows):
                     break
                 prod *= mult
             if prod:
-                for weight, _, _ in combo:
+                for weight, _ in combo:
                     prod *= weight
                 total += prod
     return total
@@ -1110,9 +1091,7 @@ def wild_violation_search(
     independently by ``circ``.  Returns the first hit or a not_found result
     carrying the search frontier.
     """
-    from . import core, generic
-
-    cls = core.classify_path_algebra(euler.quiver)
+    cls = classify_path_algebra(euler.quiver)
     if cls.type != "wild":
         raise PreconditionError("violation search requires a wild quiver")
     dimension_vectors(euler)  # the path-algebra check alone: no vector given

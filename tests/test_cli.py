@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from quiverinv import canonical, cli, stability
+from quiverinv import canonical, cli, siweights, stability
+from quiverinv.core import EulerMatrix, kronecker_quiver, null_root
 from quiverinv.errors import InvariantError
 
 K2 = "quiver\nvertices: v1 v2\narrow a1: v1 -> v2\narrow a2: v1 -> v2\n"
@@ -12,6 +13,7 @@ K3 = (
     "quiver\nvertices: v1 v2\narrow a1: v1 -> v2\narrow a2: v1 -> v2\n"
     "arrow a3: v1 -> v2\n"
 )
+K4 = K3 + "arrow a4: v1 -> v2\n"
 K2_REVERSED = "quiver\nvertices: v2 v1\narrow a1: v1 -> v2\narrow a2: v1 -> v2\n"
 CANONICAL = "canonical weights=2,2,2,2 lambda=1,2\n"
 
@@ -27,6 +29,13 @@ def k2(tmp_path):
 def k3(tmp_path):
     path = tmp_path / "k3.quiver"
     path.write_text(K3)
+    return str(path)
+
+
+@pytest.fixture
+def k4(tmp_path):
+    path = tmp_path / "k4.quiver"
+    path.write_text(K4)
     return str(path)
 
 
@@ -299,6 +308,98 @@ def test_canonical_info(capsys, tubular):
     doc = json.loads(out)
     assert doc["result"]["class"] == "tubular"
     assert doc["result"]["genus"] == "1"
+
+
+EK2 = EulerMatrix(kronecker_quiver(2))
+T4 = canonical.parse_canonical(CANONICAL)
+H = {v: 1 for v in T4.vertex_ids}
+
+
+def test_si_dim_cli(capsys, k2):
+    code, out, err = run(capsys, "si-dim", "-f", k2, "-d", "1,1", "-t", "1,-1")
+    assert code == 0 and err == ""
+    assert out == (
+        '{"command":"si-dim","input":{"d":{"v1":1,"v2":1},"source":'
+        '{"arrows":[["a1","v1","v2"],["a2","v1","v2"]],"kind":"quiver",'
+        '"vertices":["v1","v2"]},"t":{"v1":1,"v2":-1}},"result":{"dim":2}}\n'
+    )
+    assert siweights.si_dim(EK2, (1, 1), (1, -1)) == 2
+
+
+def test_pspace_cli(capsys, k4):
+    code, out, err = run(
+        capsys, "pspace", "-f", k4, "-d", "1,2", "-t", "2,-1", "-n", "5"
+    )
+    assert code == 0 and err == ""
+    assert out == (
+        '{"command":"pspace","input":{"d":{"v1":1,"v2":2},"n":5,"source":'
+        '{"arrows":[["a1","v1","v2"],["a2","v1","v2"],["a3","v1","v2"],'
+        '["a4","v1","v2"]],"kind":"quiver","vertices":["v1","v2"]},'
+        '"t":{"v1":2,"v2":-1}},"result":{"m":null,"q":null,'
+        '"status":"not_projective_space"}}\n'
+    )
+    verdict = stability.projective_space_verdict(
+        EulerMatrix(kronecker_quiver(4)), (1, 2), (2, -1), 5
+    )
+    assert (verdict.status, verdict.m, verdict.q) == (
+        "not_projective_space",
+        None,
+        None,
+    )
+
+
+def test_circ_cli(capsys, k3):
+    code, out, _ = run(capsys, "circ", "-f", k3, "-d", "1,1", "-e", "2,1")
+    assert code == 0
+    want = siweights.circ(EulerMatrix(kronecker_quiver(3)), (1, 1), (2, 1))
+    assert json.loads(out)["result"] == {"value": want} == {"value": 3}
+
+
+def test_delta_cli(capsys, k2):
+    code, out, _ = run(capsys, "delta", "-f", k2)
+    assert code == 0
+    delta = dict(zip(("v1", "v2"), null_root(kronecker_quiver(2))))
+    assert json.loads(out)["result"] == {"delta": delta, "pretty": "(1,1)"}
+
+
+def test_local_quiver_cli(capsys, k2):
+    code, out, _ = run(capsys, "local-quiver", "-f", k2, "--factor", "1,1:2")
+    assert code == 0
+    setup = stability.local_quiver(EK2, [({"v1": 1, "v2": 1}, 2)])
+    assert json.loads(out)["result"] == {
+        "vertices": list(setup.quiver.vertices),
+        "arrows": [list(arrow) for arrow in setup.quiver.arrows],
+        "dim": setup.dim,
+    }
+
+
+def test_canonical_info_reads_rank_and_degree(capsys, tubular):
+    code, out, _ = run(capsys, "canonical-info", "-f", tubular, "-d", "1,1,1,1,1,1")
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert (result["rank"], result["degree"]) == canonical.rank_degree(T4, H)
+
+
+def test_rational_invariants_cli_reads_a_decomposition(capsys, tubular):
+    code, out, _ = run(
+        capsys,
+        "rational-invariants",
+        "-f",
+        tubular,
+        "-d",
+        "2,2,2,2,2,2",
+        "--factor",
+        "1,1,1,1,1,1:2",
+    )
+    assert code == 0
+    profile = canonical.rational_invariants_canonical(
+        T4, {v: 2 for v in H}, [(H, 2)]
+    )
+    assert json.loads(out)["result"] == {
+        "n_isotropic": profile.n_isotropic,
+        "field": profile.field_description,
+    }
+    assert profile.n_isotropic == 2
 
 
 def test_fixture_record_replay_mismatch(capsys, k2, tmp_path):

@@ -726,14 +726,13 @@ def test_multisets_weigh_ordered_tuples():
                 for combo in itertools.product(*(fits[s] for s in sizes))
             ]
             got = siweights._multisets(total, p, rows, width)
-            assert all(c == 1 for _, c, _ in got)
-            parts = [m for _, _, m in got]
+            parts = [m for _, m in got]
             assert all(list(m) == sorted(m) and len(m) == p for m in parts)
             assert len(set(parts)) == len(parts)
-            assert dict((m, w) for w, _, m in got) == Counter(
+            assert dict((m, w) for w, m in got) == Counter(
                 tuple(sorted(combo)) for combo in ordered
             )
-            assert sum(w for w, _, _ in got) == len(ordered)
+            assert sum(w for w, _ in got) == len(ordered)
             if width is None:
                 assert siweights._count_tuples(total, p, rows) == len(ordered)
 
@@ -747,7 +746,7 @@ def test_width_bound_keeps_the_budget_of_unpruned_tuples():
     assert siweights._count_tuples(36, 3, 2) == 112_651
     free = siweights._multisets(36, 3, 2)
     assert len(free) == 19_135
-    assert sum(weight for weight, _, _ in free) == 112_651
+    assert sum(weight for weight, _ in free) == 112_651
     assert len(siweights._multisets(36, 3, 2, 9)) == 782
     assert siweights.si_dim(EK3, dt, th) == 2002
     got = siweights.si_dim(EK3, dt, th, budget=112_651, pivot=False)
@@ -1032,38 +1031,11 @@ STAR5 = Quiver(
 )
 
 
-@pytest.mark.parametrize(
-    "quiver, dt, binds",
-    [
-        # equal ends: the source is bound and the sink is its twin
-        (K3, (2, 2), ((0, 0, 1, 2, (1, -1)),)),
-        # the end with fewer rows; the other end's 4 rows exceed the bundle
-        (K3, (2, 4), ((0, 0, 1, 2, None),)),
-        (K3, (4, 2), ((0, 1, -1, 2, None),)),
-        # a bundle of one row: nothing to bind, not even a 2-row end
-        (K3, (1, 1), ()),
-        (K3, (2, 1), ()),
-        # a and c are bound, b has both sides
-        (K2_TAIL, (4, 4, 2), ((0, 0, 1, 4, None), (1, 2, -1, 2, None))),
-        # v2 of the pair v1 => v2 keeps its empty tail bundle to v3
-        (K3_TAIL, (2, 2, 0), ((0, 0, 1, 2, None),)),
-        (STAR5, (4, 2, 2, 2, 2, 2), tuple((k, k + 1, 1, 2, None) for k in range(5))),
-        # a vertex with two bundles is never bound
-        (TRIANGLE, (2, 2, 2), ()),
-    ],
-)
-def test_layout_binds_single_bundle_ends(quiver, dt, binds):
-    layout = siweights._layout(EulerMatrix(quiver).plan, dt)
-    assert layout[4] == binds
-    # vertices of dimension 0 or 1 have multiplicity 1 on every flow
-    assert all(dv > 1 for _, dv, _, _ in layout[2])
-
-
 def test_bound_multisets_match_filtered_multisets():
     # the walk bound to a rectangle against every multiset of the free
     # walk, filtered by the rectangle coefficient: the same multisets,
-    # once each, with the same weights and coefficients; summed, the walk
-    # gives the sum of weight * c^2 over them as one choice
+    # once each, each weighed by its free weight times c^R; summed, the
+    # walk gives the sum of free weight * c^2 over them as one choice
     multisets = siweights._multisets
     for total, p, rows, dv in itertools.product(
         range(9), range(1, 5), range(4), range(1, 4)
@@ -1071,7 +1043,7 @@ def test_bound_multisets_match_filtered_multisets():
         for w in range(-1, 5):
             for width in range(-1, w + 2):
                 want = {}
-                for weight, _, parts in multisets(total, p, rows, width):
+                for weight, parts in multisets(total, p, rows, width):
                     if w >= 0:
                         factors = tuple(lam for lam in parts if lam)
                         c = siweights._rect_mult(dv, w, factors)
@@ -1079,38 +1051,46 @@ def test_bound_multisets_match_filtered_multisets():
                             want[parts] = (weight, c)
                 got = multisets(total, p, rows, width, rect=(dv, w))
                 case = (total, p, rows, width, dv, w)
-                assert len({parts for _, _, parts in got}) == len(got), case
-                assert {parts: (wt, c) for wt, c, parts in got} == want, case
-                squares = sum(wt * c * c for wt, c, _ in got)
+                assert len({parts for _, parts in got}) == len(got), case
+                assert {parts: wt for wt, parts in got} == {
+                    parts: weight * c for parts, (weight, c) in want.items()
+                }, case
+                squares = sum(weight * c * c for weight, c in want.values())
                 summed = multisets(total, p, rows, width, rect=(dv, w), summed=True)
-                assert summed == ([(squares, 1, ())] if squares else []), case
+                assert summed == ([(squares, ())] if squares else []), case
     # one part: the rectangle itself, when the bundle carries it
-    assert multisets(6, 1, 2, 3, rect=(2, 3)) == [(1, 1, ((3, 3),))]
+    assert multisets(6, 1, 2, 3, rect=(2, 3)) == [(1, ((3, 3),))]
     assert multisets(6, 1, 1, 3, rect=(2, 3)) == []
     assert multisets(6, 1, 2, 2, rect=(2, 3)) == []
-    assert multisets(6, 1, 2, 3, rect=(2, 3), summed=True) == [(1, 1, ())]
+    assert multisets(6, 1, 2, 3, rect=(2, 3), summed=True) == [(1, ())]
     assert multisets(6, 1, 1, 3, rect=(2, 3), summed=True) == []
     assert multisets(6, 1, 2, 2, rect=(2, 3), summed=True) == []
     # rows 0: only the empty rectangle, at width 0 or above
     for width in (0, 2):
-        assert multisets(0, 3, 0, width, rect=(2, 0)) == [(1, 1, ((), (), ()))]
+        assert multisets(0, 3, 0, width, rect=(2, 0)) == [(1, ((), (), ()))]
         assert multisets(4, 3, 0, width, rect=(2, 2)) == []
-        assert multisets(0, 3, 0, width, rect=(2, 0), summed=True) == [(1, 1, ())]
+        assert multisets(0, 3, 0, width, rect=(2, 0), summed=True) == [(1, ())]
         assert multisets(4, 3, 0, width, rect=(2, 2), summed=True) == []
 
 
 def test_twin_ends_share_one_coefficient(monkeypatch):
     # K3 at d = (2, 2): source and sink have the same rectangle, so each
-    # bound multiset weighs c^2 and neither end calls _vertex_mult
+    # bound multiset, weighed by c, counts c once more, and neither end
+    # calls _vertex_mult
     dt, th = (2, 2), (6, -6)
     want = sum(
         weight
         * siweights._vertex_mult(2, 6, parts, ())
         * siweights._vertex_mult(2, -6, (), parts)
-        for weight, _, parts in siweights._multisets(12, 3, 2, 6)
+        for weight, parts in siweights._multisets(12, 3, 2, 6)
     )
     bound = siweights._multisets(12, 3, 2, 6, rect=(2, 6))
-    assert sum(weight * c * c for weight, c, _ in bound) == want
+    assert sum(
+        weight * siweights._rect_mult(2, 6, tuple(lam for lam in parts if lam))
+        for weight, parts in bound
+    ) == want
+    summed = siweights._multisets(12, 3, 2, 6, rect=(2, 6), summed=True)
+    assert summed == [(want, ())]
     calls = []
     vertex_mult = siweights._vertex_mult
 
@@ -1290,27 +1270,48 @@ D4_IN = Quiver(
 
 
 @pytest.mark.parametrize(
-    "quiver, dt, rows1",
+    "quiver, dt, leaves",
     [
-        # both ends of dimension 1: the tail end serves
-        (K3, (1, 1), ((0, 0, 1, 1),)),
-        (K3, (1, 2), ((0, 1, -1, 2),)),
-        (K3, (2, 1), ((0, 0, 1, 2),)),
-        # two rows: the bundle is bound instead
-        (K3, (2, 2), ()),
-        (K2_TAIL, (3, 1, 3), ((0, 0, 1, 3), (1, 2, -1, 3))),
+        # equal ends: the source is bound and the sink is its twin
+        (K3, (2, 2), ((0, 0, 1, 2, (1, -1)),)),
+        # the end with fewer rows; the other end's 4 rows exceed the bundle
+        (K3, (2, 4), ((0, 0, 1, 2, None),)),
+        (K3, (4, 2), ((0, 1, -1, 2, None),)),
+        # one row: nothing to bind, not even a 2-row end, and the closed
+        # form instead; with both ends of dimension 1 the tail end takes it
+        (K3, (1, 1), ((0, 0, 1, 1, None),)),
+        (K3, (1, 2), ((0, 1, -1, 2, None),)),
+        (K3, (2, 1), ((0, 0, 1, 2, None),)),
+        # a and c are leaves, b has both sides
+        (K2_TAIL, (4, 4, 2), ((0, 0, 1, 4, None), (1, 2, -1, 2, None))),
+        (K2_TAIL, (3, 1, 3), ((0, 0, 1, 3, None), (1, 2, -1, 3, None))),
         # b has two rows and reads both bundles
         (K2_TAIL, (1, 2, 1), ()),
-        (ONE_ROW, (1, 1, 3, 0), ((0, 0, 1, 1), (2, 2, 1, 3))),
-        (D4_IN, (1, 3, 1, 1), ((0, 1, 1, 3), (1, 2, 1, 1), (2, 3, 1, 1))),
-        # no vertex of the triangle is a lone end
+        # v2 of the pair v1 => v2 keeps its empty tail bundle to v3
+        (K3_TAIL, (2, 2, 0), ((0, 0, 1, 2, None),)),
+        (STAR5, (4, 2, 2, 2, 2, 2), tuple((k, k + 1, 1, 2, None) for k in range(5))),
+        (ONE_ROW, (1, 1, 3, 0), ((0, 0, 1, 1, None), (2, 2, 1, 3, None))),
+        (
+            D4_IN,
+            (1, 3, 1, 1),
+            ((0, 1, 1, 3, None), (1, 2, 1, 1, None), (2, 3, 1, 1, None)),
+        ),
+        # a vertex with two bundles is never a lone end
+        (TRIANGLE, (2, 2, 2), ()),
         (TRIANGLE, (1, 1, 2), ()),
     ],
 )
-def test_layout_lists_one_row_ends(quiver, dt, rows1):
-    layout = siweights._layout(EulerMatrix(quiver).plan, dt)
-    assert layout[5] == rows1
-    assert not {k for k, *_ in layout[4]} & {k for k, *_ in rows1}
+def test_layout_lists_leaf_bundles(quiver, dt, leaves):
+    _, _, sides, _, got = siweights._layout(EulerMatrix(quiver).plan, dt)
+    assert got == leaves
+    # one entry per bundle
+    assert len({k for k, *_ in got}) == len(got)
+    # vertices of dimension 0 or 1 have multiplicity 1 on every flow, and
+    # a vertex that a leaf serves is read by the leaf alone
+    assert all(dv > 1 for _, dv, _, _ in sides)
+    fed = {v for _, v, _, _, _ in leaves}
+    fed |= {twin[0] for *_, twin in leaves if twin}
+    assert not fed & {v for v, *_ in sides}
 
 
 def _weyl_dim(lam, p):
@@ -1688,3 +1689,11 @@ def test_wild_search_preconditions():
     hit = siweights.wild_violation_search(EK3, budget=0)
     assert hit.status == "not_found"
     assert all("budget" in note for _, note in hit.frontier)
+
+
+def test_wild_search_reports_its_frontier():
+    # the one imaginary Schur root with entries up to 1 is (1, 1), and its
+    # witness lies at N = 7, past the cap
+    hit = siweights.wild_violation_search(EK3, dprime_max=1, n_cap=2)
+    assert hit.status == "not_found"
+    assert hit.frontier == (((1, 1), "no hit through N=2"),)

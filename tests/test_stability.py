@@ -343,6 +343,24 @@ def test_projective_space_wild_counterexample():
         stability.projective_space_verdict(EK3, (21, 42), (-2, 1), 2)
 
 
+def test_projective_space_rejects_an_irrational_degree():
+    # K4 at (1, 2), theta = (2, -1): the moduli space is Gr(2, 4), whose
+    # Hilbert polynomial has degree 4 and leading coefficient 1/12 = q^4/24,
+    # so no rational degree q fits: q^4 would be 2
+    ek4 = EulerMatrix(kronecker_quiver(4))
+    dims = siweights.si_table(ek4, (1, 2), (2, -1), 5).dims
+    assert dims == (1, 6, 20, 50, 105, 196)
+    assert siweights.log_concavity_check(dims).status == "ok"
+    assert siweights._pin_polynomial(dims) == (4, 2)
+    assert stability._rational_root(2, 4) is None
+    verdict = stability.projective_space_verdict(ek4, (1, 2), (2, -1), 5)
+    assert (verdict.status, verdict.m, verdict.q) == (
+        "not_projective_space",
+        None,
+        None,
+    )
+
+
 def test_rational_invariants_profile():
     assert stability.rational_invariants_profile(EK2, (3, 1)).field_description == "k"
     assert (
