@@ -1031,6 +1031,43 @@ STAR5 = Quiver(
 )
 
 
+def _leaves_by_rows(quiver, dt):
+    """The layout's sides, and its leaves split by the bundle's row bound:
+    those of two or more rows, bound to a rectangle, and those of one."""
+    shape, _, sides, _, leaves = siweights._layout(EulerMatrix(quiver).plan, dt)
+    bound = tuple(leaf for leaf in leaves if shape[leaf[0]][0] > 1)
+    one_row = tuple(leaf[:4] for leaf in leaves if shape[leaf[0]][0] == 1)
+    assert len(bound) + len(one_row) == len(leaves)
+    return sides, bound, one_row
+
+
+@pytest.mark.parametrize(
+    "quiver, dt, binds",
+    [
+        # equal ends: the source is bound and the sink is its twin
+        (K3, (2, 2), ((0, 0, 1, 2, (1, -1)),)),
+        # the end with fewer rows; the other end's 4 rows exceed the bundle
+        (K3, (2, 4), ((0, 0, 1, 2, None),)),
+        (K3, (4, 2), ((0, 1, -1, 2, None),)),
+        # a bundle of one row: nothing to bind, not even a 2-row end
+        (K3, (1, 1), ()),
+        (K3, (2, 1), ()),
+        # a and c are bound, b has both sides
+        (K2_TAIL, (4, 4, 2), ((0, 0, 1, 4, None), (1, 2, -1, 2, None))),
+        # v2 of the pair v1 => v2 keeps its empty tail bundle to v3
+        (K3_TAIL, (2, 2, 0), ((0, 0, 1, 2, None),)),
+        (STAR5, (4, 2, 2, 2, 2, 2), tuple((k, k + 1, 1, 2, None) for k in range(5))),
+        # a vertex with two bundles is never bound
+        (TRIANGLE, (2, 2, 2), ()),
+    ],
+)
+def test_layout_binds_single_bundle_ends(quiver, dt, binds):
+    sides, bound, _ = _leaves_by_rows(quiver, dt)
+    assert bound == binds
+    # vertices of dimension 0 or 1 have multiplicity 1 on every flow
+    assert all(dv > 1 for _, dv, _, _ in sides)
+
+
 def test_bound_multisets_match_filtered_multisets():
     # the walk bound to a rectangle against every multiset of the free
     # walk, filtered by the rectangle coefficient: the same multisets,
@@ -1267,6 +1304,30 @@ ONE_ROW = Quiver(
 D4_IN = Quiver(
     ("c", "p", "q", "r"), (("x", "p", "c"), ("y", "q", "c"), ("z", "r", "c"))
 )
+
+
+@pytest.mark.parametrize(
+    "quiver, dt, rows1",
+    [
+        # both ends of dimension 1: the tail end serves
+        (K3, (1, 1), ((0, 0, 1, 1),)),
+        (K3, (1, 2), ((0, 1, -1, 2),)),
+        (K3, (2, 1), ((0, 0, 1, 2),)),
+        # two rows: the bundle is bound instead
+        (K3, (2, 2), ()),
+        (K2_TAIL, (3, 1, 3), ((0, 0, 1, 3), (1, 2, -1, 3))),
+        # b has two rows and reads both bundles
+        (K2_TAIL, (1, 2, 1), ()),
+        (ONE_ROW, (1, 1, 3, 0), ((0, 0, 1, 1), (2, 2, 1, 3))),
+        (D4_IN, (1, 3, 1, 1), ((0, 1, 1, 3), (1, 2, 1, 1), (2, 3, 1, 1))),
+        # no vertex of the triangle is a lone end
+        (TRIANGLE, (1, 1, 2), ()),
+    ],
+)
+def test_layout_lists_one_row_ends(quiver, dt, rows1):
+    _, bound, one_row = _leaves_by_rows(quiver, dt)
+    assert one_row == rows1
+    assert not {k for k, *_ in bound} & {k for k, *_ in rows1}
 
 
 @pytest.mark.parametrize(
