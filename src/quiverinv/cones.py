@@ -65,8 +65,14 @@ def dual_description(n, equalities, inequalities):
     sorted for reproducibility.  ``inequalities`` are processed in the order
     given; the output does not depend on it.
     """
-    eqs = _functionals(equalities)
-    ineqs = _functionals(inequalities)
+    return _dual_description(
+        n, _functionals(equalities), _functionals(inequalities)
+    )
+
+
+def _dual_description(n, eqs, ineqs):
+    """``dual_description`` of functionals that ``_functionals`` has made
+    int tuples; their lengths are checked here."""
     for v in eqs + ineqs:
         if len(v) != n:
             raise InputError("functional length mismatch")
@@ -201,10 +207,12 @@ class ConeDescription:
 
 
 def describe(n, equalities, inequalities):
-    """Full cone description with deduplicated, sorted facets."""
+    """Full cone description with deduplicated, sorted facets.  The
+    functionals are checked once, and the rays come from
+    ``_dual_description``."""
     eqs = _functionals(equalities)
     ineqs = _functionals(inequalities)
-    lineality, rays = dual_description(n, eqs, ineqs)
+    lineality, rays = _dual_description(n, eqs, ineqs)
     dim = cone_dim(lineality, rays)
     faces = dict.fromkeys(tuple(r for r in rays if dot(b, r) == 0) for b in ineqs)
     facets = []

@@ -496,9 +496,10 @@ def dimension_vectors(euler, *vecs, hereditary=True):
             raise PreconditionError("operation requires a path algebra")
         if not euler.plan.acyclic:
             raise PreconditionError("operation requires an acyclic quiver")
-    out = tuple(euler.tup(v) for v in vecs)
-    if any(x < 0 for t in out for x in t):
-        raise InputError("dimension vectors must be nonnegative")
+    out = tuple(map(euler.tup, vecs))
+    for t in out:
+        if min(t, default=0) < 0:
+            raise InputError("dimension vectors must be nonnegative")
     return out
 
 

@@ -97,7 +97,8 @@ the call's budget covers its price, so the same inputs raise BudgetError
 as on a fresh matrix; an answer from the pivot side (see ``si_dim``) is
 never stored, so ``circ`` keeps its two sides independent.  A ray of
 ``si_table`` or ``polynomiality_check`` whose points are all held within
-the budget is read in one lookup, with no layout built.  A d with no zero
+the budget is read in one lookup, with no layout built; any other ray
+derives its key once and hands each point its multiple.  A d with no zero
 entry is not memoised: its entry would serve only the same weight asked
 again.
 
@@ -122,6 +123,7 @@ side's, and the reflected quivers are kept on the plan (``reflections``).
 import itertools
 import math
 from dataclasses import dataclass
+from operator import mul
 
 from . import generic, linalg, lr
 from .core import EulerMatrix, Quiver, classify_path_algebra, dimension_vectors
@@ -657,15 +659,14 @@ def _layout(plan, dt):
     return shape, parallel, sides, plan.ends, tuple(leaves)
 
 
-def _constant(dt, th, budget):
-    """1 when ``th`` vanishes on the support of ``dt``, else None.
+def _constant(budget):
+    """1, the dimension at a weight that vanishes on the support of d.
 
     Such a weight gives the all-zero supply, hence the zero flow alone and
     one ordered tuple of empty partitions, whose block is 1; the shortcut
-    keeps that price of one tuple, so budget 0 raises BudgetError.
+    keeps that price of one tuple, so budget 0 raises BudgetError.  Callers
+    test the weight themselves, off the products th(v) d(v).
     """
-    if any(t for t, x in zip(th, dt) if x):
-        return None
     if budget < 1:
         raise BudgetError("semi-invariant partition tuples", budget)
     return 1
@@ -758,38 +759,42 @@ def _sum_within(plan, dt, th, cap):
 def _ray_key(dt, th):
     """``(key, m)`` for the plan's ``sidims``: th on the support of dt,
     its other entries set to 0, is m * p for a primitive p and m >= 1, and
-    ``key`` is ``(dt, p)``.  th must not vanish on that support."""
+    ``key`` is ``(dt, p)``.  th must not vanish on that support.  A ray
+    derives it once, at its own weight, and the point n th of the ray is
+    ``(key, n * m)``."""
     on = tuple(t if x else 0 for t, x in zip(th, dt))
     m = math.gcd(*on)
-    return (dt, tuple(t // m for t in on)), m
+    return (dt, on if m == 1 else tuple(t // m for t in on)), m
 
 
-def _si_dim(euler, dt, layout, th, budget, pivot=True):
+def _si_dim(euler, dt, layout, th, budget, pivot=True, ray=None):
     """dim SI(Q,dt)_th for int tuples, with ``layout = _layout(plan, dt)``.
 
     A weight with th(dt) != 0 needs no test of its own: some component's
     supplies then miss zero, so ``_flows`` yields nothing, the cost is 0
     and the sum is 0, with no pivot and no BudgetError.  A weight that
-    vanishes on the support of dt reads no layout: it is ``_constant``.
+    vanishes on the support of dt, where every product th(v) dt(v) is 0,
+    reads no layout: it is ``_constant``.
 
     When dt has a zero entry, every other answer summed on the literal side
     is kept in the plan's ``sidims``, under the ray key of ``_ray_key`` and
     the multiple m of its primitive direction, together with its price:
     the larger of its arrow flows and its tuples, the least budget under
-    which that sum runs.  A kept answer is returned only to a call whose
-    budget covers its price, where the literal side would run too; any
-    other call takes the path above.  An answer from the pivot side or from
-    a reflected vector is not kept, so that ``circ``, which runs both of
-    its sides literally, never reads one side's value as the other's.
+    which that sum runs.  ``ray`` is that ``(key, m)`` when the caller has
+    derived it, as ``_si_ray`` does once per ray; when it is None it is
+    derived here, if dt has a zero entry.  A kept answer is returned only to a call whose budget covers
+    its price, where the literal side would run too; any other call takes
+    the path above.  An answer from the pivot side or from a reflected
+    vector is not kept, so that ``circ``, which runs both of its sides
+    literally, never reads one side's value as the other's.
     """
-    one = _constant(dt, th, budget)
-    if one:
-        return one
+    if not any(map(mul, th, dt)):
+        return _constant(budget)
     plan = euler.plan
-    key = None
-    if 0 in dt:
-        key, m = _ray_key(dt, th)
-        found = plan.sidims.get(key, {}).get(m)
+    if ray is None and 0 in dt:
+        ray = _ray_key(dt, th)
+    if ray is not None:
+        found = plan.sidims.get(ray[0], {}).get(ray[1])
         if found is not None and found[0] <= budget:
             return found[1]
     arrows, cost, flows = _sized_flows(plan, dt, layout, th, budget)
@@ -809,7 +814,8 @@ def _si_dim(euler, dt, layout, th, budget, pivot=True):
     if cost > budget:
         raise BudgetError("semi-invariant partition tuples", budget)
     dim = _cauchy_sum(layout, th, flows)
-    if key is not None:
+    if ray is not None:
+        key, m = ray
         plan.sidims.setdefault(key, {})[m] = (max(arrows, cost), dim)
     return dim
 
@@ -906,8 +912,9 @@ def si_table(euler, d, theta, n_max, budget=DEFAULT_BUDGET):
     """dim SI(Q,d)_{n theta} for n = 0, ..., n_max, each as ``si_dim``
     gives it, with its budget and pivot rule.
 
-    The input is checked once and the layout of d is built once for the
-    whole ray; along it only the weight, and so the supply, changes.  A ray
+    The input is checked once, here, and the ray is ``_table`` of the
+    checked tuples: the layout of d is built at most once for the whole
+    ray, and along it only the weight, and so the supply, changes.  A ray
     whose points the memo holds within the budget builds no layout at all
     (``_si_ray``).  When theta(d) != 0 the table is zero throughout, n = 0
     included.  When theta vanishes on the support of d so does every
@@ -920,36 +927,58 @@ def si_table(euler, d, theta, n_max, budget=DEFAULT_BUDGET):
     n_max = as_int(n_max, "table length")
     if n_max < 0:
         raise InputError("table length must be nonnegative")
-    budget = as_budget(budget)
-    if sum(t * x for t, x in zip(th, dt)) != 0:
-        return SIWeightTable(th, (0,) * (n_max + 1))
-    one = _constant(dt, th, budget)
-    if one:
-        return SIWeightTable(th, (one,) * (n_max + 1))
-    return SIWeightTable(th, _si_ray(euler, dt, th, n_max, budget))
+    return SIWeightTable(th, _table(euler, dt, th, n_max, as_budget(budget)))
+
+
+def _table(euler, dt, th, n_max, budget):
+    """The dims of ``si_table`` for checked int tuples.
+
+    The products th(v) dt(v) give both tests at once: their sum is
+    theta(d), and a nonzero product is exactly a vertex of the support of
+    dt where th does not vanish.  Only the rays with such a vertex and
+    theta(d) = 0 reach ``_si_ray``.
+    """
+    on = tuple(map(mul, th, dt))
+    if sum(on):
+        return (0,) * (n_max + 1)
+    if any(on):
+        return _si_ray(euler, dt, th, n_max, budget)
+    return (_constant(budget),) * (n_max + 1)
 
 
 def _si_ray(euler, dt, th, n_max, budget):
     """dim SI(Q,dt)_{n th} for n = 0, ..., n_max, each as ``_si_dim`` gives
-    it.
+    it, for a th that does not vanish on the support of dt (``_table``
+    tests that).
 
-    When dt has a zero entry and th does not vanish on its support, the
-    ray's entry in the plan's ``sidims`` is read once: if it holds every
-    multiple n th, n >= 1, at a price the budget covers, and the budget
-    covers the one tuple of n = 0, the dimensions are read from it, with no
-    layout and no point evaluated.  Otherwise one layout serves the ray,
-    and each point is ``_si_dim``, which still reads the multiples held.
+    When dt has a zero entry the ray key is derived once (``_ray_key``)
+    and the ray's entry in the plan's ``sidims`` is read in one loop over
+    the multiples n th, n >= 1, that stops at the first one missing or
+    priced above the budget.  If none stops it, and the budget covers the
+    one tuple of n = 0, the dimensions are read from it, with no layout
+    and no point evaluated.  Otherwise one layout serves the ray, and each
+    point is ``_si_dim``, handed its ``(key, multiple)`` so that it derives
+    no key of its own; it still reads the multiples held.
     """
-    if budget >= 1 and 0 in dt and any(t for t, x in zip(th, dt) if x):
+    if 0 not in dt:
+        rays = [None] * (n_max + 1)
+    else:
         key, g = _ray_key(dt, th)
-        ray = euler.plan.sidims.get(key, {})
-        found = [ray.get(m) for m in range(g, g * n_max + 1, g)]
-        if all(f is not None and f[0] <= budget for f in found):
-            return (1,) + tuple(f[1] for f in found)
+        if budget >= 1:
+            held = euler.plan.sidims.get(key, {})
+            dims = [1]
+            for m in range(g, g * n_max + 1, g):
+                found = held.get(m)
+                if found is None or found[0] > budget:
+                    break
+                dims.append(found[1])
+            else:
+                return tuple(dims)
+        rays = [(key, n * g) for n in range(n_max + 1)]
     layout = _layout(euler.plan, dt)
     return tuple(
-        _si_dim(euler, dt, layout, tuple(n * t for t in th), budget)
-        for n in range(n_max + 1)
+        _si_dim(euler, dt, layout, tuple(n * t for t in th), budget, ray=ray)
+        for n, ray in enumerate(rays)
     )
 
 
@@ -1032,8 +1061,8 @@ def polynomiality_check(euler, d, e, n_max, budget=DEFAULT_BUDGET):
         raise PreconditionError("polynomiality requires circ(d, e) != 0")
     wl = linalg.vecmat(dt, euler.matrix)
     wr = tuple(-x for x in linalg.matvec(euler.matrix, et))
-    first = _si_ray(euler, et, wl, n_max, budget)
-    second = _si_ray(euler, dt, wr, n_max, budget)
+    first = _table(euler, et, wl, n_max, budget)
+    second = _table(euler, dt, wr, n_max, budget)
     degrees = tuple(_pin_polynomial(values)[0] for values in (first, second))
     if None in degrees:
         raise PreconditionError(

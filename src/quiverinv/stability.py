@@ -222,11 +222,15 @@ def projective_space_verdict(
     """Decide whether the SI dimensions along the theta-ray look like P^m.
 
     The sequence dim SI(Q,d)_{n theta} for a moduli space P^m embedded by a
-    degree-q polarization is binom(qn+m, m); a log-concavity failure or a
-    zero rules every such shape out immediately, otherwise (m, q) is fitted
-    from exact finite differences and verified against all samples.  When
-    the difference table is not pinned by n_max samples the verdict is
+    degree-q polarization is binom(qn+m, m); a log-concavity failure rules
+    every such shape out immediately, otherwise (m, q) is fitted from exact
+    finite differences and verified against all samples.  When the
+    difference table is not pinned by n_max samples the verdict is
     inconclusive rather than guessed.
+
+    No sample is 0: d is theta-semistable, so by Derksen-Weyman saturation
+    SI(Q,d)_{n theta} != 0 for every n >= 0, and a zero, like a constant
+    term other than 1, raises ``InvariantError``.
 
     ``budget`` bounds only the ``si_table`` ray; the semistability test
     before it runs at the default ``box_limit`` of ``BOX_LIMIT`` (10^7).
@@ -243,8 +247,8 @@ def projective_space_verdict(
     dims = siweights.si_table(euler, dt, th, n_max, budget=budget).dims
     if dims[0] != 1:
         raise InvariantError("effective weight with SI(0) != 1")
-    if any(v == 0 for v in dims):
-        return PSpaceVerdict("not_projective_space", None, None)
+    if 0 in dims:
+        raise InvariantError("semistable ray with a zero dimension")
     if siweights.log_concavity_check(dims).status == "violated":
         return PSpaceVerdict("not_projective_space", None, None)
     if all(v == 1 for v in dims):

@@ -1,7 +1,10 @@
 """Every public entry point that takes dimension vectors rejects a negative
 or fractional entry with ``InputError``, never ``InvariantError`` and never
 an answer.  One row per entry point and vector argument: a new boundary is
-covered by adding its row.
+covered by adding its row.  The entry points that take a weight theta
+reject a fractional one, one of the wrong length and a dict with an unknown
+vertex id the same way, and read an integral entry given as a float or a
+``Fraction`` as the int it equals.
 
 ``rank_degree``, ``riemann_roch_check`` and ``isotropic_hull`` take K_0
 classes, which may be negative, so they have no row here.
@@ -95,3 +98,46 @@ BAD = {
 def test_bad_dimension_vector_is_an_input_error(n, call, kind):
     with pytest.raises(InputError):
         call(BAD[kind](n))
+
+
+# (entry point, call taking the weight), at d = (1, 1) on K2, whose
+# vertices are v1 and v2
+WEIGHTS = [
+    ("si_dim", lambda t: siweights.si_dim(EK2, D1, t)),
+    ("si_table", lambda t: siweights.si_table(EK2, D1, t, 3).dims),
+    (
+        "is_semistable_generic",
+        lambda t: stability.is_semistable_generic(EK2, D1, t),
+    ),
+    (
+        "projective_space_verdict",
+        lambda t: stability.projective_space_verdict(EK2, D1, t, 3),
+    ),
+]
+
+# each balanced on d = (1, 1), so only the check of the weight refuses it
+BAD_WEIGHTS = {
+    "fractional": (Fraction(1, 2), Fraction(-1, 2)),
+    "short": (0,),
+    "long": (1, -1, 0),
+    "unknown vertex": {"v1": 1, "v2": -1, "v3": 0},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_WEIGHTS))
+@pytest.mark.parametrize(
+    "call", [row[1] for row in WEIGHTS], ids=[row[0] for row in WEIGHTS]
+)
+def test_bad_weight_is_an_input_error(call, kind):
+    with pytest.raises(InputError):
+        call(BAD_WEIGHTS[kind])
+
+
+@pytest.mark.parametrize(
+    "call", [row[1] for row in WEIGHTS], ids=[row[0] for row in WEIGHTS]
+)
+def test_integral_weight_entries_read_as_ints(call):
+    want = call((2, -2))
+    for two in (2.0, Fraction(4, 2)):
+        assert call((two, -2)) == want
+        assert call({"v1": two, "v2": -2}) == want

@@ -135,3 +135,19 @@ def test_fractional_functional_rejected(equalities, inequalities):
     for build in (cones.describe, cones.dual_description):
         with pytest.raises(InputError):
             build(2, equalities, inequalities)
+
+
+def test_describe_checks_its_functionals_once(monkeypatch):
+    # one pass over each list; the double description takes the checked rows
+    seen = []
+    original = cones._functionals
+
+    def counted(rows):
+        seen.append(rows)
+        return original(rows)
+
+    monkeypatch.setattr(cones, "_functionals", counted)
+    eqs, ineqs = [(1, 1, -2)], [(-1, 0, 0), (0, -1, 0)]
+    desc = cones.describe(3, eqs, ineqs)
+    assert seen == [eqs, ineqs]
+    assert (desc.lineality, desc.rays) == cones.dual_description(3, eqs, ineqs)

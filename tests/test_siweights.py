@@ -955,6 +955,27 @@ def test_memoised_ray_over_budget_takes_the_points(monkeypatch):
         assert (want if want == "budget" else want.dims[-1]) == last
 
 
+def test_cold_ray_derives_its_key_once(monkeypatch):
+    # the ray derives its key at its own weight and hands each point its
+    # multiple, so no point derives one again; the points are still one
+    # layout and one _si_dim each, n = 0 included
+    keys = []
+    original = siweights._ray_key
+
+    def counted(dt, th):
+        keys.append(th)
+        return original(dt, th)
+
+    monkeypatch.setattr(siweights, "_ray_key", counted)
+    calls = _count_ray_work(monkeypatch)
+    euler = EulerMatrix(K2_TAIL)
+    dt, p = K2_RAY
+    assert siweights.si_table(euler, dt, p, 5).dims == (1, 3, 6, 10, 15, 21)
+    assert keys == [p]
+    assert calls == [dt] * 7
+    assert sorted(euler.plan.sidims[dt, p]) == [1, 2, 3, 4, 5]
+
+
 # one matrix per quiver for every example, as in SHARED_EULER, so that the
 # rays held in the plan's memo carry from one example to the next
 RAY_QUIVERS = dict(WALK_QUIVERS, k2_tail=K2_TAIL)

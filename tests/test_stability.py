@@ -15,8 +15,15 @@ from quiverinv.core import (
     kronecker_quiver,
     null_root,
 )
-from quiverinv.errors import BudgetError, InputError, PreconditionError
+from quiverinv.errors import (
+    BudgetError,
+    InputError,
+    InvariantError,
+    PreconditionError,
+)
 from quiverinv.generic import is_schur_root
+
+from oracles import ref_si_dim
 
 EK2 = EulerMatrix(kronecker_quiver(2))
 EK3 = EulerMatrix(kronecker_quiver(3))
@@ -325,6 +332,35 @@ def test_projective_space_edge_cases():
         stability.projective_space_verdict(EK2, (1, 1), (1, -1), 0)
     with pytest.raises(PreconditionError):
         stability.projective_space_verdict(EK2, (1, 1), (-1, 1), 3)
+
+
+def test_projective_space_zero_is_an_invariant_error(monkeypatch):
+    # a semistable ray has no zero (Derksen-Weyman saturation), so a zero
+    # from si_table is a fault of the library, not a verdict
+    def zero_at_two(euler, d, theta, n_max, budget):
+        return siweights.SIWeightTable(theta, (1, 2, 0, 4)[: n_max + 1])
+
+    monkeypatch.setattr(siweights, "si_table", zero_at_two)
+    with pytest.raises(InvariantError):
+        stability.projective_space_verdict(EK2, (1, 1), (1, -1), 3)
+
+
+def test_tame_ray_with_a_degree_two_polarisation():
+    # A~2 (v1 -> v2 -> v3 and v1 -> v3) at delta = (1, 1, 1) and the
+    # primitive weight (2, 1, -3): delta is theta-stable, yet SI(Q,delta)_theta
+    # has dimension 3, so along the ray s(n) = 2n + 1 and not n + 1.  The
+    # moduli space is P^1, embedded by a polarisation of degree 2
+    euler = EulerMatrix(euclidean_quiver("A~2"))
+    delta, theta = (1, 1, 1), (2, 1, -3)
+    decomp = stability.theta_stable_decomposition(euler, delta, theta)
+    assert decomp.factors == ((delta, 1, "isotropic"),)
+    dims = siweights.si_table(euler, delta, theta, 5).dims
+    assert dims == tuple(2 * n + 1 for n in range(6))
+    for n in range(4):
+        weight = tuple(n * t for t in theta)
+        assert ref_si_dim(euler, delta, weight, siweights.DEFAULT_BUDGET) == dims[n]
+    verdict = stability.projective_space_verdict(euler, delta, theta, 5)
+    assert (verdict.status, verdict.m, verdict.q) == ("is_P_m", 1, 2)
 
 
 def test_projective_space_wild_counterexample():
